@@ -24,7 +24,6 @@ def main():
     parser.add_argument("--lo", type=float, default=0.4)
     parser.add_argument("--hi", type=float, default=1.15)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     images = sorted(p for p in Path(args.images).iterdir()
@@ -32,7 +31,7 @@ def main():
     result = emit_rd_report(
         images, args.models, args.out, external_csvs=args.external,
         anchor=args.anchor, dataset=args.dataset,
-        bpp_range=(args.lo, args.hi), threads=args.threads)
+        bpp_range=(args.lo, args.hi))
     print(f"wrote {args.out}/rd_points.csv, rd_curves.csv, bd_rate.csv")
     for row in result["bd"]:
         print(f"  BD-rate {row[0]} vs {args.anchor}: {row[4]}%")

@@ -8,8 +8,6 @@ human progress goes to stderr.  Exit codes: 0 ok, 2 bad arguments,
 from __future__ import annotations
 
 import argparse
-import csv
-import os
 import sys
 import time
 from pathlib import Path
@@ -31,12 +29,6 @@ IMAGE_SUFFIXES = (".png", ".ppm")
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    return int(os.environ.get("C2F_THREADS", "1"))
 
 
 class _WeightsIoError(Exception):
@@ -147,51 +139,25 @@ def cmd_eval(args) -> int:
 
 
 def cmd_rdcurve(args) -> int:
-    from concurrent.futures import ThreadPoolExecutor
-
-    from .codec import decode_array, encode_array
-    from .evaluation import RdRow, average_rows, bpp, ms_ssim, psnr, RD_CSV_FIELDS, _fmt
-    from .imageio import read_image
+    from .evaluation import average_rows, model_rd_rows, write_curves_csv, write_rd_csv
 
     images = _list_images(args.images)
     model_paths = [m for part in args.models for m in part.split(",") if m]
-    rows: list[RdRow] = []
+    rows = []
     for mpath in model_paths:
-        model = _load_model_io(mpath)
-        tag = str(model.lambda_tag)
-
-        def run_one(path):
-            img = read_image(path)
-            res = encode_array(model, img)
-            out = decode_array(model, res.data)
-            return RdRow(codec=args.codec, quality=tag, image=Path(path).name,
-                         bpp=bpp(len(res.data), img.shape[1], img.shape[0]),
-                         psnr_db=psnr(img, out.image), msssim=ms_ssim(img, out.image))
-
-        workers = _threads(args)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                new = list(pool.map(run_one, images))
-        else:
-            new = [run_one(p) for p in images]
+        new = model_rd_rows(_load_model_io(mpath), images, args.codec)
         rows.extend(new)
         _log(f"model {mpath}: "
              f"mean bpp {np.mean([r.bpp for r in new]):.4f}, "
              f"mean psnr {np.mean([r.psnr_db for r in new]):.2f} dB")
 
-    curves = average_rows(rows)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
-        writer = csv.writer(out)
-        writer.writerow(RD_CSV_FIELDS)
-        for name, curve in sorted(curves.items()):
-            for pt in curve.sorted_points():
-                writer.writerow([name, "mean", _fmt(pt.bpp), _fmt(pt.distortion), "", ""])
+        write_curves_csv(average_rows(rows), out)
     finally:
         if args.out:
             out.close()
     if args.points_out:
-        from .evaluation import write_rd_csv
         with open(args.points_out, "w", newline="") as fh:
             write_rd_csv(rows, fh)
     return 0
@@ -272,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--points-out", default=None,
                    help="also write per-image RD rows here")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_rdcurve)
 
     p = sub.add_parser("bdrate", help="BD-rate of a test curve vs an anchor curve")

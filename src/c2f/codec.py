@@ -19,10 +19,10 @@ from . import autodiff as ad
 from . import rangecoder as rc
 from .autodiff import Tensor
 from .container import ContainerHeader, read_container, write_container
-from .entropy import (ALPHABET_MAX, ALPHABET_MIN, LIKELIHOOD_FLOOR,
-                      QuantizerMode, TableBatch, build_cdf_tables,
-                      gaussian_bin_prob, quantize)
-from .errors import ContractViolation, ModelIdMismatchError
+from .entropy import (ALPHABET_MIN, LIKELIHOOD_FLOOR, QuantizerMode,
+                      TableBatch, build_cdf_tables, gaussian_bin_prob)
+from .errors import (ContractViolation, CorruptStreamError,
+                     ModelIdMismatchError, NumericError)
 from .imageio import crop, pad_to_multiple
 from .transforms import CodecModel, LatentTriple
 from .weights import model_digest
@@ -75,44 +75,30 @@ def encode_array(model: CodecModel, img: np.ndarray) -> EncodeResult:
 
     with ad.no_grad():
         x_in = Tensor((padded.astype(np.float32) / 255.0)[None])
-        x_cont = model.analysis(x_in)
-        y_cont = model.hyper_analysis(x_cont, 1)
-        z_cont = model.hyper_analysis(y_cont, 2)
+        lat = model.forward(x_in, QuantizerMode.INFERENCE_ROUND)
 
-        zhat = quantize(z_cont, QuantizerMode.INFERENCE_ROUND)
-        side2 = model.hyper_synthesis(zhat, 2)
-        mu_y, sigma_y = model.predict_params(side2, "y")
-
-        yhat = quantize(y_cont, QuantizerMode.INFERENCE_ROUND)
-        side1 = model.hyper_synthesis(yhat, 1)
-        mu_x, sigma_x = model.predict_params(side1, "x")
-
-        xhat = quantize(x_cont, QuantizerMode.INFERENCE_ROUND)
-
-    sigma_z = model.fz.sigma_values()
-    z_syms = _symbols(zhat)
-    y_syms = _symbols(yhat)
-    x_syms = _symbols(xhat)
+    sigma_z = lat.sigma_z
+    z_syms = _symbols(lat.z)
+    y_syms = _symbols(lat.y)
+    x_syms = _symbols(lat.x)
 
     zbytes = rc.encode(z_syms, _z_tables(sigma_z, z_syms.size))
-    ybytes = rc.encode(y_syms, _gaussian_tables(mu_y, sigma_y))
-    xbytes = rc.encode(x_syms, _gaussian_tables(mu_x, sigma_x))
+    ybytes = rc.encode(y_syms, _gaussian_tables(lat.mu_y, lat.sigma_y))
+    xbytes = rc.encode(x_syms, _gaussian_tables(lat.mu_x, lat.sigma_x))
 
     modeled = (_modeled_bits(z_syms, 0.0, np.tile(sigma_z, z_syms.size // sigma_z.size))
-               + _modeled_bits(y_syms, mu_y.data.reshape(-1), sigma_y.data.reshape(-1))
-               + _modeled_bits(x_syms, mu_x.data.reshape(-1), sigma_x.data.reshape(-1)))
+               + _modeled_bits(y_syms, lat.mu_y.data.reshape(-1), lat.sigma_y.data.reshape(-1))
+               + _modeled_bits(x_syms, lat.mu_x.data.reshape(-1), lat.sigma_x.data.reshape(-1)))
 
     header = ContainerHeader(model_id=model_digest(model),
                              orig_w=orig_w, orig_h=orig_h,
                              pad_w=pad_w, pad_h=pad_h,
                              lambda_tag=model.lambda_tag)
     data = write_container(header, zbytes, ybytes, xbytes)
-    latents = LatentTriple(x=xhat, y=yhat, z=zhat, mu_x=mu_x, sigma_x=sigma_x,
-                           mu_y=mu_y, sigma_y=sigma_y, sigma_z=sigma_z)
     return EncodeResult(
-        data=data, latents=latents, modeled_bits=modeled,
+        data=data, latents=lat, modeled_bits=modeled,
         stream_bits=8 * (len(zbytes) + len(ybytes) + len(xbytes)),
-        latent_digest=latent_digest(xhat.data, yhat.data, zhat.data))
+        latent_digest=latent_digest(lat.x.data, lat.y.data, lat.z.data))
 
 
 @dataclass
@@ -130,6 +116,16 @@ def decode_array(model: CodecModel, data: bytes) -> DecodeResult:
         raise ModelIdMismatchError(
             f"container was written by weights {header.model_id.hex()[:12]}..., "
             f"supplied weights are {digest.hex()[:12]}...")
+    try:
+        return _decode_streams(model, header, zbytes, ybytes, xbytes)
+    except NumericError as exc:
+        # the weights match, so a non-finite value can only come from
+        # latents no encoder wrote: a flipped bit desynced the coder
+        raise CorruptStreamError(f"stream decodes to invalid latents: {exc}") from exc
+
+
+def _decode_streams(model: CodecModel, header: ContainerHeader, zbytes: bytes,
+                    ybytes: bytes, xbytes: bytes) -> DecodeResult:
     x_shape, y_shape, z_shape = model.latent_shapes(header.pad_h, header.pad_w)
 
     sigma_z = model.fz.sigma_values()

@@ -8,8 +8,8 @@ Byte-exact layout, all integers little-endian:
     6       32    model_id (sha-256 of the weights file)
     38      4     orig_w (u32)
     42      4     orig_h (u32)
-    46      4     pad_w (u32, multiple of 64)
-    50      4     pad_h (u32, multiple of 64)
+    46      4     pad_w (u32, orig_w rounded up to a multiple of 64)
+    50      4     pad_h (u32, orig_h rounded up to a multiple of 64)
     54      2     lambda_tag (u16, round(10000 * lambda))
     56      8     z stream length (u64)
     64      8     y stream length (u64)
@@ -25,8 +25,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .errors import (BadMagicError, ContractViolation, TruncatedFileError,
-                     VersionMismatchError)
+from .errors import (BadMagicError, ContractViolation, CorruptStreamError,
+                     TruncatedFileError, VersionMismatchError)
 
 MAGIC = b"C2F1"
 VERSION = 1
@@ -51,10 +51,13 @@ class ContainerHeader:
     def validate(self) -> "ContainerHeader":
         if len(self.model_id) != 32:
             raise ContractViolation("model_id must be a 32-byte digest")
-        if self.pad_w % 64 or self.pad_h % 64:
-            raise ContractViolation("padded dims must be multiples of 64")
-        if self.pad_w < self.orig_w or self.pad_h < self.orig_h:
-            raise ContractViolation("padded dims must cover the original image")
+        # the only padding encode_array writes; it also bounds what a
+        # hostile header can make the decoder allocate
+        if (self.pad_w, self.pad_h) != (-(-self.orig_w // 64) * 64,
+                                        -(-self.orig_h // 64) * 64):
+            raise ContractViolation(
+                f"padded dims {self.pad_w}x{self.pad_h} are not {self.orig_w}x"
+                f"{self.orig_h} rounded up to multiples of 64")
         if not (0 <= self.lambda_tag < 1 << 16):
             raise ContractViolation("lambda_tag out of u16 range")
         return self
@@ -86,7 +89,11 @@ def read_container(data: bytes) -> tuple[ContainerHeader, bytes, bytes, bytes]:
         raise TruncatedFileError(
             f"container payload is {len(data) - HEADER_SIZE} bytes, header says {end - HEADER_SIZE}")
     header = ContainerHeader(model_id, orig_w, orig_h, pad_w, pad_h,
-                             lambda_tag, z_len, y_len, x_len, version).validate()
+                             lambda_tag, z_len, y_len, x_len, version)
+    try:
+        header.validate()
+    except ContractViolation as exc:
+        raise CorruptStreamError(f"invalid container header: {exc}") from exc
     z0 = HEADER_SIZE
     y0 = z0 + z_len
     x0 = y0 + y_len

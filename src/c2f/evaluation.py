@@ -303,11 +303,8 @@ def average_rows(rows: list[RdRow], metric: str = "psnr_db",
     pooled total-bits/total-pixels reading by more than 1% (unequal image
     sizes) a warning naming both values is emitted.
     """
-    groups: dict[tuple[str, str], list[RdRow]] = {}
-    for r in rows:
-        groups.setdefault((r.codec, r.quality), []).append(r)
     curves: dict[str, RdCurve] = {}
-    for (codec_name, quality), grp in sorted(groups.items()):
+    for (codec_name, quality), grp in sorted(_group(rows).items()):
         mean_bpp = float(np.mean([g.bpp for g in grp]))
         if metric == "msssim_db":
             dist = float(np.mean([g.msssim for g in grp]))
@@ -321,6 +318,45 @@ def average_rows(rows: list[RdRow], metric: str = "psnr_db",
     return curves
 
 
+def _group(rows: list[RdRow]) -> dict[tuple[str, str], list[RdRow]]:
+    """Rows keyed by (codec, quality): one RD point each."""
+    groups: dict[tuple[str, str], list[RdRow]] = {}
+    for r in rows:
+        groups.setdefault((r.codec, r.quality), []).append(r)
+    return groups
+
+
+def write_curves_csv(curves: dict[str, RdCurve], out) -> None:
+    """Averaged curves in the RD CSV schema, image column "mean"."""
+    writer = csv.writer(out)
+    writer.writerow(RD_CSV_FIELDS)
+    for name, curve in sorted(curves.items()):
+        for pt in curve.sorted_points():
+            writer.writerow([name, "mean", _fmt(pt.bpp), _fmt(pt.distortion), "", ""])
+
+
+def model_rd_rows(model, image_paths: list, codec: str = "c2f") -> list[RdRow]:
+    """Encode, decode and score every image with one model, serially.
+
+    One RdRow per image; quality is the model's lambda tag and bpp counts
+    the whole container.
+    """
+    from .codec import decode_array, encode_array
+    from .imageio import read_image
+
+    rows = []
+    for path in image_paths:
+        img = read_image(path)
+        res = encode_array(model, img)
+        out = decode_array(model, res.data)
+        rows.append(RdRow(codec=codec, quality=str(model.lambda_tag),
+                          image=Path(path).name,
+                          bpp=bpp(len(res.data), img.shape[1], img.shape[0]),
+                          psnr_db=psnr(img, out.image),
+                          msssim=ms_ssim(img, out.image)))
+    return rows
+
+
 def pooled_bpp(rows: list[RdRow], pixel_counts: dict[str, int]) -> float:
     """Total bits over total pixels for one (codec, quality) group."""
     bits = sum(r.bpp * pixel_counts[r.image] for r in rows)
@@ -331,12 +367,9 @@ def emit_rd_report(image_paths: list, model_paths: list, out_dir,
                    external_csvs: list | None = None,
                    anchor: str = "c2f", dataset: str = "dataset",
                    bpp_range: tuple[float, float] = (0.4, 1.15),
-                   metric: str = "psnr_db", threads: int = 1) -> dict:
+                   metric: str = "psnr_db") -> dict:
     """Encode/decode a dataset with a model zoo, join external codec points,
     and write rd_points.csv, rd_curves.csv and bd_rate.csv under out_dir."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    from .codec import decode_array, encode_array
     from .imageio import read_image
     from .weights import load_model
 
@@ -347,26 +380,8 @@ def emit_rd_report(image_paths: list, model_paths: list, out_dir,
 
     rows: list[RdRow] = []
     pixel_counts: dict[str, int] = {}
-
-    def run_one(model, tag, path):
-        img = read_image(path)
-        res = encode_array(model, img)
-        out = decode_array(model, res.data)
-        name = Path(path).name
-        return RdRow(codec="c2f", quality=tag, image=name,
-                     bpp=bpp(len(res.data), img.shape[1], img.shape[0]),
-                     psnr_db=psnr(img, out.image),
-                     msssim=ms_ssim(img, out.image))
-
     for mpath in model_paths or []:
-        model = load_model(mpath)
-        tag = str(model.lambda_tag)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                new = list(pool.map(lambda p: run_one(model, tag, p), image_paths))
-        else:
-            new = [run_one(model, tag, p) for p in image_paths]
-        rows.extend(new)
+        rows.extend(model_rd_rows(load_model(mpath), image_paths))
     for path in image_paths:
         img_shape = read_image(path).shape
         pixel_counts[Path(path).name] = img_shape[0] * img_shape[1]
@@ -383,11 +398,7 @@ def emit_rd_report(image_paths: list, model_paths: list, out_dir,
             f"anchor codec {anchor!r} absent from results ({sorted(curves)})")
 
     with open(out_dir / "rd_curves.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RD_CSV_FIELDS)
-        for name, curve in sorted(curves.items()):
-            for pt in curve.sorted_points():
-                writer.writerow([name, "mean", _fmt(pt.bpp), _fmt(pt.distortion), "", ""])
+        write_curves_csv(curves, fh)
     # flag mean-vs-pooled divergence for unequal image sizes
     for (codec_name, quality), grp in sorted(_group(rows).items()):
         if all(r.image in pixel_counts for r in grp):
@@ -412,10 +423,3 @@ def emit_rd_report(image_paths: list, model_paths: list, out_dir,
         writer.writerow(BD_CSV_FIELDS)
         writer.writerows(bd_rows)
     return {"rows": rows, "curves": curves, "bd": bd_rows}
-
-
-def _group(rows: list[RdRow]) -> dict[tuple[str, str], list[RdRow]]:
-    groups: dict[tuple[str, str], list[RdRow]] = {}
-    for r in rows:
-        groups.setdefault((r.codec, r.quality), []).append(r)
-    return groups

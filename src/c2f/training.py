@@ -23,8 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Adam, Tensor
-from .entropy import (QuantizerMode, gaussian_bin_prob, gaussian_likelihood,
-                      quantize, rate_bits, z_likelihood, LIKELIHOOD_FLOOR)
+from .entropy import QuantizerMode, gaussian_likelihood, rate_bits, z_likelihood
 from .errors import ConfigError, ContractViolation
 from .evaluation import MSSSIM_WEIGHTS, MSSSIM_WINDOW, gaussian_window
 from .imageio import read_image
@@ -208,30 +207,20 @@ def rd_loss(model: CodecModel, batch: np.ndarray, lambda_: float,
 
     The quantizer runs in noise mode; noise draws consume `rng` in the
     fixed order Z, Y, X so a fresh generator with the same seed replays
-    the step exactly.
+    the step exactly.  L_if is always computed and reported, from the
+    same noisy Y the rate term sees; it enters the loss only when
+    lif_weight > 0.
     """
     x = batch if isinstance(batch, Tensor) else Tensor(batch)
     n_pixels = x.shape[0] * x.shape[1] * x.shape[2]
 
-    x_cont = model.analysis(x)
-    y_cont = model.hyper_analysis(x_cont, 1)
-    z_cont = model.hyper_analysis(y_cont, 2)
-
-    z_t = quantize(z_cont, QuantizerMode.TRAIN_NOISE, rng)
-    y_t = quantize(y_cont, QuantizerMode.TRAIN_NOISE, rng)
-    x_t = quantize(x_cont, QuantizerMode.TRAIN_NOISE, rng)
-
-    side2 = model.hyper_synthesis(z_t, 2)
-    mu_y, sigma_y = model.predict_params(side2, "y")
-    side1 = model.hyper_synthesis(y_t, 1)
-    mu_x, sigma_x = model.predict_params(side1, "x")
-
-    q_x = gaussian_likelihood(x_t, mu_x, sigma_x)
-    q_y = gaussian_likelihood(y_t, mu_y, sigma_y)
-    q_z = z_likelihood(z_t, model.fz)
+    lat = model.forward(x, QuantizerMode.TRAIN_NOISE, rng)
+    q_x = gaussian_likelihood(lat.x, lat.mu_x, lat.sigma_x)
+    q_y = gaussian_likelihood(lat.y, lat.mu_y, lat.sigma_y)
+    q_z = z_likelihood(lat.z, model.fz)
     r_bpp = ad.mul_const(rate_bits(q_x, q_y, q_z), 1.0 / n_pixels)
 
-    recon = model.synthesize(x_t, side1, side2)
+    recon = model.synthesize(lat.x, lat.side1, lat.side2)
     if distortion == "mse":
         # the objective weighs squared error on the 8-bit pixel scale, the
         # convention the lambda grid is calibrated for; D is reported on [0,1]
@@ -243,49 +232,11 @@ def rd_loss(model: CodecModel, batch: np.ndarray, lambda_: float,
     else:
         raise ConfigError(f"unknown distortion kind {distortion!r}")
 
+    lif = ad.l2_norm(ad.sub(model.info_fidelity_project(lat.y), lat.x_cont))
     loss = ad.add(r_bpp, ad.mul_const(d, d_weight))
-    lif_value = 0.0
     if lif_weight > 0.0:
-        lif = ad.l2_norm(ad.sub(model.info_fidelity_project(y_t), x_cont))
         loss = ad.add(loss, ad.mul_const(lif, lif_weight))
-        lif_value = lif.item()
-    return RdLossResult(loss=loss, r_bpp=r_bpp.item(), d=d.item(), lif=lif_value)
-
-
-def info_fidelity_norm(model: CodecModel, batch: np.ndarray,
-                       rng: np.random.Generator) -> float:
-    """L_if alone (noise mode), for monitoring when its weight is zero."""
-    with ad.no_grad():
-        x = Tensor(batch)
-        x_cont = model.analysis(x)
-        y_cont = model.hyper_analysis(x_cont, 1)
-        y_t = quantize(y_cont, QuantizerMode.TRAIN_NOISE, rng)
-        return ad.l2_norm(ad.sub(model.info_fidelity_project(y_t), x_cont)).item()
-
-
-def modeled_round_rate_bpp(model: CodecModel, batch: np.ndarray) -> float:
-    """Eval-mode rate: float cross-entropy of rounded latents in bpp."""
-    with ad.no_grad():
-        x = Tensor(batch)
-        x_cont = model.analysis(x)
-        y_cont = model.hyper_analysis(x_cont, 1)
-        z_cont = model.hyper_analysis(y_cont, 2)
-        zhat = quantize(z_cont, QuantizerMode.INFERENCE_ROUND)
-        side2 = model.hyper_synthesis(zhat, 2)
-        mu_y, sigma_y = model.predict_params(side2, "y")
-        yhat = quantize(y_cont, QuantizerMode.INFERENCE_ROUND)
-        side1 = model.hyper_synthesis(yhat, 1)
-        mu_x, sigma_x = model.predict_params(side1, "x")
-        xhat = quantize(x_cont, QuantizerMode.INFERENCE_ROUND)
-    bits = 0.0
-    for val, mu, sig in ((zhat.data, 0.0, np.broadcast_to(
-            model.fz.sigma_values(), zhat.shape).astype(np.float64)),
-            (yhat.data, mu_y.data, sigma_y.data),
-            (xhat.data, mu_x.data, sigma_x.data)):
-        q = gaussian_bin_prob(val, mu, sig)
-        bits += float(-np.sum(np.log2(np.maximum(q, LIKELIHOOD_FLOOR))))
-    n_pixels = batch.shape[0] * batch.shape[1] * batch.shape[2]
-    return bits / n_pixels
+    return RdLossResult(loss=loss, r_bpp=r_bpp.item(), d=d.item(), lif=lif.item())
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +249,9 @@ def train(config: TrainConfig, dataset_paths: list, out_dir=None,
 
     Writes train_log.csv (step, r_bpp, d, lif, loss) and model.c2fw under
     out_dir when given; emits checkpoint_<step>.c2fw at the configured
-    interval.  Resuming from a checkpoint reproduces the exact run.
+    interval.  Resuming from a checkpoint reproduces the exact run.  The
+    lif column is the step's own L_if (before its update), logged even
+    once its weight has decayed to zero.
     """
     loader = load_patches(dataset_paths, config.patch, config.seed, config.batch)
     if resume is not None:
@@ -338,9 +291,6 @@ def train(config: TrainConfig, dataset_paths: list, out_dir=None,
             opt.zero_grad()
             out.loss.backward()
             opt.step()
-            if w_if == 0.0:
-                out.lif = info_fidelity_norm(
-                    model, batch, np.random.default_rng([config.seed, step, 1]))
             row = {"step": step, "r_bpp": out.r_bpp, "d": out.d,
                    "lif": out.lif, "loss": out.loss_value}
             metrics.append(row)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GdnParams, Tensor
-from .entropy import SIGMA_MAX, SIGMA_MIN, FactorizedZ
+from .entropy import SIGMA_MAX, SIGMA_MIN, FactorizedZ, QuantizerMode, quantize
 from .errors import ContractViolation
 
 DOWNSAMPLE = 64  # 16 (main) * 2 (hyper level 1) * 2 (hyper level 2)
@@ -56,7 +56,8 @@ class ArchConfig:
 
 @dataclass
 class LatentTriple:
-    """Quantized latent planes plus their predicted Gaussian parameters."""
+    """Quantized latent planes plus their predicted Gaussian parameters,
+    the continuous main latent and both hyper-synthesis outputs."""
 
     x: Tensor
     y: Tensor
@@ -66,6 +67,9 @@ class LatentTriple:
     mu_y: Tensor
     sigma_y: Tensor
     sigma_z: np.ndarray  # per-channel vector
+    x_cont: Tensor       # analysis output before quantization
+    side1: Tensor        # hyper synthesis of y (feeds predictor_x)
+    side2: Tensor        # hyper synthesis of z (feeds predictor_y)
 
 
 # ---------------------------------------------------------------------------
@@ -94,88 +98,59 @@ def _smooth_upsample_init(rng: np.random.Generator, k: int, out_ch: int,
 
 
 class ConvLayer:
-    kind = "conv"
+    """Conv, or with `transpose` the deconv (its adjoint), plus bias and
+    activation.  A deconv kernel is laid out (kh, kw, out, in), the
+    adjoint-convention layout, and its init std counts in_ch / stride**2
+    inputs per output, since a stride-s deconv spreads each input over
+    s*s outputs."""
 
     def __init__(self, rng, in_ch: int, out_ch: int, kernel: int, stride: int,
                  activation: str, bias: bool = True,
-                 gdn_init: tuple[float, float] = (1.0, 0.1)):
+                 gdn_init: tuple[float, float] = (1.0, 0.1), transpose: bool = False):
+        self.kind = "deconv" if transpose else "conv"
         self.in_ch, self.out_ch = in_ch, out_ch
         self.kernel_size, self.stride = kernel, stride
         self.activation = activation
-        self.kernel = Tensor(_kernel_init(rng, kernel, kernel, in_ch,
-                                          (kernel, kernel, in_ch, out_ch)), True)
+        self.transpose = transpose
+        cin_eff, layout = ((in_ch / stride ** 2, (out_ch, in_ch)) if transpose
+                           else (in_ch, (in_ch, out_ch)))
+        self.kernel = Tensor(_kernel_init(rng, kernel, kernel, cin_eff,
+                                          (kernel, kernel, *layout)), True)
         self.bias = Tensor(np.zeros((1, 1, 1, out_ch), np.float32), True) if bias else None
         self.gdn = (GdnParams.create(out_ch, *gdn_init)
                     if activation in ("gdn", "igdn") else None)
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = ad.conv2d(x, self.kernel, self.stride, "same")
+        # looked up per call, so a wrapper installed on the module sees it
+        op = ad.deconv2d if self.transpose else ad.conv2d
+        out = op(x, self.kernel, self.stride, "same")
         if self.bias is not None:
             out = ad.add(out, self.bias)
         return _activate(out, self.activation, self.gdn)
 
     def params(self, prefix: str):
-        yield from _layer_params(self, prefix)
-
-    def describe(self) -> dict:
-        return _describe(self)
-
-
-class DeconvLayer:
-    kind = "deconv"
-
-    def __init__(self, rng, in_ch: int, out_ch: int, kernel: int, stride: int,
-                 activation: str, bias: bool = True,
-                 gdn_init: tuple[float, float] = (1.0, 0.1)):
-        self.in_ch, self.out_ch = in_ch, out_ch
-        self.kernel_size, self.stride = kernel, stride
-        self.activation = activation
-        # laid out (kh, kw, out, in): the adjoint-convention kernel
-        self.kernel = Tensor(_kernel_init(rng, kernel, kernel, in_ch / stride ** 2,
-                                          (kernel, kernel, out_ch, in_ch)), True)
-        self.bias = Tensor(np.zeros((1, 1, 1, out_ch), np.float32), True) if bias else None
-        self.gdn = (GdnParams.create(out_ch, *gdn_init)
-                    if activation in ("gdn", "igdn") else None)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        out = ad.deconv2d(x, self.kernel, self.stride, "same")
+        yield f"{prefix}.kernel", self.kernel
         if self.bias is not None:
-            out = ad.add(out, self.bias)
-        return _activate(out, self.activation, self.gdn)
-
-    def params(self, prefix: str):
-        yield from _layer_params(self, prefix)
+            yield f"{prefix}.bias", self.bias
+        if self.gdn is not None:
+            yield f"{prefix}.gdn.beta_u", self.gdn.beta_u
+            yield f"{prefix}.gdn.gamma_v", self.gdn.gamma_v
 
     def describe(self) -> dict:
         return _describe(self)
 
 
 class SpaceToDepthLayer:
-    kind = "space_to_depth"
+    """2x2 space-to-depth, or with `inverse` depth-to-space; no parameters."""
 
-    def __init__(self, in_ch: int):
-        self.in_ch, self.out_ch = in_ch, 4 * in_ch
+    def __init__(self, in_ch: int, inverse: bool = False):
+        self.kind = "depth_to_space" if inverse else "space_to_depth"
+        self.inverse = inverse
+        self.in_ch, self.out_ch = in_ch, in_ch // 4 if inverse else 4 * in_ch
         self.kernel_size, self.stride, self.activation = None, None, None
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.space_to_depth(x)
-
-    def params(self, prefix: str):
-        return iter(())
-
-    def describe(self) -> dict:
-        return _describe(self)
-
-
-class DepthToSpaceLayer:
-    kind = "depth_to_space"
-
-    def __init__(self, in_ch: int):
-        self.in_ch, self.out_ch = in_ch, in_ch // 4
-        self.kernel_size, self.stride, self.activation = None, None, None
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.depth_to_space(x)
+        return ad.depth_to_space(x) if self.inverse else ad.space_to_depth(x)
 
     def params(self, prefix: str):
         return iter(())
@@ -194,15 +169,6 @@ def _activate(out: Tensor, activation: str, gdn_params) -> Tensor:
     if activation == "igdn":
         return ad.gdn(out, gdn_params, inverse=True)
     raise ContractViolation(f"unknown activation {activation!r}")
-
-
-def _layer_params(layer, prefix: str):
-    yield f"{prefix}.kernel", layer.kernel
-    if layer.bias is not None:
-        yield f"{prefix}.bias", layer.bias
-    if layer.gdn is not None:
-        yield f"{prefix}.gdn.beta_u", layer.gdn.beta_u
-        yield f"{prefix}.gdn.gamma_v", layer.gdn.gamma_v
 
 
 def _describe(layer) -> dict:
@@ -244,11 +210,11 @@ def _hyper_synthesis(rng, c: int, c_prime: int) -> Sequential:
     """Mirror of the hyper analysis: 1x1 linear to 4c, depth-to-space,
     two 1x1 ReLU stages at 4c, 3x3 linear back to c."""
     return Sequential([
-        DeconvLayer(rng, c_prime, 4 * c, 1, 1, "linear"),
-        DepthToSpaceLayer(4 * c),
-        DeconvLayer(rng, c, 4 * c, 1, 1, "relu"),
-        DeconvLayer(rng, 4 * c, 4 * c, 1, 1, "relu"),
-        DeconvLayer(rng, 4 * c, c, 3, 1, "linear"),
+        ConvLayer(rng, c_prime, 4 * c, 1, 1, "linear", transpose=True),
+        SpaceToDepthLayer(4 * c, inverse=True),
+        ConvLayer(rng, c, 4 * c, 1, 1, "relu", transpose=True),
+        ConvLayer(rng, 4 * c, 4 * c, 1, 1, "relu", transpose=True),
+        ConvLayer(rng, 4 * c, c, 3, 1, "linear", transpose=True),
     ])
 
 
@@ -319,7 +285,8 @@ class CodecModel:
         self.fz = FactorizedZ.create(c_z, sigma_init=16.0)
 
         # one linear layer mapping Y's grid onto X's grid (2x up, no bias)
-        self.info_proj = DeconvLayer(rng, c_y, n, 2, 2, "linear", bias=False)
+        self.info_proj = ConvLayer(rng, c_y, n, 2, 2, "linear", bias=False,
+                                   transpose=True)
 
         # information-aggregation decoder: main path 3 stages to h/2,
         # side paths 3 (L1, from /16) and 4 (L2, from /32) stages to h/2
@@ -327,16 +294,16 @@ class CodecModel:
         # synthesis iGDNs start near-linear; gamma = 0.1 would amplify the
         # large decoded latents and swamp the first training steps
         self.synthesis_main = Sequential(
-            [DeconvLayer(rng, n, n, 5, 2, "igdn", gdn_init=(1.0, 1e-4))
+            [ConvLayer(rng, n, n, 5, 2, "igdn", gdn_init=(1.0, 1e-4), transpose=True)
              for _ in range(3)])
         for layer in self.synthesis_main.layers:
             layer.kernel.data = _smooth_upsample_init(rng, 5, n, n)
         self.side1_up = Sequential(
-            [DeconvLayer(rng, n, cs, 3, 2, "relu")]
-            + [DeconvLayer(rng, cs, cs, 3, 2, "relu") for _ in range(2)])
+            [ConvLayer(rng, n, cs, 3, 2, "relu", transpose=True)]
+            + [ConvLayer(rng, cs, cs, 3, 2, "relu", transpose=True) for _ in range(2)])
         self.side2_up = Sequential(
-            [DeconvLayer(rng, c_y, cs, 3, 2, "relu")]
-            + [DeconvLayer(rng, cs, cs, 3, 2, "relu") for _ in range(3)])
+            [ConvLayer(rng, c_y, cs, 3, 2, "relu", transpose=True)]
+            + [ConvLayer(rng, cs, cs, 3, 2, "relu", transpose=True) for _ in range(3)])
         # peripheral convs stay linear so the smooth main path is not
         # ReLU-gated at init; the residual tail starts damped
         self.fuse_in = ConvLayer(rng, n + 2 * cs, n, 3, 1, "linear")
@@ -352,7 +319,7 @@ class CodecModel:
         # plain-scale random kernel here would start the output near std 5
         # on [0,1]; damp it so a fresh model starts at mid-gray.  This is
         # the last draw from rng, so every earlier parameter is unchanged.
-        self.final_up = DeconvLayer(rng, n, 3, 5, 2, "linear")
+        self.final_up = ConvLayer(rng, n, 3, 5, 2, "linear", transpose=True)
         self.final_up.kernel.data *= FINAL_UP_INIT_GAIN
         self.final_up.bias.data[:] = 0.5  # start at mid-gray
 
@@ -392,6 +359,33 @@ class CodecModel:
                 f"predictor {level} expects {head.channels} channels, "
                 f"got {side_repr.shape[3]}")
         return head(side_repr)
+
+    def forward(self, image: Tensor, mode: QuantizerMode,
+                rng: np.random.Generator | None = None) -> LatentTriple:
+        """The one encoder chain, shared by coding and training.
+
+        Analysis, hyper analysis L1 and L2, quantization of Z, Y, X (in
+        that order, so noise draws consume `rng` in a fixed order), then
+        hyper synthesis L2 -> Y parameters and L1 -> X parameters.  Coding
+        rounds (INFERENCE_ROUND), so the parameters come from the same
+        rounded planes the decoder recovers; training adds noise.
+        """
+        x_cont = self.analysis(image)
+        y_cont = self.hyper_analysis(x_cont, 1)
+        z_cont = self.hyper_analysis(y_cont, 2)
+
+        z = quantize(z_cont, mode, rng)
+        y = quantize(y_cont, mode, rng)
+        x = quantize(x_cont, mode, rng)
+
+        side2 = self.hyper_synthesis(z, 2)
+        mu_y, sigma_y = self.predict_params(side2, "y")
+        side1 = self.hyper_synthesis(y, 1)
+        mu_x, sigma_x = self.predict_params(side1, "x")
+        return LatentTriple(x=x, y=y, z=z, mu_x=mu_x, sigma_x=sigma_x,
+                            mu_y=mu_y, sigma_y=sigma_y,
+                            sigma_z=self.fz.sigma_values(),
+                            x_cont=x_cont, side1=side1, side2=side2)
 
     def info_fidelity_project(self, y: Tensor) -> Tensor:
         return self.info_proj(y)

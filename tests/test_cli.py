@@ -12,6 +12,8 @@ from c2f.imageio import read_image, write_image
 from c2f.training import synthetic_patch
 from c2f.transforms import ArchConfig, CodecModel
 
+from zoo import heldout_images
+
 TINY = ArchConfig(n_main=8, c_y=8, c_z=4)
 
 
@@ -93,6 +95,22 @@ def test_corrupt_container_exits_4(workdir, tmp_path):
     assert rc == 4
 
 
+def test_stream_that_overflows_the_decoder_exits_4(toy_zoo, tmp_path):
+    # bit 0 of byte 741 (X stream) desyncs the coder into latents whose
+    # synthesis overflows float32: held-out image 0 tiled 2x3, lambda=0.03
+    model_path = toy_zoo.model_path(0.03)
+    img = np.tile(heldout_images(1)[0], (2, 3, 1))
+    write_image(tmp_path / "tile.png", img)
+    assert run(["encode", "--model", model_path, "--input", tmp_path / "tile.png",
+                "--output", tmp_path / "tile.c2f"]) == 0
+    data = bytearray((tmp_path / "tile.c2f").read_bytes())
+    data[741] ^= 1
+    (tmp_path / "flip.c2f").write_bytes(bytes(data))
+    rc = run(["decode", "--model", model_path, "--input", tmp_path / "flip.c2f",
+              "--output", tmp_path / "flip.png"])
+    assert rc == 4
+
+
 def test_eval_identical_pair_reports_inf(workdir, capsys):
     assert run(["eval", "--ref", workdir / "img1.png",
                 "--test", workdir / "img1.png"]) == 0
@@ -114,8 +132,7 @@ def test_rdcurve_over_model_zoo(workdir, tmp_path, capsys):
         path = tmp_path / f"zoo{tag}.c2fw"
         wts.save_model(model, path)
         zoo.append(str(path))
-    rc = run(["rdcurve", "--models", ",".join(zoo), "--images", workdir,
-              "--threads", "2"])
+    rc = run(["rdcurve", "--models", ",".join(zoo), "--images", workdir])
     assert rc == 0
     out = capsys.readouterr().out
     rows = list(csv.DictReader(io.StringIO(out)))

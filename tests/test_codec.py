@@ -1,11 +1,17 @@
+import struct
+
 import numpy as np
 import pytest
 
 import c2f.codec as codec
 import c2f.weights as wts
-from c2f.errors import ContractViolation, ModelIdMismatchError
+from c2f.container import HEADER_SIZE, read_container
+from c2f.errors import (ContractViolation, CorruptStreamError,
+                        ModelIdMismatchError, NumericError)
 from c2f.evaluation import bpp, psnr
 from c2f.transforms import ArchConfig, CodecModel
+
+from zoo import heldout_images
 
 ARCH = ArchConfig(n_main=8, c_y=8, c_z=4)
 
@@ -103,3 +109,48 @@ def test_saved_model_roundtrips_container(tmp_path, model):
     assert out.latent_digest == res.latent_digest
     reference = codec.decode_array(model, res.data)
     np.testing.assert_array_equal(out.image, reference.image)
+
+
+# ---------------------------------------------------------------------------
+# corrupt input
+
+@pytest.fixture(scope="module")
+def zoo_stream(toy_zoo):
+    """The lambda=0.03 zoo model and a container of held-out image 0 tiled
+    2x3 (128x192)."""
+    model = toy_zoo.load(0.03)
+    img = np.tile(heldout_images(1)[0], (2, 3, 1))
+    return model, codec.encode_array(model, img).data
+
+
+def test_bit_flips_decode_or_fail_as_corrupt_stream(zoo_stream):
+    # 60 seeded single-bit flips cycling over the Z, Y and X streams.  Some
+    # desync the coder into latents whose synthesis overflows; with matching
+    # weights that too is a corrupt stream, not a NumericError
+    model, data = zoo_stream
+    _, *streams = read_container(data)
+    starts = np.cumsum([HEADER_SIZE] + [len(s) for s in streams])
+    rng = np.random.default_rng(0)
+    causes = []
+    for k in range(60):
+        i = k % 3
+        bad = bytearray(data)
+        bad[int(starts[i] + rng.integers(len(streams[i])))] ^= 1 << int(rng.integers(8))
+        try:
+            codec.decode_array(model, bytes(bad))
+        except CorruptStreamError as exc:
+            causes.append(type(exc.__cause__))
+    assert NumericError in causes  # the sweep reaches the overflow case
+
+
+def test_hostile_padded_size_refused_before_decoding(model, monkeypatch):
+    # a 64x64 image whose header claims a (2**32 - 64)-wide padded plane
+    data = bytearray(codec.encode_array(model, rand_img(64, 64, seed=8)).data)
+    struct.pack_into("<I", data, 46, 2 ** 32 - 64)
+
+    def no_decode(*args):
+        raise AssertionError("decoder sized latent planes from a hostile header")
+
+    monkeypatch.setattr(CodecModel, "latent_shapes", no_decode)
+    with pytest.raises(CorruptStreamError):
+        codec.decode_array(model, bytes(data))

@@ -62,6 +62,8 @@ def test_pad_dims_validated():
         cont.write_container(header(pad_w=100), b"", b"", b"")
     with pytest.raises(ContractViolation):
         cont.write_container(header(pad_h=0, orig_h=5), b"", b"", b"")
+    with pytest.raises(ContractViolation):  # 100 pads to 128, nothing else
+        cont.write_container(header(pad_w=192), b"", b"", b"")
 
 
 def test_model_id_length_validated():

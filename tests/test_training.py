@@ -1,3 +1,4 @@
+import csv
 import math
 from pathlib import Path
 
@@ -12,7 +13,8 @@ from c2f.training import PIXEL_SCALE_SQ, TrainConfig, load_patches, rd_loss
 from c2f.transforms import ArchConfig, CodecModel
 
 from gradcheck import rel_error
-from zoo import ZOO_BATCH, ZOO_C_Y, ZOO_C_Z, ZOO_N_MAIN, ZOO_PATCH, ZOO_SEED
+from zoo import (ZOO_BATCH, ZOO_C_Y, ZOO_C_Z, ZOO_LR, ZOO_N_MAIN, ZOO_PATCH,
+                 ZOO_SEED, ZOO_STEPS)
 
 TINY = ArchConfig(n_main=8, c_y=8, c_z=4)
 
@@ -116,6 +118,15 @@ def test_rd_loss_composition(loader):
     assert out.loss_value == pytest.approx(float(expected), rel=1e-5)
 
 
+def test_rd_loss_reports_lif_at_zero_weight_without_adding_it(loader):
+    model = CodecModel(TINY, seed=0)
+    out = rd_loss(model, loader.batch(0), 0.01, np.random.default_rng([1, 2]))
+    assert out.lif > 0.0
+    expected = (np.float32(out.r_bpp)
+                + np.float32(0.01 * PIXEL_SCALE_SQ) * np.float32(out.d))
+    assert out.loss_value == float(expected)
+
+
 def test_rd_loss_doubling_lambda_doubles_d_contribution(loader):
     model = CodecModel(TINY, seed=0)
     batch = loader.batch(1)
@@ -146,6 +157,37 @@ def test_fresh_zoo_model_starts_near_mid_gray():
     out = rd_loss(model, batch, 0.03, np.random.default_rng([ZOO_SEED, 0, 1]))
     mid_gray = float(np.mean((batch - 0.5) ** 2))
     assert mid_gray / 2 <= out.d <= 2 * mid_gray
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_zoo_recipe_first_steps_match_committed_train_log():
+    # the committed zoo pins training numerics: a change that moves them
+    # must bump RECIPE_REV and rebuild the zoo (tests/zoo.py), so steps 0-4
+    # of the lambda=0.03 run must replay its train_log.csv
+    root = Path(__file__).resolve().parent / "_toy_models"
+    with open(root / "run_0.03" / "train_log.csv", newline="") as fh:
+        want = list(csv.DictReader(fh))[:5]
+    got = []
+
+    def progress(row):
+        got.append(row)
+        if row["step"] == 4:
+            raise _Stop
+
+    config = TrainConfig(lambda_=0.03, steps=ZOO_STEPS, batch=ZOO_BATCH,
+                         patch=ZOO_PATCH, seed=ZOO_SEED, lr=ZOO_LR)
+    with pytest.raises(_Stop):
+        tr.train(config, sorted((root / "dataset").glob("*.png")),
+                 arch=ArchConfig(n_main=ZOO_N_MAIN, c_y=ZOO_C_Y, c_z=ZOO_C_Z),
+                 progress=progress)
+    for row, ref in zip(got, want, strict=True):
+        for name in ("r_bpp", "d", "lif", "loss"):
+            value = float(ref[name])
+            assert abs(row[name] - value) <= 1e-5 * abs(value) + 1e-6, (
+                f"step {row['step']}: {name}={row[name]!r}, train_log.csv has {value!r}")
 
 
 def test_identity_stub_decoder_gives_zero_distortion(loader):
