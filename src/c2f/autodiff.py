@@ -262,7 +262,9 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 def square(a: Tensor) -> Tensor:
-    return _make(a.data * a.data, "square", (a,), lambda g: (g * (2.0 * a.data),))
+    with np.errstate(over="ignore"):
+        out = a.data * a.data
+    return _make(out, "square", (a,), lambda g: (g * (2.0 * a.data),))
 
 
 def powc(a: Tensor, p: float) -> Tensor:

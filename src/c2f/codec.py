@@ -1,11 +1,18 @@
 """End-to-end image encode/decode.
 
 Encoding rounds each latent plane and re-derives the entropy-model
-parameters from the *rounded* values exactly as the decoder will, so the
-coder tables on both sides are built from bit-identical float32 inputs.
+parameters from the *rounded* values exactly as the decoder will, so both
+sides pick their coder tables from bit-identical float32 inputs.
 Stream order is Z, then Y (tables predicted from the decoded Z), then X
 (tables predicted from the decoded Y); symbols are raster scan with the
 channel axis innermost.
+
+Every stream codes through the shared `entropy.CODER_GRID`: each element
+is coded as value - c under the grid row nearest its (mu - c, sigma),
+where c is its mean rounded to an integer in the alphabet; Z has mu = 0
+and its per-channel sigma.  The latents, their digest and `modeled_bits`
+(the float model's cross-entropy) do not depend on the grid; only the
+stream bytes do.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from . import autodiff as ad
 from . import rangecoder as rc
 from .autodiff import Tensor
 from .container import ContainerHeader, read_container, write_container
-from .entropy import (ALPHABET_MIN, LIKELIHOOD_FLOOR, QuantizerMode,
+from .entropy import (CODER_GRID, LIKELIHOOD_FLOOR, QuantizerMode,
                       TableBatch, build_cdf_tables, gaussian_bin_prob)
 from .errors import (ContractViolation, CorruptStreamError,
                      ModelIdMismatchError, NumericError)
@@ -41,16 +48,25 @@ def _symbols(t: Tensor) -> np.ndarray:
     return t.data.reshape(-1).astype(np.int64)
 
 
-def _gaussian_tables(mu: Tensor, sigma: Tensor) -> TableBatch:
-    rows = build_cdf_tables(mu.data.reshape(-1), sigma.data.reshape(-1))
-    return TableBatch(rows, ALPHABET_MIN)
+def _tables(mu, sigma, n_symbols: int | None = None) -> tuple[TableBatch, np.ndarray]:
+    # build_cdf_tables is looked up in this module at call time, so a
+    # wrapper set on codec.build_cdf_tables sees every grid row built
+    return CODER_GRID.tables(mu, sigma, n_symbols, build=build_cdf_tables)
 
 
-def _z_tables(sigma_z: np.ndarray, n_symbols: int) -> TableBatch:
-    c = sigma_z.size
-    rows = build_cdf_tables(np.zeros(c), sigma_z)
-    return TableBatch(rows, ALPHABET_MIN,
-                      row_of_symbol=np.tile(np.arange(c), n_symbols // c))
+def _z_tables(sigma_z: np.ndarray, n_symbols: int) -> tuple[TableBatch, np.ndarray]:
+    return _tables(np.zeros(sigma_z.size), sigma_z, n_symbols)
+
+
+def _encode(values: np.ndarray, tables: tuple[TableBatch, np.ndarray]) -> bytes:
+    batch, center = tables
+    return rc.encode(values - center, batch)
+
+
+def _decode(data: bytes, tables: tuple[TableBatch, np.ndarray], shape) -> Tensor:
+    batch, center = tables
+    rel = rc.decode(data, batch, int(np.prod(shape)))
+    return Tensor((np.asarray(rel, np.int64) + center).astype(np.float32).reshape(shape))
 
 
 def _modeled_bits(values: np.ndarray, mu, sigma) -> float:
@@ -82,9 +98,9 @@ def encode_array(model: CodecModel, img: np.ndarray) -> EncodeResult:
     y_syms = _symbols(lat.y)
     x_syms = _symbols(lat.x)
 
-    zbytes = rc.encode(z_syms, _z_tables(sigma_z, z_syms.size))
-    ybytes = rc.encode(y_syms, _gaussian_tables(lat.mu_y, lat.sigma_y))
-    xbytes = rc.encode(x_syms, _gaussian_tables(lat.mu_x, lat.sigma_x))
+    zbytes = _encode(z_syms, _z_tables(sigma_z, z_syms.size))
+    ybytes = _encode(y_syms, _tables(lat.mu_y.data, lat.sigma_y.data))
+    xbytes = _encode(x_syms, _tables(lat.mu_x.data, lat.sigma_x.data))
 
     modeled = (_modeled_bits(z_syms, 0.0, np.tile(sigma_z, z_syms.size // sigma_z.size))
                + _modeled_bits(y_syms, lat.mu_y.data.reshape(-1), lat.sigma_y.data.reshape(-1))
@@ -129,23 +145,17 @@ def _decode_streams(model: CodecModel, header: ContainerHeader, zbytes: bytes,
     x_shape, y_shape, z_shape = model.latent_shapes(header.pad_h, header.pad_w)
 
     sigma_z = model.fz.sigma_values()
-    n_z = int(np.prod(z_shape))
-    z_syms = rc.decode(zbytes, _z_tables(sigma_z, n_z), n_z)
-    zhat = Tensor(np.asarray(z_syms, np.float32).reshape(z_shape))
+    zhat = _decode(zbytes, _z_tables(sigma_z, int(np.prod(z_shape))), z_shape)
 
     with ad.no_grad():
         side2 = model.hyper_synthesis(zhat, 2)
         mu_y, sigma_y = model.predict_params(side2, "y")
-    n_y = int(np.prod(y_shape))
-    y_syms = rc.decode(ybytes, _gaussian_tables(mu_y, sigma_y), n_y)
-    yhat = Tensor(np.asarray(y_syms, np.float32).reshape(y_shape))
+    yhat = _decode(ybytes, _tables(mu_y.data, sigma_y.data), y_shape)
 
     with ad.no_grad():
         side1 = model.hyper_synthesis(yhat, 1)
         mu_x, sigma_x = model.predict_params(side1, "x")
-    n_x = int(np.prod(x_shape))
-    x_syms = rc.decode(xbytes, _gaussian_tables(mu_x, sigma_x), n_x)
-    xhat = Tensor(np.asarray(x_syms, np.float32).reshape(x_shape))
+    xhat = _decode(xbytes, _tables(mu_x.data, sigma_x.data), x_shape)
 
     with ad.no_grad():
         recon = model.synthesize(xhat, side1, side2)

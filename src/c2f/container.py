@@ -4,7 +4,7 @@ Byte-exact layout, all integers little-endian:
 
     offset  size  field
     0       4     magic "C2F1"
-    4       2     version (u16, currently 1)
+    4       2     version (u16, currently 2)
     6       32    model_id (sha-256 of the weights file)
     38      4     orig_w (u32)
     42      4     orig_h (u32)
@@ -18,6 +18,11 @@ Byte-exact layout, all integers little-endian:
 
 Decoding order Z -> Y -> X is forced by construction: the Y tables are
 predicted from the decoded Z, and the X tables from the decoded Y.
+
+Version 2 streams code each element relative to its integer-rounded mean
+under a row of the shared scale x offset grid (`entropy.CoderGrid`);
+version 1 streams used one exact table per element and are refused with
+VersionMismatchError.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .errors import (BadMagicError, ContractViolation, CorruptStreamError,
                      TruncatedFileError, VersionMismatchError)
 
 MAGIC = b"C2F1"
-VERSION = 1
+VERSION = 2
 _FMT = "<4sH32sIIIIHQQQ"
 HEADER_SIZE = struct.calcsize(_FMT)
 assert HEADER_SIZE == 80

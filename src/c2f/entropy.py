@@ -5,11 +5,21 @@ path (training) composes engine ops; the table-building path runs in
 float64 numpy so the probabilities the coder uses are the exact
 discretized CDFs, integerized with largest-remainder apportionment to a
 total of 65536 with every bin kept >= 1.
+
+The coder does not get one table per latent element.  `CoderGrid` holds
+one shared set of rows on a (sigma, mean-offset) grid: sigma is
+quantized to one of GRID_SIGMAS log-spaced scales, and each element codes
+its value relative to the integer centre c = clip(floor(mu + 0.5)) under
+the row for its fractional offset mu - c.  Bucket choice is by exact
+float64 comparison and arithmetic only, so encoder and decoder pick the
+same row from the same float32 mu and sigma.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,14 +27,15 @@ from scipy import special
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractViolation
+from .errors import ContractViolation, NumericError
 from .rangecoder import CDF_TOTAL, CdfTable
 
 __all__ = [
-    "QuantizerMode", "FactorizedZ", "TableBatch",
+    "QuantizerMode", "FactorizedZ", "TableBatch", "CoderGrid", "CODER_GRID",
     "quantize", "gaussian_likelihood", "z_likelihood", "rate_bits",
     "gaussian_bin_prob", "build_cdf_table", "build_cdf_tables",
     "SIGMA_MIN", "SIGMA_MAX", "LIKELIHOOD_FLOOR", "ALPHABET_MIN", "ALPHABET_MAX",
+    "GRID_SIGMAS", "GRID_OFFSETS",
 ]
 
 SIGMA_MIN = 0.01
@@ -32,6 +43,8 @@ SIGMA_MAX = 256.0
 LIKELIHOOD_FLOOR = 2.0 ** -32
 ALPHABET_MIN = -127
 ALPHABET_MAX = 128
+GRID_SIGMAS = 256   # log-spaced scales over [SIGMA_MIN, SIGMA_MAX], both ends included
+GRID_OFFSETS = 33   # mean offsets over [-0.5, 0.5], step 1/32; odd, so 0 is a grid point
 
 _LN2 = float(np.log(2.0))
 
@@ -158,7 +171,7 @@ def _integerize_rows(p: np.ndarray) -> np.ndarray:
 
 def build_cdf_tables(mu, sigma, smin: int = ALPHABET_MIN, smax: int = ALPHABET_MAX,
                      _chunk: int = 1 << 14) -> np.ndarray:
-    """Cumulative rows (n, nsymbols+2) for per-element Gaussian models.
+    """Cumulative rows (n, nsymbols+2) for n Gaussian models N(mu[i], sigma[i]).
 
     Row layout: one bin per symbol in [smin, smax] plus a trailing escape
     bin that absorbs the tail mass outside the alphabet.
@@ -198,25 +211,111 @@ def build_cdf_table(mu: float, sigma: float,
 class TableBatch:
     """Per-symbol CdfTable sequence backed by shared cumulative rows.
 
-    `row_of_symbol` maps symbol position to a row index, so spatially
-    shared models (the Z stream) store one row per channel only.
+    `row_of_symbol` maps symbol position to a row index, so symbols with
+    the same model share one row (a row of the coder grid).
     """
 
-    def __init__(self, cum_rows: np.ndarray, smin: int,
-                 row_of_symbol: np.ndarray | None = None):
+    def __init__(self, cum_rows: np.ndarray, smin: int, row_of_symbol: np.ndarray):
         self.cum_rows = cum_rows
         self.smin = smin
         self.row_of_symbol = row_of_symbol
 
     def __len__(self) -> int:
-        if self.row_of_symbol is None:
-            return self.cum_rows.shape[0]
         return len(self.row_of_symbol)
 
     def __getitem__(self, i: int) -> CdfTable:
-        row = i if self.row_of_symbol is None else self.row_of_symbol[i]
-        return CdfTable(self.smin, self.cum_rows[row], has_escape=True)
+        return CdfTable(self.smin, self.cum_rows[self.row_of_symbol[i]], has_escape=True)
 
     def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
+        # one CdfTable per distinct row, not per symbol
+        made: dict[int, CdfTable] = {}
+        for row in self.row_of_symbol.tolist():
+            table = made.get(row)
+            if table is None:
+                table = made[row] = CdfTable(self.smin, self.cum_rows[row], has_escape=True)
+            yield table
+
+
+class CoderGrid:
+    """Integer CDF rows for a (sigma, mean-offset) grid, shared by every stream.
+
+    Row r = k * n_offsets + j models N(offsets[j], sigmas[k]) over the
+    alphabet [smin, smax] plus an escape bin.  An element with mean mu and
+    scale sigma codes the relative symbol value - c, where
+    c = clip(floor(mu + 0.5), smin, smax), under the row whose offset is
+    nearest to mu - c (clipped to [-0.5, 0.5]) and whose sigma is nearest
+    in log scale.  Rows are built on first use, under a lock, into one
+    preallocated array (an unbuilt row is all zeros; a built one ends at
+    CDF_TOTAL); `fill` takes the row builder so its callers can name the
+    one they use.
+    """
+
+    def __init__(self, n_sigmas: int = GRID_SIGMAS, n_offsets: int = GRID_OFFSETS,
+                 smin: int = ALPHABET_MIN, smax: int = ALPHABET_MAX):
+        if n_sigmas < 2 or n_offsets < 3 or n_offsets % 2 == 0:
+            raise ContractViolation(
+                f"grid needs >= 2 scales and an odd count >= 3 of offsets, "
+                f"got {n_sigmas} x {n_offsets}")
+        self.smin, self.smax = smin, smax
+        self.n_offsets = n_offsets
+        # math.exp, not np.exp: the grid must not depend on which SIMD
+        # kernel numpy picks on this CPU
+        lo, hi = math.log(SIGMA_MIN), math.log(SIGMA_MAX)
+        logs = [lo + (hi - lo) * k / (n_sigmas - 1) for k in range(n_sigmas)]
+        self.sigmas = np.array([SIGMA_MIN] + [math.exp(v) for v in logs[1:-1]] + [SIGMA_MAX])
+        # a sigma at or above a bound belongs to the next scale up: the
+        # bounds are the geometric midpoints of neighbouring scales
+        self._sigma_bounds = np.array([math.exp(0.5 * (a + b)) for a, b in zip(logs, logs[1:])])
+        self.offsets = np.linspace(-0.5, 0.5, n_offsets)
+        n_rows = n_sigmas * n_offsets
+        self.cum = np.zeros((n_rows, smax - smin + 3), dtype=np.int64)
+        self._lock = threading.Lock()
+
+    def locate(self, mu, sigma) -> tuple[np.ndarray, np.ndarray]:
+        """(row index, integer centre) of every element, as int64 arrays."""
+        mu = np.asarray(mu, dtype=np.float64).reshape(-1)
+        sigma = np.asarray(sigma, dtype=np.float64).reshape(-1)
+        if mu.shape != sigma.shape:
+            raise ContractViolation(f"{mu.size} means but {sigma.size} scales")
+        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
+            raise NumericError("non-finite mean or scale reached the coder")
+        center = np.clip(np.floor(mu + 0.5), self.smin, self.smax)
+        # exact in float64 for a float32 mu: |mu - c| needs no rounding
+        # and the step 1/(n_offsets - 1) is a power of two for 33 offsets
+        frac = np.clip(mu - center, -0.5, 0.5)
+        j = np.rint((frac + 0.5) * (self.n_offsets - 1)).astype(np.int64)
+        k = np.searchsorted(self._sigma_bounds, sigma, side="right")
+        return k * self.n_offsets + j, center.astype(np.int64)
+
+    def fill(self, rows: np.ndarray, build=build_cdf_tables) -> np.ndarray:
+        """The grid's cumulative rows, with every row in `rows` built.
+
+        `build(mu, sigma, smin, smax)` computes missing rows (normally
+        build_cdf_tables).  Returns the shared array itself, not a copy.
+        """
+        with self._lock:
+            wanted = np.zeros(self.cum.shape[0], dtype=bool)
+            wanted[rows] = True
+            need = np.flatnonzero(wanted & (self.cum[:, -1] == 0))
+            if need.size:
+                k, j = np.divmod(need, self.n_offsets)
+                self.cum[need] = build(self.offsets[j], self.sigmas[k], self.smin, self.smax)
+        return self.cum
+
+    def tables(self, mu, sigma, n_symbols: int | None = None,
+               build=build_cdf_tables) -> tuple[TableBatch, np.ndarray]:
+        """Coder tables and integer centres for elements modelled by (mu, sigma).
+
+        With `n_symbols`, mu and sigma hold one value per channel and are
+        tiled over n_symbols // len(mu) positions (channel axis innermost).
+        """
+        row, center = self.locate(mu, sigma)
+        cum = self.fill(row, build)
+        if n_symbols is not None:
+            reps = n_symbols // row.size
+            row, center = np.tile(row, reps), np.tile(center, reps)
+        return TableBatch(cum, self.smin, row_of_symbol=row), center
+
+
+# the process-wide grid the codec codes with
+CODER_GRID = CoderGrid()

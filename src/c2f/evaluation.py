@@ -335,11 +335,13 @@ def write_curves_csv(curves: dict[str, RdCurve], out) -> None:
             writer.writerow([name, "mean", _fmt(pt.bpp), _fmt(pt.distortion), "", ""])
 
 
-def model_rd_rows(model, image_paths: list, codec: str = "c2f") -> list[RdRow]:
+def model_rd_rows(model, image_paths: list, codec: str = "c2f",
+                  pixel_counts: dict[str, int] | None = None) -> list[RdRow]:
     """Encode, decode and score every image with one model, serially.
 
     One RdRow per image; quality is the model's lambda tag and bpp counts
-    the whole container.
+    the whole container.  If `pixel_counts` is given, each image's pixel
+    count is recorded in it under the image's file name.
     """
     from .codec import decode_array, encode_array
     from .imageio import read_image
@@ -347,6 +349,8 @@ def model_rd_rows(model, image_paths: list, codec: str = "c2f") -> list[RdRow]:
     rows = []
     for path in image_paths:
         img = read_image(path)
+        if pixel_counts is not None:
+            pixel_counts[Path(path).name] = img.shape[0] * img.shape[1]
         res = encode_array(model, img)
         out = decode_array(model, res.data)
         rows.append(RdRow(codec=codec, quality=str(model.lambda_tag),
@@ -381,10 +385,12 @@ def emit_rd_report(image_paths: list, model_paths: list, out_dir,
     rows: list[RdRow] = []
     pixel_counts: dict[str, int] = {}
     for mpath in model_paths or []:
-        rows.extend(model_rd_rows(load_model(mpath), image_paths))
-    for path in image_paths:
-        img_shape = read_image(path).shape
-        pixel_counts[Path(path).name] = img_shape[0] * img_shape[1]
+        rows.extend(model_rd_rows(load_model(mpath), image_paths,
+                                  pixel_counts=pixel_counts))
+    for path in image_paths:  # images no model row has read yet
+        if Path(path).name not in pixel_counts:
+            img_shape = read_image(path).shape
+            pixel_counts[Path(path).name] = img_shape[0] * img_shape[1]
 
     for csv_path in external_csvs or []:
         rows.extend(read_rd_csv(csv_path))

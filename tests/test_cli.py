@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,8 +96,8 @@ def test_corrupt_container_exits_4(workdir, tmp_path):
     assert rc == 4
 
 
-def test_stream_that_overflows_the_decoder_exits_4(toy_zoo, tmp_path):
-    # bit 0 of byte 741 (X stream) desyncs the coder into latents whose
+def test_stream_that_overflows_the_decoder_exits_4(toy_zoo, tmp_path, capsys):
+    # bit 0 of byte 325 (X stream) desyncs the coder into latents whose
     # synthesis overflows float32: held-out image 0 tiled 2x3, lambda=0.03
     model_path = toy_zoo.model_path(0.03)
     img = np.tile(heldout_images(1)[0], (2, 3, 1))
@@ -104,11 +105,16 @@ def test_stream_that_overflows_the_decoder_exits_4(toy_zoo, tmp_path):
     assert run(["encode", "--model", model_path, "--input", tmp_path / "tile.png",
                 "--output", tmp_path / "tile.c2f"]) == 0
     data = bytearray((tmp_path / "tile.c2f").read_bytes())
-    data[741] ^= 1
+    data[325] ^= 1
     (tmp_path / "flip.c2f").write_bytes(bytes(data))
-    rc = run(["decode", "--model", model_path, "--input", tmp_path / "flip.c2f",
-              "--output", tmp_path / "flip.png"])
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # what would reach stderr outside pytest
+        rc = run(["decode", "--model", model_path, "--input", tmp_path / "flip.c2f",
+                  "--output", tmp_path / "flip.png"])
     assert rc == 4
+    assert "non-finite" in capsys.readouterr().err  # the overflow path, not a coder error
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_eval_identical_pair_reports_inf(workdir, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -7,11 +8,12 @@ import c2f.codec as codec
 import c2f.weights as wts
 from c2f.container import HEADER_SIZE, read_container
 from c2f.errors import (ContractViolation, CorruptStreamError,
-                        ModelIdMismatchError, NumericError)
+                        ModelIdMismatchError, NumericError,
+                        VersionMismatchError)
 from c2f.evaluation import bpp, psnr
 from c2f.transforms import ArchConfig, CodecModel
 
-from zoo import heldout_images
+from zoo import ZOO_LAMBDAS, heldout_images
 
 ARCH = ArchConfig(n_main=8, c_y=8, c_z=4)
 
@@ -109,6 +111,34 @@ def test_saved_model_roundtrips_container(tmp_path, model):
     assert out.latent_digest == res.latent_digest
     reference = codec.decode_array(model, res.data)
     np.testing.assert_array_equal(out.image, reference.image)
+
+
+def test_version_1_container_refused(model):
+    # version 1 coded one exact table per element; its streams do not
+    # decode under the shared grid
+    data = bytearray(codec.encode_array(model, rand_img(64, 64, seed=9)).data)
+    struct.pack_into("<H", data, 4, 1)
+    with pytest.raises(VersionMismatchError):
+        codec.decode_array(model, bytes(data))
+
+
+# sha-256 over the 40 latent digests (4 zoo models x 10 held-out images, in
+# ZOO_LAMBDAS then image order).  Computed with the per-element coder tables
+# of container version 1: the grid changes only the stream bytes.
+ZOO_LATENTS_SHA = "7365a8c06c1e74f605d498341f927e005a14afd5b24936020a05ba65945d9660"
+
+
+def test_zoo_rate_bound_and_latents_unchanged_by_grid(toy_zoo):
+    h = hashlib.sha256()
+    for lam in ZOO_LAMBDAS:
+        zoo_model = toy_zoo.load(lam)
+        for img in heldout_images(10):
+            res = codec.encode_array(zoo_model, img)
+            assert_rate_bound(res)
+            out = codec.decode_array(zoo_model, res.data)
+            assert out.latent_digest == res.latent_digest
+            h.update(res.latent_digest.encode())
+    assert h.hexdigest() == ZOO_LATENTS_SHA
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import c2f.autodiff as ad
 import c2f.entropy as ent
+import c2f.rangecoder as rc
 from c2f.autodiff import Tensor
-from c2f.entropy import FactorizedZ, QuantizerMode
-from c2f.errors import ContractViolation
+from c2f.entropy import CODER_GRID, FactorizedZ, QuantizerMode
+from c2f.errors import ContractViolation, NumericError
 
 from gradcheck import assert_grads_close
 
@@ -198,3 +201,133 @@ def test_table_batch_row_sharing():
     assert len(batch) == 4
     np.testing.assert_array_equal(batch[2].cum, rows[0])
     np.testing.assert_array_equal(batch[3].cum, rows[1])
+
+
+# ---------------------------------------------------------------------------
+# shared scale x offset grid
+
+def grid_roundtrip(values, mu, sigma):
+    """Code values relative to their centres through CODER_GRID and back."""
+    values = np.asarray(values, dtype=np.int64)
+    batch, center = CODER_GRID.tables(mu, sigma)
+    data = rc.encode(values - center, batch)
+    batch, center = CODER_GRID.tables(mu, sigma)
+    return np.asarray(rc.decode(data, batch, len(values)), np.int64) + center
+
+
+def test_grid_ends_and_zero_offset_are_exact_grid_points():
+    assert CODER_GRID.sigmas[0] == ent.SIGMA_MIN
+    assert CODER_GRID.sigmas[-1] == ent.SIGMA_MAX
+    assert np.all(np.diff(CODER_GRID.sigmas) > 0)
+    assert CODER_GRID.offsets[ent.GRID_OFFSETS // 2] == 0.0
+    assert (CODER_GRID.offsets[0], CODER_GRID.offsets[-1]) == (-0.5, 0.5)
+
+
+def test_grid_locates_nearest_scale_and_offset():
+    g = CODER_GRID
+    n = ent.GRID_OFFSETS
+    mid = float(np.sqrt(g.sigmas[10] * g.sigmas[11]))  # log-scale midpoint
+    mu = [3.0, -2.25, 0.49, 7.2, 0.0, 0.0, 0.0, 0.0]
+    sigma = [1e-4, 1e9, 1.0, 1.0, mid * (1 - 1e-9), mid * (1 + 1e-9),
+             np.float32(ent.SIGMA_MIN), ent.SIGMA_MAX]
+    row, center = g.locate(mu, sigma)
+    k, j = np.divmod(row, n)
+    np.testing.assert_array_equal(center, [3, -2, 0, 7, 0, 0, 0, 0])
+    np.testing.assert_array_equal(g.offsets[j[:4]], [0.0, -0.25, 0.5, 0.1875])
+    assert (k[0], k[1]) == (0, ent.GRID_SIGMAS - 1)  # beyond the clamps
+    assert (k[4], k[5]) == (10, 11)
+    assert (k[6], k[7]) == (0, ent.GRID_SIGMAS - 1)  # float32 SIGMA_MIN is below it
+
+
+def test_grid_rows_are_build_cdf_tables_at_grid_points():
+    row, _ = CODER_GRID.locate([0.25, -0.5], [2.0, 40.0])
+    cum = CODER_GRID.fill(row)
+    k, j = np.divmod(row, ent.GRID_OFFSETS)
+    want = ent.build_cdf_tables(CODER_GRID.offsets[j], CODER_GRID.sigmas[k])
+    np.testing.assert_array_equal(cum[row], want)
+
+
+def test_grid_builds_each_row_once():
+    grid = ent.CoderGrid(n_sigmas=4, n_offsets=5)
+    built = []
+
+    def build(mu, sigma, smin, smax):
+        built.append(len(mu))
+        return ent.build_cdf_tables(mu, sigma, smin, smax)
+
+    grid.tables([0.0, 0.0, 0.25], [1.0, 1.0, 1.0], build=build)
+    grid.tables([0.0, 0.5, 0.25], [1.0, 1.0, 1.0], build=build)
+    assert built == [2, 1]
+    assert np.count_nonzero(grid.cum[:, -1]) == 3
+
+
+@pytest.mark.parametrize("sigma", [ent.SIGMA_MIN, ent.SIGMA_MAX])
+def test_grid_roundtrip_at_sigma_clamps_and_offset_ends(sigma):
+    # offsets -0.5, 0 and +0.5 (mu at a half-integer rounds up, so +0.5 is
+    # reached from just below one, or by clipping at the alphabet's top)
+    mu = np.array([4.5, 4.0, 3.49, 128.5, -127.5, 0.0])
+    row, _ = CODER_GRID.locate(mu, np.full(mu.size, sigma))
+    assert set(row % ent.GRID_OFFSETS) == {0, ent.GRID_OFFSETS // 2, ent.GRID_OFFSETS - 1}
+    rng = np.random.default_rng(5)
+    spread = max(1, int(min(sigma, 100)))
+    values = np.round(mu + rng.integers(-spread, spread + 1, mu.size)).astype(np.int64)
+    values = np.concatenate([values, np.round(mu).astype(np.int64)])
+    mu = np.concatenate([mu, mu])
+    got = grid_roundtrip(values, mu, np.full(mu.size, sigma))
+    np.testing.assert_array_equal(got, values)
+
+
+def test_grid_mean_outside_alphabet_clips_centre_and_escapes():
+    mu = np.array([1000.0, -5000.5, 300.0])
+    sigma = np.array([0.5, 2.0, 100.0])
+    _, center = CODER_GRID.locate(mu, sigma)
+    np.testing.assert_array_equal(center, [ent.ALPHABET_MAX, ent.ALPHABET_MIN, ent.ALPHABET_MAX])
+    values = np.array([1000, -5000, 299])
+    rel = values - center
+    assert np.all((rel < ent.ALPHABET_MIN) | (rel > ent.ALPHABET_MAX))  # every one escapes
+    np.testing.assert_array_equal(grid_roundtrip(values, mu, sigma), values)
+
+
+@pytest.mark.parametrize("mu, sigma", [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0),
+                                       (0.0, np.nan), (0.0, np.inf)])
+def test_grid_refuses_non_finite_parameters(mu, sigma):
+    with pytest.raises(NumericError):
+        CODER_GRID.tables([0.0, mu], [1.0, sigma])
+
+
+def test_grid_shape_contract():
+    with pytest.raises(ContractViolation):
+        CODER_GRID.locate([0.0, 1.0], [1.0])
+    with pytest.raises(ContractViolation):
+        ent.CoderGrid(n_sigmas=8, n_offsets=32)  # 0 would not be a grid point
+
+
+def test_grid_fills_each_row_once_under_concurrent_callers():
+    grid = ent.CoderGrid(n_sigmas=16, n_offsets=9)
+    counts = []
+
+    def build(mu, sigma, smin, smax):
+        counts.append(len(mu))
+        return ent.build_cdf_tables(mu, sigma, smin, smax)
+
+    def worker(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            grid.tables(rng.uniform(-3, 3, 64), np.exp(rng.uniform(-5, 6, 64)), build=build)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert sum(counts) == np.count_nonzero(grid.cum[:, -1])  # no row built twice
+    built = np.flatnonzero(grid.cum[:, -1])
+    k, j = np.divmod(built, grid.n_offsets)
+    np.testing.assert_array_equal(grid.cum[built],
+                                  ent.build_cdf_tables(grid.offsets[j], grid.sigmas[k]))

@@ -1,5 +1,6 @@
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,3 +350,35 @@ def test_emit_rd_report(tmp_path):
 
     with pytest.raises(ConfigError):
         ev.emit_rd_report(images, models[:1], out, anchor="absent")
+
+
+def test_emit_rd_report_reads_each_image_once(tmp_path, monkeypatch):
+    import c2f.imageio as imageio
+    import c2f.weights as wts
+    from c2f.training import synthetic_patch
+    from c2f.transforms import ArchConfig, CodecModel
+
+    rng = np.random.default_rng(2)
+    images = []
+    for i, size in enumerate((64, 128)):
+        p = tmp_path / f"im{i}.png"
+        imageio.write_image(p, synthetic_patch(rng, size))
+        images.append(p)
+    model = tmp_path / "m.c2fw"
+    wts.save_model(CodecModel(ArchConfig(n_main=8, c_y=8, c_z=4), lambda_tag=100, seed=0), model)
+    real = imageio.read_image
+    reads = []
+
+    def counting_read(path):
+        reads.append(Path(path).name)
+        return real(path)
+
+    monkeypatch.setattr(imageio, "read_image", counting_read)
+    ev.emit_rd_report(images, [model], tmp_path / "one", anchor="c2f")
+    assert sorted(reads) == ["im0.png", "im1.png"]  # the model rows' reads only
+
+    reads.clear()
+    ext = tmp_path / "ext.csv"
+    ext.write_text("codec,image,bpp,psnr_db\nc2f,im0.png,0.5,30\nc2f,im1.png,0.7,31\n")
+    ev.emit_rd_report(images, [], tmp_path / "none", external_csvs=[ext], anchor="c2f")
+    assert sorted(reads) == ["im0.png", "im1.png"]  # no model row: counted by reading
