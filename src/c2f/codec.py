@@ -7,12 +7,13 @@ Stream order is Z, then Y (tables predicted from the decoded Z), then X
 (tables predicted from the decoded Y); symbols are raster scan with the
 channel axis innermost.
 
-Every stream codes through the shared `entropy.CODER_GRID`: each element
-is coded as value - c under the grid row nearest its (mu - c, sigma),
-where c is its mean rounded to an integer in the alphabet; Z has mu = 0
-and its per-channel sigma.  The latents, their digest and `modeled_bits`
-(the float model's cross-entropy) do not depend on the grid; only the
-stream bytes do.
+Y and X code through the shared `entropy.CODER_GRID`: each element is
+coded as value - c under the grid row nearest its (mu - c, sigma), where
+c is its mean rounded to an integer in the alphabet.  Z is zero-mean with
+one sigma per channel, so it is coded under its c_z exact rows, built on
+every call.  The latents, their digest and `modeled_bits` (the float
+model's cross-entropy) do not depend on the grid; only the Y and X stream
+bytes do.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import autodiff as ad
 from . import rangecoder as rc
 from .autodiff import Tensor
 from .container import ContainerHeader, read_container, write_container
-from .entropy import (CODER_GRID, LIKELIHOOD_FLOOR, QuantizerMode,
+from .entropy import (ALPHABET_MIN, CODER_GRID, LIKELIHOOD_FLOOR, QuantizerMode,
                       TableBatch, build_cdf_tables, gaussian_bin_prob)
 from .errors import (ContractViolation, CorruptStreamError,
                      ModelIdMismatchError, NumericError)
@@ -48,14 +49,18 @@ def _symbols(t: Tensor) -> np.ndarray:
     return t.data.reshape(-1).astype(np.int64)
 
 
-def _tables(mu, sigma, n_symbols: int | None = None) -> tuple[TableBatch, np.ndarray]:
+def _tables(mu, sigma) -> tuple[TableBatch, np.ndarray]:
     # build_cdf_tables is looked up in this module at call time, so a
-    # wrapper set on codec.build_cdf_tables sees every grid row built
-    return CODER_GRID.tables(mu, sigma, n_symbols, build=build_cdf_tables)
+    # wrapper set on codec.build_cdf_tables sees the grid being built
+    return CODER_GRID.tables(mu, sigma, build=build_cdf_tables)
 
 
 def _z_tables(sigma_z: np.ndarray, n_symbols: int) -> tuple[TableBatch, np.ndarray]:
-    return _tables(np.zeros(sigma_z.size), sigma_z, n_symbols)
+    # one exact zero-mean row per channel, shared by its spatial positions
+    c = sigma_z.size
+    rows = build_cdf_tables(np.zeros(c), sigma_z)
+    batch = TableBatch(rows, ALPHABET_MIN, row_of_symbol=np.tile(np.arange(c), n_symbols // c))
+    return batch, np.zeros(n_symbols, np.int64)
 
 
 def _encode(values: np.ndarray, tables: tuple[TableBatch, np.ndarray]) -> bytes:

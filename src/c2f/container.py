@@ -19,10 +19,10 @@ Byte-exact layout, all integers little-endian:
 Decoding order Z -> Y -> X is forced by construction: the Y tables are
 predicted from the decoded Z, and the X tables from the decoded Y.
 
-Version 2 streams code each element relative to its integer-rounded mean
-under a row of the shared scale x offset grid (`entropy.CoderGrid`);
-version 1 streams used one exact table per element and are refused with
-VersionMismatchError.
+Version 2 Y and X streams code each element relative to its
+integer-rounded mean under a row of the shared scale x offset grid
+(`entropy.CoderGrid`); version 1 used one exact table per element and is
+refused with VersionMismatchError.
 """
 
 from __future__ import annotations

@@ -12,14 +12,14 @@ quantized to one of GRID_SIGMAS log-spaced scales, and each element codes
 its value relative to the integer centre c = clip(floor(mu + 0.5)) under
 the row for its fractional offset mu - c.  Bucket choice is by exact
 float64 comparison and arithmetic only, so encoder and decoder pick the
-same row from the same float32 mu and sigma.
+same row from the same float32 mu and sigma.  The zero-mean Z stream has
+one model per channel and is coded under its exact per-channel rows.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,7 +170,7 @@ def _integerize_rows(p: np.ndarray) -> np.ndarray:
 
 
 def build_cdf_tables(mu, sigma, smin: int = ALPHABET_MIN, smax: int = ALPHABET_MAX,
-                     _chunk: int = 1 << 14) -> np.ndarray:
+                     _chunk: int = 1 << 10) -> np.ndarray:
     """Cumulative rows (n, nsymbols+2) for n Gaussian models N(mu[i], sigma[i]).
 
     Row layout: one bin per symbol in [smin, smax] plus a trailing escape
@@ -182,6 +182,8 @@ def build_cdf_tables(mu, sigma, smin: int = ALPHABET_MIN, smax: int = ALPHABET_M
         raise ContractViolation("mu and sigma must be matching 1-D arrays")
     if smin >= smax:
         raise ContractViolation(f"bad alphabet [{smin}, {smax}]")
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
+        raise NumericError("non-finite mean or scale reached the coder")
     n = mu.size
     nbins = (smax - smin + 1) + 1
     out = np.empty((n, nbins + 1), dtype=np.int64)
@@ -237,39 +239,29 @@ class TableBatch:
 
 
 class CoderGrid:
-    """Integer CDF rows for a (sigma, mean-offset) grid, shared by every stream.
+    """Integer CDF rows for the (sigma, mean-offset) grid the Y and X streams share.
 
-    Row r = k * n_offsets + j models N(offsets[j], sigmas[k]) over the
-    alphabet [smin, smax] plus an escape bin.  An element with mean mu and
-    scale sigma codes the relative symbol value - c, where
-    c = clip(floor(mu + 0.5), smin, smax), under the row whose offset is
-    nearest to mu - c (clipped to [-0.5, 0.5]) and whose sigma is nearest
-    in log scale.  Rows are built on first use, under a lock, into one
-    preallocated array (an unbuilt row is all zeros; a built one ends at
-    CDF_TOTAL); `fill` takes the row builder so its callers can name the
-    one they use.
+    Row r = k * GRID_OFFSETS + j models N(offsets[j], sigmas[k]) over the
+    alphabet [ALPHABET_MIN, ALPHABET_MAX] plus an escape bin.  An element
+    with mean mu and scale sigma codes the relative symbol value - c, where
+    c = clip(floor(mu + 0.5), ALPHABET_MIN, ALPHABET_MAX), under the row
+    whose offset is nearest to mu - c (clipped to [-0.5, 0.5]) and whose
+    sigma is nearest in log scale.  All rows are built in one call on first
+    use and never change after; threads that race to the first use each
+    build the same rows and one of the arrays is kept.
     """
 
-    def __init__(self, n_sigmas: int = GRID_SIGMAS, n_offsets: int = GRID_OFFSETS,
-                 smin: int = ALPHABET_MIN, smax: int = ALPHABET_MAX):
-        if n_sigmas < 2 or n_offsets < 3 or n_offsets % 2 == 0:
-            raise ContractViolation(
-                f"grid needs >= 2 scales and an odd count >= 3 of offsets, "
-                f"got {n_sigmas} x {n_offsets}")
-        self.smin, self.smax = smin, smax
-        self.n_offsets = n_offsets
+    def __init__(self):
         # math.exp, not np.exp: the grid must not depend on which SIMD
         # kernel numpy picks on this CPU
         lo, hi = math.log(SIGMA_MIN), math.log(SIGMA_MAX)
-        logs = [lo + (hi - lo) * k / (n_sigmas - 1) for k in range(n_sigmas)]
+        logs = [lo + (hi - lo) * k / (GRID_SIGMAS - 1) for k in range(GRID_SIGMAS)]
         self.sigmas = np.array([SIGMA_MIN] + [math.exp(v) for v in logs[1:-1]] + [SIGMA_MAX])
         # a sigma at or above a bound belongs to the next scale up: the
         # bounds are the geometric midpoints of neighbouring scales
         self._sigma_bounds = np.array([math.exp(0.5 * (a + b)) for a, b in zip(logs, logs[1:])])
-        self.offsets = np.linspace(-0.5, 0.5, n_offsets)
-        n_rows = n_sigmas * n_offsets
-        self.cum = np.zeros((n_rows, smax - smin + 3), dtype=np.int64)
-        self._lock = threading.Lock()
+        self.offsets = np.linspace(-0.5, 0.5, GRID_OFFSETS)
+        self._cum: np.ndarray | None = None
 
     def locate(self, mu, sigma) -> tuple[np.ndarray, np.ndarray]:
         """(row index, integer centre) of every element, as int64 arrays."""
@@ -279,42 +271,30 @@ class CoderGrid:
             raise ContractViolation(f"{mu.size} means but {sigma.size} scales")
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
             raise NumericError("non-finite mean or scale reached the coder")
-        center = np.clip(np.floor(mu + 0.5), self.smin, self.smax)
+        center = np.clip(np.floor(mu + 0.5), ALPHABET_MIN, ALPHABET_MAX)
         # exact in float64 for a float32 mu: |mu - c| needs no rounding
-        # and the step 1/(n_offsets - 1) is a power of two for 33 offsets
+        # and the offset step 1/(GRID_OFFSETS - 1) = 1/32 is a power of two
         frac = np.clip(mu - center, -0.5, 0.5)
-        j = np.rint((frac + 0.5) * (self.n_offsets - 1)).astype(np.int64)
+        j = np.rint((frac + 0.5) * (GRID_OFFSETS - 1)).astype(np.int64)
         k = np.searchsorted(self._sigma_bounds, sigma, side="right")
-        return k * self.n_offsets + j, center.astype(np.int64)
+        return k * GRID_OFFSETS + j, center.astype(np.int64)
 
-    def fill(self, rows: np.ndarray, build=build_cdf_tables) -> np.ndarray:
-        """The grid's cumulative rows, with every row in `rows` built.
+    def rows(self, build=build_cdf_tables) -> np.ndarray:
+        """Every cumulative row of the grid, built by `build` on the first call.
 
-        `build(mu, sigma, smin, smax)` computes missing rows (normally
-        build_cdf_tables).  Returns the shared array itself, not a copy.
+        `build(mu, sigma, smin, smax)` is normally build_cdf_tables.
+        Returns the shared array itself, not a copy.
         """
-        with self._lock:
-            wanted = np.zeros(self.cum.shape[0], dtype=bool)
-            wanted[rows] = True
-            need = np.flatnonzero(wanted & (self.cum[:, -1] == 0))
-            if need.size:
-                k, j = np.divmod(need, self.n_offsets)
-                self.cum[need] = build(self.offsets[j], self.sigmas[k], self.smin, self.smax)
-        return self.cum
+        cum = self._cum
+        if cum is None:
+            k, j = np.divmod(np.arange(GRID_SIGMAS * GRID_OFFSETS), GRID_OFFSETS)
+            cum = self._cum = build(self.offsets[j], self.sigmas[k], ALPHABET_MIN, ALPHABET_MAX)
+        return cum
 
-    def tables(self, mu, sigma, n_symbols: int | None = None,
-               build=build_cdf_tables) -> tuple[TableBatch, np.ndarray]:
-        """Coder tables and integer centres for elements modelled by (mu, sigma).
-
-        With `n_symbols`, mu and sigma hold one value per channel and are
-        tiled over n_symbols // len(mu) positions (channel axis innermost).
-        """
+    def tables(self, mu, sigma, build=build_cdf_tables) -> tuple[TableBatch, np.ndarray]:
+        """Coder tables and integer centres for elements modelled by (mu, sigma)."""
         row, center = self.locate(mu, sigma)
-        cum = self.fill(row, build)
-        if n_symbols is not None:
-            reps = n_symbols // row.size
-            row, center = np.tile(row, reps), np.tile(center, reps)
-        return TableBatch(cum, self.smin, row_of_symbol=row), center
+        return TableBatch(self.rows(build), ALPHABET_MIN, row_of_symbol=row), center
 
 
 # the process-wide grid the codec codes with

@@ -97,7 +97,7 @@ def test_corrupt_container_exits_4(workdir, tmp_path):
 
 
 def test_stream_that_overflows_the_decoder_exits_4(toy_zoo, tmp_path, capsys):
-    # bit 0 of byte 325 (X stream) desyncs the coder into latents whose
+    # bit 0 of byte 326 (X stream) desyncs the coder into latents whose
     # synthesis overflows float32: held-out image 0 tiled 2x3, lambda=0.03
     model_path = toy_zoo.model_path(0.03)
     img = np.tile(heldout_images(1)[0], (2, 3, 1))
@@ -105,7 +105,7 @@ def test_stream_that_overflows_the_decoder_exits_4(toy_zoo, tmp_path, capsys):
     assert run(["encode", "--model", model_path, "--input", tmp_path / "tile.png",
                 "--output", tmp_path / "tile.c2f"]) == 0
     data = bytearray((tmp_path / "tile.c2f").read_bytes())
-    data[325] ^= 1
+    data[326] ^= 1
     (tmp_path / "flip.c2f").write_bytes(bytes(data))
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:

@@ -1,6 +1,4 @@
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -241,24 +239,23 @@ def test_grid_locates_nearest_scale_and_offset():
 
 def test_grid_rows_are_build_cdf_tables_at_grid_points():
     row, _ = CODER_GRID.locate([0.25, -0.5], [2.0, 40.0])
-    cum = CODER_GRID.fill(row)
     k, j = np.divmod(row, ent.GRID_OFFSETS)
     want = ent.build_cdf_tables(CODER_GRID.offsets[j], CODER_GRID.sigmas[k])
-    np.testing.assert_array_equal(cum[row], want)
+    np.testing.assert_array_equal(CODER_GRID.rows()[row], want)
 
 
-def test_grid_builds_each_row_once():
-    grid = ent.CoderGrid(n_sigmas=4, n_offsets=5)
+def test_grid_is_built_whole_on_first_use_and_only_then():
+    grid = ent.CoderGrid()
     built = []
 
     def build(mu, sigma, smin, smax):
         built.append(len(mu))
         return ent.build_cdf_tables(mu, sigma, smin, smax)
 
-    grid.tables([0.0, 0.0, 0.25], [1.0, 1.0, 1.0], build=build)
-    grid.tables([0.0, 0.5, 0.25], [1.0, 1.0, 1.0], build=build)
-    assert built == [2, 1]
-    assert np.count_nonzero(grid.cum[:, -1]) == 3
+    grid.tables([0.0, 0.25], [1.0, 1.0], build=build)
+    grid.tables([0.5, -3.0], [7.0, 0.1], build=build)
+    assert built == [ent.GRID_SIGMAS * ent.GRID_OFFSETS]
+    assert np.all(grid.rows()[:, -1] == rc.CDF_TOTAL)
 
 
 @pytest.mark.parametrize("sigma", [ent.SIGMA_MIN, ent.SIGMA_MAX])
@@ -290,44 +287,13 @@ def test_grid_mean_outside_alphabet_clips_centre_and_escapes():
 
 @pytest.mark.parametrize("mu, sigma", [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0),
                                        (0.0, np.nan), (0.0, np.inf)])
-def test_grid_refuses_non_finite_parameters(mu, sigma):
+def test_grid_and_exact_rows_refuse_non_finite_parameters(mu, sigma):
     with pytest.raises(NumericError):
         CODER_GRID.tables([0.0, mu], [1.0, sigma])
+    with pytest.raises(NumericError):
+        ent.build_cdf_tables([0.0, mu], [1.0, sigma])
 
 
 def test_grid_shape_contract():
     with pytest.raises(ContractViolation):
         CODER_GRID.locate([0.0, 1.0], [1.0])
-    with pytest.raises(ContractViolation):
-        ent.CoderGrid(n_sigmas=8, n_offsets=32)  # 0 would not be a grid point
-
-
-def test_grid_fills_each_row_once_under_concurrent_callers():
-    grid = ent.CoderGrid(n_sigmas=16, n_offsets=9)
-    counts = []
-
-    def build(mu, sigma, smin, smax):
-        counts.append(len(mu))
-        return ent.build_cdf_tables(mu, sigma, smin, smax)
-
-    def worker(seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(20):
-            grid.tables(rng.uniform(-3, 3, 64), np.exp(rng.uniform(-5, 6, 64)), build=build)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(s,)) for s in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert sum(counts) == np.count_nonzero(grid.cum[:, -1])  # no row built twice
-    built = np.flatnonzero(grid.cum[:, -1])
-    k, j = np.divmod(built, grid.n_offsets)
-    np.testing.assert_array_equal(grid.cum[built],
-                                  ent.build_cdf_tables(grid.offsets[j], grid.sigmas[k]))
