@@ -7,13 +7,15 @@ Stream order is Z, then Y (tables predicted from the decoded Z), then X
 (tables predicted from the decoded Y); symbols are raster scan with the
 channel axis innermost.
 
-Y and X code through the shared `entropy.CODER_GRID`: each element is
-coded as value - c under the grid row nearest its (mu - c, sigma), where
-c is its mean rounded to an integer in the alphabet.  Z is zero-mean with
-one sigma per channel, so it is coded under its c_z exact rows, built on
-every call.  The latents, their digest and `modeled_bits` (the float
-model's cross-entropy) do not depend on the grid; only the Y and X stream
-bytes do.
+Every stream reaches the range coder as one CdfTable per symbol and an
+integer centre subtracted from each value.  Y and X code through the
+shared `entropy.CODER_GRID`: each element is coded as value - c under the
+grid table nearest its (mu - c, sigma), where c is its mean rounded to an
+integer in the alphabet.  Z is zero-mean with one sigma per channel, so
+it is coded under its c_z exact tables, built on every call, with c = 0.
+The latents, their digest and `modeled_bits` (the float model's
+cross-entropy) do not depend on the grid; only the Y and X stream bytes
+do.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from . import autodiff as ad
 from . import rangecoder as rc
 from .autodiff import Tensor
 from .container import ContainerHeader, read_container, write_container
-from .entropy import (ALPHABET_MIN, CODER_GRID, LIKELIHOOD_FLOOR, QuantizerMode,
-                      TableBatch, build_cdf_tables, gaussian_bin_prob)
+from .entropy import (CODER_GRID, LIKELIHOOD_FLOOR, QuantizerMode,
+                      build_cdf_tables, coder_tables, gaussian_bin_prob)
 from .errors import (ContractViolation, CorruptStreamError,
                      ModelIdMismatchError, NumericError)
 from .imageio import crop, pad_to_multiple
@@ -49,28 +51,24 @@ def _symbols(t: Tensor) -> np.ndarray:
     return t.data.reshape(-1).astype(np.int64)
 
 
-def _tables(mu, sigma) -> tuple[TableBatch, np.ndarray]:
+def _tables(mu, sigma) -> tuple[list[rc.CdfTable], np.ndarray]:
     # build_cdf_tables is looked up in this module at call time, so a
     # wrapper set on codec.build_cdf_tables sees the grid being built
     return CODER_GRID.tables(mu, sigma, build=build_cdf_tables)
 
 
-def _z_tables(sigma_z: np.ndarray, n_symbols: int) -> tuple[TableBatch, np.ndarray]:
-    # one exact zero-mean row per channel, shared by its spatial positions
+def _z_tables(sigma_z: np.ndarray, n_symbols: int) -> tuple[list[rc.CdfTable], int]:
+    # one exact zero-mean table per channel, channel innermost
     c = sigma_z.size
-    rows = build_cdf_tables(np.zeros(c), sigma_z)
-    batch = TableBatch(rows, ALPHABET_MIN, row_of_symbol=np.tile(np.arange(c), n_symbols // c))
-    return batch, np.zeros(n_symbols, np.int64)
+    return coder_tables(build_cdf_tables(np.zeros(c), sigma_z)) * (n_symbols // c), 0
 
 
-def _encode(values: np.ndarray, tables: tuple[TableBatch, np.ndarray]) -> bytes:
-    batch, center = tables
-    return rc.encode(values - center, batch)
+def _encode(values: np.ndarray, tables: list[rc.CdfTable], center) -> bytes:
+    return rc.encode(values - center, tables)
 
 
-def _decode(data: bytes, tables: tuple[TableBatch, np.ndarray], shape) -> Tensor:
-    batch, center = tables
-    rel = rc.decode(data, batch, int(np.prod(shape)))
+def _decode(data: bytes, tables: list[rc.CdfTable], center, shape) -> Tensor:
+    rel = rc.decode(data, tables, int(np.prod(shape)))
     return Tensor((np.asarray(rel, np.int64) + center).astype(np.float32).reshape(shape))
 
 
@@ -103,9 +101,9 @@ def encode_array(model: CodecModel, img: np.ndarray) -> EncodeResult:
     y_syms = _symbols(lat.y)
     x_syms = _symbols(lat.x)
 
-    zbytes = _encode(z_syms, _z_tables(sigma_z, z_syms.size))
-    ybytes = _encode(y_syms, _tables(lat.mu_y.data, lat.sigma_y.data))
-    xbytes = _encode(x_syms, _tables(lat.mu_x.data, lat.sigma_x.data))
+    zbytes = _encode(z_syms, *_z_tables(sigma_z, z_syms.size))
+    ybytes = _encode(y_syms, *_tables(lat.mu_y.data, lat.sigma_y.data))
+    xbytes = _encode(x_syms, *_tables(lat.mu_x.data, lat.sigma_x.data))
 
     modeled = (_modeled_bits(z_syms, 0.0, np.tile(sigma_z, z_syms.size // sigma_z.size))
                + _modeled_bits(y_syms, lat.mu_y.data.reshape(-1), lat.sigma_y.data.reshape(-1))
@@ -150,17 +148,15 @@ def _decode_streams(model: CodecModel, header: ContainerHeader, zbytes: bytes,
     x_shape, y_shape, z_shape = model.latent_shapes(header.pad_h, header.pad_w)
 
     sigma_z = model.fz.sigma_values()
-    zhat = _decode(zbytes, _z_tables(sigma_z, int(np.prod(z_shape))), z_shape)
+    zhat = _decode(zbytes, *_z_tables(sigma_z, int(np.prod(z_shape))), z_shape)
 
     with ad.no_grad():
-        side2 = model.hyper_synthesis(zhat, 2)
-        mu_y, sigma_y = model.predict_params(side2, "y")
-    yhat = _decode(ybytes, _tables(mu_y.data, sigma_y.data), y_shape)
+        side2, mu_y, sigma_y = model.side_params(zhat, 2)
+    yhat = _decode(ybytes, *_tables(mu_y.data, sigma_y.data), y_shape)
 
     with ad.no_grad():
-        side1 = model.hyper_synthesis(yhat, 1)
-        mu_x, sigma_x = model.predict_params(side1, "x")
-    xhat = _decode(xbytes, _tables(mu_x.data, sigma_x.data), x_shape)
+        side1, mu_x, sigma_x = model.side_params(yhat, 1)
+    xhat = _decode(xbytes, *_tables(mu_x.data, sigma_x.data), x_shape)
 
     with ad.no_grad():
         recon = model.synthesize(xhat, side1, side2)

@@ -6,14 +6,16 @@ float64 numpy so the probabilities the coder uses are the exact
 discretized CDFs, integerized with largest-remainder apportionment to a
 total of 65536 with every bin kept >= 1.
 
-The coder does not get one table per latent element.  `CoderGrid` holds
-one shared set of rows on a (sigma, mean-offset) grid: sigma is
-quantized to one of GRID_SIGMAS log-spaced scales, and each element codes
-its value relative to the integer centre c = clip(floor(mu + 0.5)) under
-the row for its fractional offset mu - c.  Bucket choice is by exact
-float64 comparison and arithmetic only, so encoder and decoder pick the
-same row from the same float32 mu and sigma.  The zero-mean Z stream has
-one model per channel and is coded under its exact per-channel rows.
+Every stream reaches the range coder the same way: a list of CdfTables,
+one per symbol, and an integer centre subtracted from each value.  The
+tables are not built per latent element.  `CoderGrid` holds one shared
+set on a (sigma, mean-offset) grid: sigma is quantized to one of
+GRID_SIGMAS log-spaced scales, and each element codes its value relative
+to the integer centre c = clip(floor(mu + 0.5)) under the table for its
+fractional offset mu - c.  Bucket choice is by exact float64 comparison
+and arithmetic only, so encoder and decoder pick the same table from the
+same float32 mu and sigma.  The zero-mean Z stream has one model per
+channel and is coded under its exact per-channel tables, centre 0.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from .errors import ContractViolation, NumericError
 from .rangecoder import CDF_TOTAL, CdfTable
 
 __all__ = [
-    "QuantizerMode", "FactorizedZ", "TableBatch", "CoderGrid", "CODER_GRID",
+    "QuantizerMode", "FactorizedZ", "CoderGrid", "CODER_GRID",
     "quantize", "gaussian_likelihood", "z_likelihood", "rate_bits",
-    "gaussian_bin_prob", "build_cdf_table", "build_cdf_tables",
+    "gaussian_bin_prob", "build_cdf_tables", "coder_tables",
     "SIGMA_MIN", "SIGMA_MAX", "LIKELIHOOD_FLOOR", "ALPHABET_MIN", "ALPHABET_MAX",
     "GRID_SIGMAS", "GRID_OFFSETS",
 ]
@@ -45,6 +47,10 @@ ALPHABET_MIN = -127
 ALPHABET_MAX = 128
 GRID_SIGMAS = 256   # log-spaced scales over [SIGMA_MIN, SIGMA_MAX], both ends included
 GRID_OFFSETS = 33   # mean offsets over [-0.5, 0.5], step 1/32; odd, so 0 is a grid point
+
+# bin edges of the alphabet's symbols; the escape bin takes the mass outside
+_EDGES = np.arange(ALPHABET_MIN, ALPHABET_MAX + 2, dtype=np.float64) - 0.5
+_BUILD_CHUNK = 1 << 10  # rows per vectorised step of build_cdf_tables
 
 _LN2 = float(np.log(2.0))
 
@@ -169,30 +175,25 @@ def _integerize_rows(p: np.ndarray) -> np.ndarray:
     return cum
 
 
-def build_cdf_tables(mu, sigma, smin: int = ALPHABET_MIN, smax: int = ALPHABET_MAX,
-                     _chunk: int = 1 << 10) -> np.ndarray:
-    """Cumulative rows (n, nsymbols+2) for n Gaussian models N(mu[i], sigma[i]).
+def build_cdf_tables(mu, sigma) -> np.ndarray:
+    """Cumulative rows (n, 258) for n Gaussian models N(mu[i], sigma[i]).
 
-    Row layout: one bin per symbol in [smin, smax] plus a trailing escape
-    bin that absorbs the tail mass outside the alphabet.
+    Row layout: one bin per symbol in [ALPHABET_MIN, ALPHABET_MAX] plus a
+    trailing escape bin that absorbs the tail mass outside the alphabet.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=np.float64))
     sigma = np.atleast_1d(np.asarray(sigma, dtype=np.float64))
     if mu.shape != sigma.shape or mu.ndim != 1:
         raise ContractViolation("mu and sigma must be matching 1-D arrays")
-    if smin >= smax:
-        raise ContractViolation(f"bad alphabet [{smin}, {smax}]")
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
         raise NumericError("non-finite mean or scale reached the coder")
     n = mu.size
-    nbins = (smax - smin + 1) + 1
-    out = np.empty((n, nbins + 1), dtype=np.int64)
-    edges = np.arange(smin, smax + 2, dtype=np.float64) - 0.5
-    for lo_idx in range(0, n, _chunk):
-        hi_idx = min(lo_idx + _chunk, n)
+    out = np.empty((n, _EDGES.size + 1), dtype=np.int64)
+    for lo_idx in range(0, n, _BUILD_CHUNK):
+        hi_idx = min(lo_idx + _BUILD_CHUNK, n)
         m = mu[lo_idx:hi_idx, None]
         s = sigma[lo_idx:hi_idx, None]
-        cdf_at_edges = special.ndtr((edges[None, :] - m) / s)
+        cdf_at_edges = special.ndtr((_EDGES[None, :] - m) / s)
         p_sym = np.diff(cdf_at_edges, axis=1)
         p_esc = 1.0 - (cdf_at_edges[:, -1] - cdf_at_edges[:, 0])
         p = np.concatenate([p_sym, p_esc[:, None]], axis=1)
@@ -202,53 +203,22 @@ def build_cdf_tables(mu, sigma, smin: int = ALPHABET_MIN, smax: int = ALPHABET_M
     return out
 
 
-def build_cdf_table(mu: float, sigma: float,
-                    alphabet: tuple[int, int] = (ALPHABET_MIN, ALPHABET_MAX)) -> CdfTable:
-    """Single integer CDF table for one Gaussian model."""
-    smin, smax = alphabet
-    rows = build_cdf_tables([mu], [sigma], smin, smax)
-    return CdfTable(smin, rows[0], has_escape=True)
-
-
-class TableBatch:
-    """Per-symbol CdfTable sequence backed by shared cumulative rows.
-
-    `row_of_symbol` maps symbol position to a row index, so symbols with
-    the same model share one row (a row of the coder grid).
-    """
-
-    def __init__(self, cum_rows: np.ndarray, smin: int, row_of_symbol: np.ndarray):
-        self.cum_rows = cum_rows
-        self.smin = smin
-        self.row_of_symbol = row_of_symbol
-
-    def __len__(self) -> int:
-        return len(self.row_of_symbol)
-
-    def __getitem__(self, i: int) -> CdfTable:
-        return CdfTable(self.smin, self.cum_rows[self.row_of_symbol[i]], has_escape=True)
-
-    def __iter__(self):
-        # one CdfTable per distinct row, not per symbol
-        made: dict[int, CdfTable] = {}
-        for row in self.row_of_symbol.tolist():
-            table = made.get(row)
-            if table is None:
-                table = made[row] = CdfTable(self.smin, self.cum_rows[row], has_escape=True)
-            yield table
+def coder_tables(cum_rows: np.ndarray) -> list[CdfTable]:
+    """One coder table per cumulative row from build_cdf_tables."""
+    return [CdfTable(ALPHABET_MIN, cum, has_escape=True) for cum in cum_rows]
 
 
 class CoderGrid:
-    """Integer CDF rows for the (sigma, mean-offset) grid the Y and X streams share.
+    """Coder tables on the (sigma, mean-offset) grid the Y and X streams share.
 
-    Row r = k * GRID_OFFSETS + j models N(offsets[j], sigmas[k]) over the
+    Table r = k * GRID_OFFSETS + j models N(offsets[j], sigmas[k]) over the
     alphabet [ALPHABET_MIN, ALPHABET_MAX] plus an escape bin.  An element
     with mean mu and scale sigma codes the relative symbol value - c, where
-    c = clip(floor(mu + 0.5), ALPHABET_MIN, ALPHABET_MAX), under the row
+    c = clip(floor(mu + 0.5), ALPHABET_MIN, ALPHABET_MAX), under the table
     whose offset is nearest to mu - c (clipped to [-0.5, 0.5]) and whose
     sigma is nearest in log scale.  All rows are built in one call on first
     use and never change after; threads that race to the first use each
-    build the same rows and one of the arrays is kept.
+    build the same tables and one set is kept.
     """
 
     def __init__(self):
@@ -261,10 +231,10 @@ class CoderGrid:
         # bounds are the geometric midpoints of neighbouring scales
         self._sigma_bounds = np.array([math.exp(0.5 * (a + b)) for a, b in zip(logs, logs[1:])])
         self.offsets = np.linspace(-0.5, 0.5, GRID_OFFSETS)
-        self._cum: np.ndarray | None = None
+        self._grid: tuple[CdfTable, ...] | None = None
 
     def locate(self, mu, sigma) -> tuple[np.ndarray, np.ndarray]:
-        """(row index, integer centre) of every element, as int64 arrays."""
+        """(table index, integer centre) of every element, as int64 arrays."""
         mu = np.asarray(mu, dtype=np.float64).reshape(-1)
         sigma = np.asarray(sigma, dtype=np.float64).reshape(-1)
         if mu.shape != sigma.shape:
@@ -279,22 +249,18 @@ class CoderGrid:
         k = np.searchsorted(self._sigma_bounds, sigma, side="right")
         return k * GRID_OFFSETS + j, center.astype(np.int64)
 
-    def rows(self, build=build_cdf_tables) -> np.ndarray:
-        """Every cumulative row of the grid, built by `build` on the first call.
+    def tables(self, mu, sigma, build=build_cdf_tables) -> tuple[list[CdfTable], np.ndarray]:
+        """Coder tables and integer centres for elements modelled by (mu, sigma).
 
-        `build(mu, sigma, smin, smax)` is normally build_cdf_tables.
-        Returns the shared array itself, not a copy.
+        `build(mu, sigma)`, normally build_cdf_tables, makes every row of
+        the grid on the first call; later calls reuse those tables.
         """
-        cum = self._cum
-        if cum is None:
-            k, j = np.divmod(np.arange(GRID_SIGMAS * GRID_OFFSETS), GRID_OFFSETS)
-            cum = self._cum = build(self.offsets[j], self.sigmas[k], ALPHABET_MIN, ALPHABET_MAX)
-        return cum
-
-    def tables(self, mu, sigma, build=build_cdf_tables) -> tuple[TableBatch, np.ndarray]:
-        """Coder tables and integer centres for elements modelled by (mu, sigma)."""
         row, center = self.locate(mu, sigma)
-        return TableBatch(self.rows(build), ALPHABET_MIN, row_of_symbol=row), center
+        grid = self._grid
+        if grid is None:
+            k, j = np.divmod(np.arange(GRID_SIGMAS * GRID_OFFSETS), GRID_OFFSETS)
+            grid = self._grid = tuple(coder_tables(build(self.offsets[j], self.sigmas[k])))
+        return [grid[r] for r in row.tolist()], center
 
 
 # the process-wide grid the codec codes with

@@ -33,6 +33,11 @@ from .weights import load_checkpoint, save_checkpoint, save_model
 
 PIXEL_SCALE_SQ = 255.0 ** 2
 
+LIF_WEIGHT = 0.1          # warm-up weight of the info-fidelity loss
+LIF_HOLD = 0.2            # fraction of steps at full weight...
+LIF_ZERO = 0.5            # ...then linear decay to zero by here
+LR_DROPS = (0.7, 0.9)     # lr halves at these fractions
+
 
 def lambda_to_tag(lam: float) -> int:
     return int(round(10000.0 * lam))
@@ -47,10 +52,6 @@ class TrainConfig:
     batch: int = 2
     patch: int = 128
     seed: int = 42
-    lif_weight: float = 0.1          # warm-up weight of the info-fidelity loss
-    lif_hold: float = 0.2            # fraction of steps at full weight...
-    lif_zero: float = 0.5            # ...then linear decay to zero by here
-    lr_drops: tuple[float, ...] = (0.7, 0.9)   # lr halves at these fractions
     checkpoint_every: int = 0        # 0 = no intermediate checkpoints
 
     def __post_init__(self):
@@ -65,18 +66,17 @@ class TrainConfig:
 
     def lr_at(self, step: int) -> float:
         lr = self.lr
-        for frac in self.lr_drops:
+        for frac in LR_DROPS:
             if step >= frac * self.steps:
                 lr *= 0.5
         return lr
 
     def lif_at(self, step: int) -> float:
         frac = step / self.steps
-        if frac < self.lif_hold:
-            return self.lif_weight
-        if frac < self.lif_zero:
-            span = self.lif_zero - self.lif_hold
-            return self.lif_weight * (self.lif_zero - frac) / span
+        if frac < LIF_HOLD:
+            return LIF_WEIGHT
+        if frac < LIF_ZERO:
+            return LIF_WEIGHT * (LIF_ZERO - frac) / (LIF_ZERO - LIF_HOLD)
         return 0.0
 
 

@@ -15,7 +15,7 @@ Latent shape ladder for a padded (b, 64m, 64n, 3) input:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .autodiff import GdnParams, Tensor
 from .entropy import SIGMA_MAX, SIGMA_MIN, FactorizedZ, QuantizerMode, quantize
 from .errors import ContractViolation
 
+MAIN_DEPTH = 4   # stride-2 stages of the main analysis transform
 DOWNSAMPLE = 64  # 16 (main) * 2 (hyper level 1) * 2 (hyper level 2)
 
 # scale on the output deconv's random kernel at init (see CodecModel)
@@ -37,7 +38,6 @@ class ArchConfig:
     n_main: int = 128
     c_y: int = 0    # 0 means "same as n_main"
     c_z: int = 0    # 0 means "n_main // 2"
-    main_depth: int = 4
 
     def __post_init__(self):
         if self.c_y == 0:
@@ -46,12 +46,6 @@ class ArchConfig:
             object.__setattr__(self, "c_z", max(self.n_main // 2, 1))
         if min(self.n_main, self.c_y, self.c_z) < 1:
             raise ContractViolation("channel counts must be >= 1")
-        if self.main_depth != 4:
-            raise ContractViolation("main transform is fixed at 4 stride-2 stages")
-
-    @property
-    def downsample(self) -> int:
-        return DOWNSAMPLE
 
 
 @dataclass
@@ -268,7 +262,7 @@ class CodecModel:
         self.analysis_t = Sequential(
             [ConvLayer(rng, 3, n, 5, 2, "gdn", gdn_init=(1.0, 0.01))]
             + [ConvLayer(rng, n, n, 5, 2, "gdn", gdn_init=(1.0, 0.01))
-               for _ in range(arch.main_depth - 2)]
+               for _ in range(MAIN_DEPTH - 2)]
             + [ConvLayer(rng, n, n, 5, 2, "gdn", gdn_init=(0.01, 0.0))])
 
         self.hyper_analysis_1 = _hyper_analysis(rng, n, c_y)
@@ -360,6 +354,14 @@ class CodecModel:
                 f"got {side_repr.shape[3]}")
         return head(side_repr)
 
+    def side_params(self, code: Tensor, level: int) -> tuple[Tensor, Tensor, Tensor]:
+        """Hyper synthesis of a quantized plane and the Gaussian parameters
+        it predicts for the plane below: level 2 maps Z to (side2, mu_y,
+        sigma_y), level 1 maps Y to (side1, mu_x, sigma_x)."""
+        side = self.hyper_synthesis(code, level)
+        mu, sigma = self.predict_params(side, {1: "x", 2: "y"}[level])
+        return side, mu, sigma
+
     def forward(self, image: Tensor, mode: QuantizerMode,
                 rng: np.random.Generator | None = None) -> LatentTriple:
         """The one encoder chain, shared by coding and training.
@@ -378,10 +380,8 @@ class CodecModel:
         y = quantize(y_cont, mode, rng)
         x = quantize(x_cont, mode, rng)
 
-        side2 = self.hyper_synthesis(z, 2)
-        mu_y, sigma_y = self.predict_params(side2, "y")
-        side1 = self.hyper_synthesis(y, 1)
-        mu_x, sigma_x = self.predict_params(side1, "x")
+        side2, mu_y, sigma_y = self.side_params(z, 2)
+        side1, mu_x, sigma_x = self.side_params(y, 1)
         return LatentTriple(x=x, y=y, z=z, mu_x=mu_x, sigma_x=sigma_x,
                             mu_y=mu_y, sigma_y=sigma_y,
                             sigma_z=self.fz.sigma_values(),
@@ -405,8 +405,7 @@ class CodecModel:
     # -- parameter access ---------------------------------------------------
 
     def named_params(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for prefix, part in [
+        parts = [
             ("analysis", self.analysis_t),
             ("hyper_analysis_1", self.hyper_analysis_1),
             ("hyper_analysis_2", self.hyper_analysis_2),
@@ -417,14 +416,14 @@ class CodecModel:
             ("synthesis_main", self.synthesis_main),
             ("side1_up", self.side1_up),
             ("side2_up", self.side2_up),
-        ]:
-            for name, tensor in part.params(prefix):
-                out[name] = tensor
-        for name, layer in [("fuse_in", self.fuse_in), ("res_a", self.res_a),
-                            ("res_b", self.res_b), ("fuse_out", self.fuse_out),
-                            ("final_up", self.final_up), ("info_proj", self.info_proj)]:
-            for pname, tensor in layer.params(name):
-                out[pname] = tensor
+            ("fuse_in", self.fuse_in),
+            ("res_a", self.res_a),
+            ("res_b", self.res_b),
+            ("fuse_out", self.fuse_out),
+            ("final_up", self.final_up),
+            ("info_proj", self.info_proj),
+        ]
+        out = {name: tensor for prefix, part in parts for name, tensor in part.params(prefix)}
         out["fz.log_sigma"] = self.fz.log_sigma
         return out
 

@@ -9,11 +9,13 @@ Byte layout, little-endian throughout:
     record: name_len u16 | name utf-8 | ndim u8 | dims u32 * ndim |
             raw little-endian float32 values
 
-Records are sorted by name, so serialization is canonical: the model id
-that binds bitstreams to weights is the sha-256 of this serialization,
-and for a file written by save_model it equals the digest of the file
-bytes.  Checkpoints reuse the same record format with extra "opt.*" and
-"meta.*" records appended; those are excluded from the model id.
+main_depth is always MAIN_DEPTH (4) and every channel count is >= 1; a
+header with other values is refused as malformed.  Records are sorted by
+name, so serialization is canonical: the model id that binds bitstreams
+to weights is the sha-256 of this serialization, and for a file written
+by save_model it equals the digest of the file bytes.  Checkpoints reuse
+the same record format with extra "opt.*" and "meta.*" records appended;
+those are excluded from the model id.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Adam
-from .errors import (BadMagicError, ContractViolation, FormatError,
-                     TruncatedFileError, VersionMismatchError)
-from .transforms import ArchConfig, CodecModel
+from .errors import BadMagicError, FormatError, TruncatedFileError, VersionMismatchError
+from .transforms import MAIN_DEPTH, ArchConfig, CodecModel
 
 MAGIC = b"C2FW"
 VERSION = 1
@@ -54,7 +55,7 @@ def model_bytes(model: CodecModel, extra: dict[str, np.ndarray] | None = None) -
         params += sorted(extra.items())
     head = struct.pack(
         _HEAD_FMT, MAGIC, VERSION,
-        model.arch.n_main, model.arch.c_y, model.arch.c_z, model.arch.main_depth,
+        model.arch.n_main, model.arch.c_y, model.arch.c_z, MAIN_DEPTH,
         model.lambda_tag, _DISTORTION[model.distortion], len(params))
     return head + _pack_records(params)
 
@@ -82,6 +83,10 @@ def _parse(data: bytes):
         raise VersionMismatchError(f"weights version {version}, expected {VERSION}")
     if distortion not in _DISTORTION_INV:
         raise FormatError(f"unknown distortion flag {distortion}")
+    if main_depth != MAIN_DEPTH:
+        raise FormatError(f"main_depth {main_depth}, expected {MAIN_DEPTH}")
+    if min(n_main, c_y, c_z) < 1:
+        raise FormatError(f"channel counts must be >= 1, got {n_main}/{c_y}/{c_z}")
     pos = head_size
     records: dict[str, np.ndarray] = {}
     for _ in range(n_records):
@@ -104,12 +109,15 @@ def _parse(data: bytes):
         records[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
     if pos != len(data):
         raise FormatError(f"{len(data) - pos} trailing bytes in weights file")
-    arch = ArchConfig(n_main=n_main, c_y=c_y, c_z=c_z, main_depth=main_depth)
+    arch = ArchConfig(n_main=n_main, c_y=c_y, c_z=c_z)
     return arch, lambda_tag, _DISTORTION_INV[distortion], records
 
 
-def load_model(path) -> CodecModel:
-    arch, lambda_tag, distortion, records = _parse(Path(path).read_bytes())
+def _load(data: bytes) -> tuple[CodecModel, dict[str, np.ndarray]]:
+    """The model a weights or checkpoint file holds, and all its records.
+
+    Every parameter must be present with its exact shape."""
+    arch, lambda_tag, distortion, records = _parse(data)
     model = CodecModel(arch, lambda_tag=lambda_tag, distortion=distortion)
     wanted = model.named_params()
     missing = set(wanted) - set(records)
@@ -121,7 +129,11 @@ def load_model(path) -> CodecModel:
             raise FormatError(
                 f"parameter {name!r} has shape {arr.shape}, expected {tensor.data.shape}")
         tensor.data = np.ascontiguousarray(arr, dtype=np.float32)
-    return model
+    return model, records
+
+
+def load_model(path) -> CodecModel:
+    return _load(Path(path).read_bytes())[0]
 
 
 def save_checkpoint(model: CodecModel, opt: Adam, step: int, path) -> None:
@@ -131,15 +143,8 @@ def save_checkpoint(model: CodecModel, opt: Adam, step: int, path) -> None:
 
 
 def load_checkpoint(path) -> tuple[CodecModel, dict[str, np.ndarray], int]:
-    raw = Path(path).read_bytes()
-    arch, lambda_tag, distortion, records = _parse(raw)
-    opt_arrays = {k: v for k, v in records.items() if k.startswith("opt.")}
+    model, records = _load(Path(path).read_bytes())
     if "meta.step" not in records:
         raise FormatError("not a checkpoint: missing meta.step record")
-    step = int(records["meta.step"][0])
-    model = CodecModel(arch, lambda_tag=lambda_tag, distortion=distortion)
-    for name, tensor in model.named_params().items():
-        if name not in records:
-            raise FormatError(f"checkpoint missing parameter {name!r}")
-        tensor.data = np.ascontiguousarray(records[name], dtype=np.float32)
-    return model, opt_arrays, step
+    opt_arrays = {k: v for k, v in records.items() if k.startswith("opt.")}
+    return model, opt_arrays, int(records["meta.step"][0])

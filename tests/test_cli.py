@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -77,6 +78,19 @@ def test_missing_weights_exits_3(workdir, capsys):
               "--input", workdir / "img0.png", "--output", workdir / "x.c2f"])
     assert rc == 3
     assert "nope.c2fw" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("offset, value", [(18, 5), (10, 0)])
+def test_malformed_weights_header_exits_3(workdir, tmp_path, capsys, offset, value):
+    # main_depth (offset 18) is always 4; a zero channel count (c_y at 10)
+    # is no architecture either: both are malformed files, not bad arguments
+    data = bytearray((workdir / "model.c2fw").read_bytes())
+    struct.pack_into("<I", data, offset, value)
+    (tmp_path / "bad.c2fw").write_bytes(bytes(data))
+    rc = run(["encode", "--model", tmp_path / "bad.c2fw",
+              "--input", workdir / "img0.png", "--output", tmp_path / "x.c2f"])
+    assert rc == 3
+    assert "bad.c2fw" in capsys.readouterr().err
 
 
 def test_wrong_model_exits_4(workdir, tmp_path):

@@ -126,10 +126,13 @@ def test_version_1_container_refused(model):
 # ZOO_LAMBDAS then image order).  Computed with the per-element coder tables
 # of container version 1: the grid changes only the stream bytes.
 ZOO_LATENTS_SHA = "7365a8c06c1e74f605d498341f927e005a14afd5b24936020a05ba65945d9660"
+# sha-256 over the same 40 container byte strings, in the same order, as
+# container version 2 writes them: pins the coded streams, not just latents
+ZOO_CONTAINERS_SHA = "6b86056326f4a0afd5d78614b0d3b33b79b4adab3fa31102076bdaa87dc0b0d3"
 
 
 def test_zoo_rate_bound_and_latents_unchanged_by_grid(toy_zoo):
-    h = hashlib.sha256()
+    latents, containers = hashlib.sha256(), hashlib.sha256()
     for lam in ZOO_LAMBDAS:
         zoo_model = toy_zoo.load(lam)
         for img in heldout_images(10):
@@ -137,8 +140,10 @@ def test_zoo_rate_bound_and_latents_unchanged_by_grid(toy_zoo):
             assert_rate_bound(res)
             out = codec.decode_array(zoo_model, res.data)
             assert out.latent_digest == res.latent_digest
-            h.update(res.latent_digest.encode())
-    assert h.hexdigest() == ZOO_LATENTS_SHA
+            latents.update(res.latent_digest.encode())
+            containers.update(res.data)
+    assert latents.hexdigest() == ZOO_LATENTS_SHA
+    assert containers.hexdigest() == ZOO_CONTAINERS_SHA
 
 
 # ---------------------------------------------------------------------------

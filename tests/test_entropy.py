@@ -152,7 +152,7 @@ def test_rate_differentiable_end_to_end():
 # CDF tables
 
 def test_cdf_table_normalization_and_floor():
-    table = ent.build_cdf_table(0.0, ent.SIGMA_MIN)
+    table = ent.coder_tables(ent.build_cdf_tables([0.0], [ent.SIGMA_MIN]))[0]
     table.validate()
     assert table.cum[-1] == 65536
     freqs = np.diff(table.cum)
@@ -162,7 +162,7 @@ def test_cdf_table_normalization_and_floor():
 
 
 def test_cdf_table_bit_costs_track_float_model():
-    table = ent.build_cdf_table(0.0, 1.0)
+    table = ent.coder_tables(ent.build_cdf_tables([0.0], [1.0]))[0]
     k = np.arange(-8, 9, dtype=np.float64)
     q = ent.gaussian_bin_prob(k, 0.0, 1.0)
     freqs = np.diff(table.cum)[[table.index_of(int(v)) for v in k]]
@@ -177,7 +177,7 @@ def test_cdf_table_bit_costs_track_float_model():
 
 
 def test_cdf_table_escape_holds_tail_mass():
-    table = ent.build_cdf_table(0.0, 64.0)
+    table = ent.coder_tables(ent.build_cdf_tables([0.0], [64.0]))[0]
     esc_freq = int(table.cum[-1] - table.cum[-2])
     tail = 1.0 - float(ent.gaussian_bin_prob(np.arange(-127, 129), 0.0, 64.0).sum())
     assert esc_freq / 65536.0 == pytest.approx(tail, abs=2e-4)
@@ -188,17 +188,26 @@ def test_build_cdf_tables_batch_matches_scalar():
     sigmas = np.array([0.5, 1.0, 9.0])
     rows = ent.build_cdf_tables(mus, sigmas)
     for i, (m, s) in enumerate(zip(mus, sigmas)):
-        single = ent.build_cdf_table(float(m), float(s))
-        np.testing.assert_array_equal(rows[i], single.cum)
+        single = ent.build_cdf_tables([float(m)], [float(s)])
+        np.testing.assert_array_equal(rows[i], single[0])
 
 
-def test_table_batch_row_sharing():
+def test_coder_tables_view_rows_over_the_alphabet():
     rows = ent.build_cdf_tables([0.0, 0.0], [0.5, 4.0])
-    batch = ent.TableBatch(rows, ent.ALPHABET_MIN,
-                           row_of_symbol=np.array([0, 1, 0, 1]))
-    assert len(batch) == 4
-    np.testing.assert_array_equal(batch[2].cum, rows[0])
-    np.testing.assert_array_equal(batch[3].cum, rows[1])
+    tables = ent.coder_tables(rows)
+    assert len(tables) == 2
+    for table, row in zip(tables, rows):
+        assert (table.smin, table.smax) == (ent.ALPHABET_MIN, ent.ALPHABET_MAX)
+        assert table.has_escape
+        assert np.shares_memory(table.cum, row)
+
+
+def test_grid_tables_share_one_table_per_row():
+    tables, center = CODER_GRID.tables([0.0, 2.0, 0.0, 5.25], [0.5, 0.5, 4.0, 4.0])
+    assert len(tables) == 4
+    np.testing.assert_array_equal(center, [0, 2, 0, 5])
+    assert tables[0] is tables[1]  # same offset and scale: one table object
+    assert tables[0] is not tables[2]
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +216,10 @@ def test_table_batch_row_sharing():
 def grid_roundtrip(values, mu, sigma):
     """Code values relative to their centres through CODER_GRID and back."""
     values = np.asarray(values, dtype=np.int64)
-    batch, center = CODER_GRID.tables(mu, sigma)
-    data = rc.encode(values - center, batch)
-    batch, center = CODER_GRID.tables(mu, sigma)
-    return np.asarray(rc.decode(data, batch, len(values)), np.int64) + center
+    tables, center = CODER_GRID.tables(mu, sigma)
+    data = rc.encode(values - center, tables)
+    tables, center = CODER_GRID.tables(mu, sigma)
+    return np.asarray(rc.decode(data, tables, len(values)), np.int64) + center
 
 
 def test_grid_ends_and_zero_offset_are_exact_grid_points():
@@ -238,24 +247,27 @@ def test_grid_locates_nearest_scale_and_offset():
 
 
 def test_grid_rows_are_build_cdf_tables_at_grid_points():
-    row, _ = CODER_GRID.locate([0.25, -0.5], [2.0, 40.0])
+    mu, sigma = [0.25, -0.5], [2.0, 40.0]
+    row, _ = CODER_GRID.locate(mu, sigma)
     k, j = np.divmod(row, ent.GRID_OFFSETS)
     want = ent.build_cdf_tables(CODER_GRID.offsets[j], CODER_GRID.sigmas[k])
-    np.testing.assert_array_equal(CODER_GRID.rows()[row], want)
+    tables, _ = CODER_GRID.tables(mu, sigma)
+    np.testing.assert_array_equal([t.cum for t in tables], want)
 
 
 def test_grid_is_built_whole_on_first_use_and_only_then():
     grid = ent.CoderGrid()
     built = []
 
-    def build(mu, sigma, smin, smax):
+    def build(mu, sigma):
         built.append(len(mu))
-        return ent.build_cdf_tables(mu, sigma, smin, smax)
+        return ent.build_cdf_tables(mu, sigma)
 
-    grid.tables([0.0, 0.25], [1.0, 1.0], build=build)
-    grid.tables([0.5, -3.0], [7.0, 0.1], build=build)
+    first, _ = grid.tables([0.0, 0.25], [1.0, 1.0], build=build)
+    second, _ = grid.tables([0.5, -3.0], [7.0, 0.1], build=build)
     assert built == [ent.GRID_SIGMAS * ent.GRID_OFFSETS]
-    assert np.all(grid.rows()[:, -1] == rc.CDF_TOTAL)
+    for table in first + second:
+        table.validate()
 
 
 @pytest.mark.parametrize("sigma", [ent.SIGMA_MIN, ent.SIGMA_MAX])

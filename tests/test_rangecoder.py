@@ -80,20 +80,20 @@ def test_gaussian_tables_roundtrip(sigma):
     rng = np.random.default_rng(3)
     n = 2000
     values = np.clip(np.round(rng.normal(0, sigma, size=n)), -127, 128).astype(int)
-    table = ent.build_cdf_table(0.0, sigma)
+    table = ent.coder_tables(ent.build_cdf_tables([0.0], [sigma]))[0]
     data, back = roundtrip(values.tolist(), [table] * n)
     assert back == values.tolist()
 
 
 def test_escape_values_roundtrip():
-    table = ent.build_cdf_table(0.0, 1.0)
+    table = ent.coder_tables(ent.build_cdf_tables([0.0], [1.0]))[0]
     symbols = [0, 1, 900, -5000, 2, 2 ** 31 - 1, -(2 ** 31), -1]
     _, back = roundtrip(symbols, [table] * len(symbols))
     assert back == symbols
 
 
 def test_escape_rejected_beyond_int32():
-    table = ent.build_cdf_table(0.0, 1.0)
+    table = ent.coder_tables(ent.build_cdf_tables([0.0], [1.0]))[0]
     with pytest.raises(ContractViolation):
         rc.encode([2 ** 31], [table])
 

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,30 @@ def test_load_rejects_wrong_shape(tmp_path, model):
     path.write_bytes(bytes(data[:-8]))
     with pytest.raises(FormatError):
         wts.load_model(path)
+
+
+@pytest.mark.parametrize("offset, value", [(18, 5), (18, 0), (6, 0), (10, 0), (14, 0)])
+def test_load_refuses_bad_depth_or_zero_channels(tmp_path, model, offset, value):
+    # header u32 fields: n_main at 6, c_y at 10, c_z at 14, main_depth at 18
+    path = tmp_path / "m.c2fw"
+    wts.save_model(model, path)
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<I", data, offset, value)
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError):
+        wts.load_model(path)
+
+
+def test_checkpoint_refuses_wrong_shape(tmp_path):
+    # the same record checks as load_model: a (1, 1, 1, 7) output bias on
+    # a 3-channel output layer is refused
+    bad = CodecModel(ARCH, seed=1)
+    opt = ad.Adam(bad.param_list(), lr=1e-3)
+    bad.final_up.bias.data = np.zeros((1, 1, 1, 7), np.float32)
+    path = tmp_path / "ck.c2fw"
+    wts.save_checkpoint(bad, opt, step=3, path=path)
+    with pytest.raises(FormatError, match="final_up.bias"):
+        wts.load_checkpoint(path)
 
 
 def test_checkpoint_roundtrip(tmp_path, model):
