@@ -380,6 +380,20 @@ def depth_to_space(a: Tensor, block: int = 2) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution: conv2d and deconv2d share one gather/scatter pair and are
 # exact adjoints of each other for a shared kernel.
+#
+# A gather runs over bands of output rows, so its scratch is O(band), not
+# O(image), and the padded input is never built: each band copies the
+# padded input rows it reads into one reused buffer, or reads x in place
+# when there is no pad.  Every output element
+# is still the same ci-length sgemm dot products, summed over the taps in
+# row-major order.  sgemm returns each row bit-identical whatever the
+# number of rows in the call, as long as that stays a real matrix (a
+# one-row product runs as sgemv and rounds differently); bands are
+# balanced so that none is a short leftover.
+
+# flattened matmul rows per band
+_BAND_ROWS = 8192
+
 
 def _out_and_pad(in_dim: int, k: int, stride: int, padding: str) -> tuple[int, int, int]:
     if padding == "same":
@@ -393,29 +407,127 @@ def _out_and_pad(in_dim: int, k: int, stride: int, padding: str) -> tuple[int, i
     raise ContractViolation(f"padding must be 'same' or 'valid', got {padding!r}")
 
 
-def _gather(xp: np.ndarray, kern: np.ndarray, stride: int, oh: int, ow: int) -> np.ndarray:
-    b = xp.shape[0]
-    kh, kw, ci, co = kern.shape
-    out = np.zeros((b * oh * ow, co), dtype=np.float32)
-    for i in range(kh):
-        for j in range(kw):
-            sl = xp[:, i:i + (oh - 1) * stride + 1:stride,
-                    j:j + (ow - 1) * stride + 1:stride, :]
-            out += sl.reshape(b * oh * ow, ci) @ kern[i, j]
-    return out.reshape(b, oh, ow, co)
+def _bands(b: int, oh: int, rows: int) -> list[tuple[int, int, int, int]]:
+    """Cut b images of oh output rows into bands (n0, n1, r0, r1), rows
+    r0..r1-1 of images n0..n1-1, of at most `rows` rows each: whole images
+    where one fits, else pieces of one image.  Band sizes differ by at most
+    one image or row, so no band is a short leftover."""
+    def split(total, most):
+        n = -(-total // most)
+        cuts = [total * k // n for k in range(n + 1)]
+        return zip(cuts[:-1], cuts[1:])
+
+    rows = max(rows, 1)
+    if oh <= rows:
+        return [(n0, n1, 0, oh) for n0, n1 in split(b, rows // oh)]
+    return [(n, n + 1, r0, r1) for n in range(b) for r0, r1 in split(oh, rows)]
 
 
-def _scatter(y: np.ndarray, kern: np.ndarray, stride: int, hp: int, wp: int) -> np.ndarray:
-    b, oh, ow, co = y.shape
+def _fill(dst: np.ndarray, x: np.ndarray, q0: int, pt: int, pl: int) -> None:
+    """dst[k] = padded rows q0.. of x[k], where padded row q holds
+    x[k, q - pt] at columns pl:pl + w, or zeros in the pad.  The pad
+    columns of dst are never written, so they keep the zeros of the
+    buffer dst views."""
+    h, w = x.shape[1:3]
+    q1 = q0 + dst.shape[1]
+    lo, hi = min(max(pt, q0), q1), min(max(pt + h, q0), q1)
+    dst[:, :lo - q0] = 0
+    dst[:, lo - q0:hi - q0, pl:pl + w] = x[:, lo - pt:hi - pt]
+    dst[:, hi - q0:] = 0
+
+
+def _strided(rows: np.ndarray, src: np.ndarray, i: int, j: int, s: int) -> np.ndarray:
+    """Copy tap (i, j)'s stride-s rows and columns of src into rows, and
+    return them as one (rows, cin) matrix."""
+    r, c = rows.shape[1:3]
+    rows[...] = src[:, i:i + (r - 1) * s + 1:s, j:j + (c - 1) * s + 1:s]
+    return rows.reshape(-1, rows.shape[3])
+
+
+def _gather(x: np.ndarray, kern: np.ndarray, stride: int,
+            pads: tuple[int, int, int, int], oh: int, ow: int) -> np.ndarray:
+    """out[n, r, c] = sum over taps (i, j) of xp[n, s*r + i, s*c + j] @ kern[i, j],
+    where xp is x zero-padded by pads = (top, bottom, left, right)."""
+    b, _, w, ci = x.shape
+    kh, kw, _, co = kern.shape
+    pt, pb, pl, pr = pads
+    wp, s, padded = w + pl + pr, stride, any(pads)
+    taps = list(np.ndindex(kh, kw))
+    out = np.empty((b, oh, ow, co), dtype=np.float32)
+    # Stride 1: a band's padded rows, stacked image after image, are one
+    # flat array, and tap (i, j) is its contiguous view from row i, column
+    # j.  The band computes wp columns per row and keeps ow, and computes
+    # and drops the kh - 1 rows per image that straddle two images; a 1x1
+    # kernel has neither, so it writes into out directly.
+    # Stride 2: each tap copies its strided rows and columns of the band,
+    # and the products go straight into the band's rows of out.
+    bands = _bands(b, oh, _BAND_ROWS // (wp if s == 1 else ow))
+    direct = s > 1 or kh * kw == 1
+    reads = [(n1 - n0, (r1 - r0 - 1) * s + kh) for n0, n1, r0, r1 in bands]
+    most_in = max(k * q for k, q in reads)
+    most_out = max((n1 - n0) * (r1 - r0) for n0, n1, r0, r1 in bands)
+    if padded:
+        buf = np.zeros((most_in, wp, ci), dtype=np.float32)
+    if s > 1:
+        patch = np.empty((most_out * ow, ci), dtype=np.float32)
+    tmp = np.empty((most_out * ow if direct else most_in * wp, co), dtype=np.float32)
+    scratch = None if direct else np.empty_like(tmp)
+    for (n0, n1, r0, r1), (k, q) in zip(bands, reads):
+        if padded:
+            src = buf[:k * q].reshape(k, q, wp, ci)
+            _fill(src, x[n0:n1], r0 * s, pt, pl)
+        else:
+            src = x[n0:n1, r0 * s:r0 * s + q]
+        if s == 1:
+            m = (k * q - kh) * wp + ow
+            flat = src.reshape(-1, ci)
+            operands = (flat[i * wp + j:i * wp + j + m] for i, j in taps)
+        else:
+            m = k * (r1 - r0) * ow
+            rows = patch[:m].reshape(k, r1 - r0, ow, ci)
+            operands = (_strided(rows, src, i, j, s) for i, j in taps)
+        # out[n0:n1, r0:r1] is whole images or rows of one image: a view
+        acc = out[n0:n1, r0:r1].reshape(m, co) if direct else scratch[:m]
+        for tap, ((i, j), a) in enumerate(zip(taps, operands)):
+            if tap == 0:
+                np.matmul(a, kern[i, j], out=acc)
+            else:
+                np.matmul(a, kern[i, j], out=tmp[:m])
+                acc += tmp[:m]
+        if not direct:
+            out[n0:n1, r0:r1] = \
+                scratch[:k * q * wp].reshape(k, q, wp, co)[:, :r1 - r0, :ow]
+    return out
+
+
+def _landing(i: int, pad: int, stride: int, n: int, size: int) -> tuple[int, int]:
+    """Input rows r0..r1-1 whose tap-i product lands at row i + stride*r - pad
+    inside [0, size) of the cropped output."""
+    r0 = min(max(-(-(pad - i) // stride), 0), n)
+    r1 = min(max(-(-(pad + size - i) // stride), r0), n)
+    return r0, r1
+
+
+def _scatter(y: np.ndarray, kern: np.ndarray, stride: int, pt: int, pl: int,
+             out_h: int, out_w: int) -> np.ndarray:
+    """The adjoint of _gather, cropped: each tap's product is added where it
+    lands inside rows pt..pt+out_h-1 and columns pl..pl+out_w-1 of the
+    padded plane, which is never built."""
+    b, h, w, co = y.shape
     kh, kw, ci, _ = kern.shape
-    xp = np.zeros((b, hp, wp, ci), dtype=np.float32)
-    yf = y.reshape(b * oh * ow, co)
+    out = np.zeros((b, out_h, out_w, ci), dtype=np.float32)
+    yf = y.reshape(b * h * w, co)
+    cols = [_landing(j, pl, stride, w, out_w) for j in range(kw)]
     for i in range(kh):
-        for j in range(kw):
-            xp[:, i:i + (oh - 1) * stride + 1:stride,
-               j:j + (ow - 1) * stride + 1:stride, :] += \
-                (yf @ kern[i, j].T).reshape(b, oh, ow, ci)
-    return xp
+        r0, r1 = _landing(i, pt, stride, h, out_h)
+        for j, (c0, c1) in enumerate(cols):
+            if r0 == r1 or c0 == c1:
+                continue
+            top, left = i + r0 * stride - pt, j + c0 * stride - pl
+            out[:, top:top + (r1 - r0 - 1) * stride + 1:stride,
+                left:left + (c1 - c0 - 1) * stride + 1:stride, :] += \
+                (yf @ kern[i, j].T).reshape(b, h, w, ci)[:, r0:r1, c0:c1]
+    return out
 
 
 def _kernel_grad(xp: np.ndarray, gy: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
@@ -447,19 +559,19 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: str = "same") ->
         raise ContractViolation(f"conv2d channels {ci} != kernel cin {kci}")
     oh, pt, pb = _out_and_pad(h, kh, stride, padding)
     ow, pl, pr = _out_and_pad(w, kw, stride, padding)
-    xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
     kern = kernel.data
 
     def vjp(g):
         dx = dk = None
         if x.requires_grad:
-            full = _scatter(g, kern, stride, xp.shape[1], xp.shape[2])
-            dx = full[:, pt:pt + h, pl:pl + w, :]
+            dx = _scatter(g, kern, stride, pt, pl, h, w)
         if kernel.requires_grad:
+            xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
             dk = _kernel_grad(xp, g, kh, kw, stride)
         return dx, dk
 
-    return _make(_gather(xp, kern, stride, oh, ow), "conv2d", (x, kernel), vjp)
+    out = _gather(x.data, kern, stride, (pt, pb, pl, pr), oh, ow)
+    return _make(out, "conv2d", (x, kernel), vjp)
 
 
 def deconv2d(y: Tensor, kernel: Tensor, stride: int = 1, padding: str = "same") -> Tensor:
@@ -484,20 +596,18 @@ def deconv2d(y: Tensor, kernel: Tensor, stride: int = 1, padding: str = "same") 
     ow, pl, pr = _out_and_pad(big_w, kw, stride, padding)
     if (oh, ow) != (h, w):
         raise ContractViolation(f"deconv2d inconsistent dims {(h, w)} for stride {stride}")
-    hp, wp = big_h + pt + pb, big_w + pl + pr
     kern = kernel.data
 
     def vjp(g):
         dy = dk = None
-        gp = np.pad(g, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
         if y.requires_grad:
-            dy = _gather(gp, kern, stride, h, w)
+            dy = _gather(g, kern, stride, (pt, pb, pl, pr), h, w)
         if kernel.requires_grad:
+            gp = np.pad(g, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
             dk = _kernel_grad(gp, y.data, kh, kw, stride)
         return dy, dk
 
-    full = _scatter(y.data, kern, stride, hp, wp)
-    out = full[:, pt:pt + big_h, pl:pl + big_w, :]
+    out = _scatter(y.data, kern, stride, pt, pl, big_h, big_w)
     return _make(out, "deconv2d", (y, kernel), vjp)
 
 

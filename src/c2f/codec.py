@@ -28,7 +28,8 @@ import numpy as np
 from . import autodiff as ad
 from . import rangecoder as rc
 from .autodiff import Tensor
-from .container import ContainerHeader, read_container, write_container
+from .container import (ContainerHeader, check_image_size, read_container,
+                        write_container)
 from .entropy import (CODER_GRID, LIKELIHOOD_FLOOR, QuantizerMode,
                       build_cdf_tables, coder_tables, gaussian_bin_prob)
 from .errors import (ContractViolation, CorruptStreamError,
@@ -89,6 +90,7 @@ def encode_array(model: CodecModel, img: np.ndarray) -> EncodeResult:
     if img.ndim != 3 or img.shape[2] != 3 or img.dtype != np.uint8:
         raise ContractViolation(f"encoder expects (h, w, 3) uint8, got {img.shape} {img.dtype}")
     orig_h, orig_w = img.shape[:2]
+    check_image_size(orig_w, orig_h)
     padded = pad_to_multiple(img, 64)
     pad_h, pad_w = padded.shape[:2]
 

@@ -6,8 +6,8 @@ Byte-exact layout, all integers little-endian:
     0       4     magic "C2F1"
     4       2     version (u16, currently 2)
     6       32    model_id (sha-256 of the weights file)
-    38      4     orig_w (u32)
-    42      4     orig_h (u32)
+    38      4     orig_w (u32, 1..MAX_SIDE)
+    42      4     orig_h (u32, 1..MAX_SIDE)
     46      4     pad_w (u32, orig_w rounded up to a multiple of 64)
     50      4     pad_h (u32, orig_h rounded up to a multiple of 64)
     54      2     lambda_tag (u16, round(10000 * lambda))
@@ -39,6 +39,17 @@ _FMT = "<4sH32sIIIIHQQQ"
 HEADER_SIZE = struct.calcsize(_FMT)
 assert HEADER_SIZE == 80
 
+# Largest image side a container may declare.  A reader refuses a header
+# outside [1, MAX_SIDE] before the decoder sizes any table or plane from
+# it, so a hostile header cannot make it allocate without bound.
+MAX_SIDE = 1 << 15
+
+
+def check_image_size(width: int, height: int) -> None:
+    if not (1 <= width <= MAX_SIDE and 1 <= height <= MAX_SIDE):
+        raise ContractViolation(
+            f"image size {width}x{height} is outside 1..{MAX_SIDE} per side")
+
 
 @dataclass
 class ContainerHeader:
@@ -56,6 +67,7 @@ class ContainerHeader:
     def validate(self) -> "ContainerHeader":
         if len(self.model_id) != 32:
             raise ContractViolation("model_id must be a 32-byte digest")
+        check_image_size(self.orig_w, self.orig_h)
         # the only padding encode_array writes; it also bounds what a
         # hostile header can make the decoder allocate
         if (self.pad_w, self.pad_h) != (-(-self.orig_w // 64) * 64,

@@ -392,14 +392,12 @@ class CodecModel:
 
     def synthesize(self, xhat: Tensor, side1: Tensor, side2: Tensor) -> Tensor:
         """Reconstruct the image; output is unclipped (clip at inference)."""
-        main = self.synthesis_main(xhat)
-        s1 = self.side1_up(side1)
-        s2 = self.side2_up(side2)
-        if not (main.shape[:3] == s1.shape[:3] == s2.shape[:3]):
-            raise ContractViolation(
-                f"aggregation grids disagree: {main.shape} {s1.shape} {s2.shape}")
-        fused = self.fuse_in(ad.concat_channels([main, s1, s2]))
+        # the three paths are freed as soon as they are concatenated;
+        # concat_channels refuses grids that disagree
+        fused = self.fuse_in(ad.concat_channels([
+            self.synthesis_main(xhat), self.side1_up(side1), self.side2_up(side2)]))
         res = ad.add(fused, self.res_b(self.res_a(fused)))
+        del fused
         return self.final_up(self.fuse_out(res))
 
     # -- parameter access ---------------------------------------------------

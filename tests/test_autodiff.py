@@ -119,6 +119,93 @@ def test_deconv2d_gradcheck(stride):
 
 
 # ---------------------------------------------------------------------------
+# banded conv engine against the unbanded one it replaced, bit for bit
+
+def _ref_gather(xp, kern, stride, oh, ow):
+    # the whole padded input, one strided copy and one full product per tap
+    b = xp.shape[0]
+    kh, kw, ci, co = kern.shape
+    out = np.zeros((b * oh * ow, co), dtype=np.float32)
+    for i in range(kh):
+        for j in range(kw):
+            sl = xp[:, i:i + (oh - 1) * stride + 1:stride,
+                    j:j + (ow - 1) * stride + 1:stride, :]
+            out += sl.reshape(b * oh * ow, ci) @ kern[i, j]
+    return out.reshape(b, oh, ow, co)
+
+
+def _ref_scatter_crop(y, kern, stride, pads, out_h, out_w):
+    # scatter into the whole padded plane, then crop it
+    pt, pb, pl, pr = pads
+    b, oh, ow, co = y.shape
+    kh, kw, ci, _ = kern.shape
+    xp = np.zeros((b, out_h + pt + pb, out_w + pl + pr, ci), dtype=np.float32)
+    yf = y.reshape(b * oh * ow, co)
+    for i in range(kh):
+        for j in range(kw):
+            xp[:, i:i + (oh - 1) * stride + 1:stride,
+               j:j + (ow - 1) * stride + 1:stride, :] += \
+                (yf @ kern[i, j].T).reshape(b, oh, ow, ci)
+    return xp[:, pt:pt + out_h, pl:pl + out_w, :]
+
+
+def _pads(h, w, k, stride, padding):
+    oh, pt, pb = ad._out_and_pad(h, k, stride, padding)
+    ow, pl, pr = ad._out_and_pad(w, k, stride, padding)
+    return oh, ow, (pt, pb, pl, pr)
+
+
+@pytest.mark.parametrize("band", [None, 16, 64])
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_banded_conv_engine_is_bit_exact(monkeypatch, stride, k, padding, band):
+    bands = []
+    if band is not None:
+        # 16 flattened rows is 1-3 output rows here, so images are cut
+        # into pieces; 64 often puts several whole images in one band
+        monkeypatch.setattr(ad, "_BAND_ROWS", band)
+        real = ad._bands
+        monkeypatch.setattr(ad, "_bands", lambda *a: bands.append(real(*a)) or bands[-1])
+    rng = np.random.default_rng(100 * stride + 10 * k + (padding == "same"))
+    for b in (1, 3):
+        for h, w in ((13, 9), (7, 10), (5, 6)):
+            x = rng.normal(size=(b, h, w, 4)).astype(np.float32)
+            kern = rng.normal(size=(k, k, 4, 6)).astype(np.float32)
+            oh, ow, pads = _pads(h, w, k, stride, padding)
+            xp = np.pad(x, ((0, 0), pads[:2], pads[2:], (0, 0)))
+            xt = Tensor(x, True)
+            conv = ad.conv2d(xt, Tensor(kern), stride, padding)
+            assert np.array_equal(conv.data, _ref_gather(xp, kern, stride, oh, ow))
+            g = rng.normal(size=conv.shape).astype(np.float32)
+            assert np.array_equal(conv._vjp(g)[0],
+                                  _ref_scatter_crop(g, kern, stride, pads, h, w))
+
+            y = Tensor(rng.normal(size=(b, h, w, 6)).astype(np.float32), True)
+            dec = ad.deconv2d(y, Tensor(kern), stride, padding)
+            big_h, big_w = dec.shape[1:3]
+            _, _, dpads = _pads(big_h, big_w, k, stride, padding)
+            assert np.array_equal(
+                dec.data, _ref_scatter_crop(y.data, kern, stride, dpads, big_h, big_w))
+            g = rng.normal(size=dec.shape).astype(np.float32)
+            gp = np.pad(g, ((0, 0), dpads[:2], dpads[2:], (0, 0)))
+            assert np.array_equal(dec._vjp(g)[0], _ref_gather(gp, kern, stride, h, w))
+    if band == 16:
+        assert any(len(bd) >= 3 and any(r0 > 0 for _, _, r0, _ in bd) for bd in bands)
+    if band == 64:
+        assert any(len(bd) >= 2 for bd in bands)
+
+
+def test_bands_hold_whole_images_or_even_pieces_of_one():
+    # 3 images of 4 rows, at most 9 rows a band: one image, then two
+    assert ad._bands(3, 4, 9) == [(0, 1, 0, 4), (1, 3, 0, 4)]
+    # 10 rows, at most 4 a band: 3 pieces of each image, 3 or 4 rows
+    assert ad._bands(2, 10, 4) == [(n, n + 1, r0, r1) for n in range(2)
+                                   for r0, r1 in ((0, 3), (3, 6), (6, 10))]
+    assert ad._bands(1, 7, 0) == [(0, 1, r, r + 1) for r in range(7)]
+
+
+# ---------------------------------------------------------------------------
 # GDN
 
 def test_gdn_identity_when_beta_one_gamma_zero():

@@ -6,7 +6,7 @@ import pytest
 
 import c2f.codec as codec
 import c2f.weights as wts
-from c2f.container import HEADER_SIZE, read_container
+from c2f.container import HEADER_SIZE, MAX_SIDE, read_container
 from c2f.errors import (ContractViolation, CorruptStreamError,
                         ModelIdMismatchError, NumericError,
                         VersionMismatchError)
@@ -189,3 +189,25 @@ def test_hostile_padded_size_refused_before_decoding(model, monkeypatch):
     monkeypatch.setattr(CodecModel, "latent_shapes", no_decode)
     with pytest.raises(CorruptStreamError):
         codec.decode_array(model, bytes(data))
+
+
+@pytest.mark.parametrize("field", [38, 42])  # orig_w, orig_h
+def test_oversized_image_header_refused_before_decoding(model, monkeypatch, field):
+    # a consistent header (padded side = original side, a multiple of 64)
+    # for a side of 2**16, twice the documented cap
+    data = bytearray(codec.encode_array(model, rand_img(64, 64, seed=8)).data)
+    struct.pack_into("<I", data, field, 2 ** 16)
+    struct.pack_into("<I", data, field + 8, 2 ** 16)
+
+    def no_decode(*args):
+        raise AssertionError("decoder sized latent planes from an oversized header")
+
+    monkeypatch.setattr(CodecModel, "latent_shapes", no_decode)
+    with pytest.raises(CorruptStreamError, match="outside 1..32768"):
+        codec.decode_array(model, bytes(data))
+
+
+@pytest.mark.parametrize("h,w", [(1, MAX_SIDE + 1), (MAX_SIDE + 1, 1), (0, 64)])
+def test_encoder_refuses_image_outside_the_side_cap(model, h, w):
+    with pytest.raises(ContractViolation, match="outside 1..32768"):
+        codec.encode_array(model, np.zeros((h, w, 3), np.uint8))

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +184,29 @@ def test_synthesize_grid_mismatch(model):
     bad = Tensor(np.zeros((1, 8, 8, ARCH.c_y), np.float32))
     with pytest.raises(ContractViolation):
         model.synthesize(xhat, s1, bad)
+
+
+def test_synthesize_scratch_is_bounded():
+    # n_main=32 on a 512x512 padded input: the fused half-resolution plane
+    # (fuse_in's input) is 256 x 256 x 64 float32 = 16 MiB.  The banded
+    # conv engine peaks at 36 MiB inside synthesize; the unbanded one it
+    # replaced (a padded copy of each conv input, a strided copy and a
+    # full product per tap, every path alive until the fuse) peaked at
+    # 80 MiB.
+    model = CodecModel(ArchConfig(n_main=32), seed=0)
+    rng = np.random.default_rng(0)
+    xhat = Tensor(np.round(rng.normal(0, 2, (1, 32, 32, 32))).astype(np.float32))
+    s1 = Tensor(rng.normal(size=(1, 32, 32, 32)).astype(np.float32))
+    s2 = Tensor(rng.normal(size=(1, 16, 16, 32)).astype(np.float32))
+    with ad.no_grad():
+        tracemalloc.start()
+        try:
+            out = model.synthesize(xhat, s1, s2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert out.shape == (1, 512, 512, 3)
+    assert peak < 56 * 2 ** 20, f"synthesize peaked at {peak / 2 ** 20:.1f} MiB"
 
 
 def test_gradients_reach_encoder_params(model):
