@@ -10,7 +10,7 @@ from .codec import DecodeResult, EncodeResult, decode_array, encode_array
 from .entropy import FactorizedZ, QuantizerMode
 from .errors import C2fError
 from .evaluation import RdCurve, RdPoint, bd_rate, bpp, ms_ssim, ms_ssim_db, psnr
-from .training import TrainConfig, load_patches, rd_loss, train
+from .training import TrainConfig, rd_loss, train
 from .transforms import ArchConfig, CodecModel, LatentTriple
 from .weights import load_model, model_digest, save_model
 
@@ -21,6 +21,6 @@ __all__ = [
     "EncodeResult", "FactorizedZ", "GdnParams", "LatentTriple", "OpGraph",
     "QuantizerMode", "RdCurve", "RdPoint", "Tensor", "TrainConfig",
     "bd_rate", "bpp", "decode_array", "encode_array", "load_model",
-    "load_patches", "model_digest", "ms_ssim", "ms_ssim_db", "psnr",
-    "rd_loss", "save_model", "train",
+    "model_digest", "ms_ssim", "ms_ssim_db", "psnr", "rd_loss", "save_model",
+    "train",
 ]

@@ -38,8 +38,15 @@ __all__ = [
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+def _finite(data: np.ndarray) -> bool:
+    """True unless `data` holds a NaN or an infinity (an empty array is
+    finite).  NaN propagates through max, and +/-inf shows at max/min, so
+    two reductions decide it without a boolean temporary."""
+    return data.size == 0 or bool(np.isfinite(data.max()) and np.isfinite(data.min()))
+
+
 def _check_finite(data: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(data)):
+    if not _finite(data):
         raise NumericError(f"non-finite values produced by op '{op}'")
 
 
@@ -131,7 +138,6 @@ def no_grad():
 def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp) -> Tensor:
     """Wrap an op result; the tape entry is recorded only if needed."""
     data = np.ascontiguousarray(data, dtype=np.float32)
-    _check_finite(data, op)
     if _grad_enabled.get() and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, op=op, _parents=parents, _vjp=vjp)
     return Tensor(data, op=op)
@@ -180,7 +186,7 @@ def backward(graph: OpGraph, loss: Tensor) -> None:
         for parent, g in zip(node._parents, node._vjp(node.grad)):
             if g is None or not parent.requires_grad:
                 continue
-            if not np.all(np.isfinite(g)):
+            if not _finite(g):
                 raise NumericError(f"non-finite gradient out of op '{node.op}'")
             if parent.grad is None:
                 parent.grad = np.zeros_like(parent.data)
@@ -717,7 +723,7 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: dict,
     mhat = m / (1.0 - beta1 ** t)
     vhat = v / (1.0 - beta2 ** t)
     update = (lr * mhat / (np.sqrt(vhat) + eps)).astype(np.float32)
-    if not np.all(np.isfinite(update)):
+    if not _finite(update):
         raise NumericError("non-finite adam update")
     param -= update
 

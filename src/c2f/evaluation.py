@@ -1,10 +1,10 @@
-"""Metrics and benchmark harness.
+"""Metrics and RD curves.
 
 PSNR and MS-SSIM on 8-bit images, bits-per-pixel from container sizes,
-BD-rate over monotone piecewise-cubic (PCHIP) interpolants of log2(bpp)
-as a function of distortion, and the RD-report assembly that averages
-per-image metrics across a dataset for each model, mirroring the usual
-benchmark protocol.
+per-image RD rows for one model and their per-model averages (the RD
+points of `c2f rdcurve`), and BD-rate over monotone piecewise-cubic
+(PCHIP) interpolants of log2(bpp) as a function of distortion (`c2f
+bdrate`).
 
 MS-SSIM constants (recorded here as the reference configuration):
 11x11 Gaussian window with sigma 1.5, K1 = 0.01, K2 = 0.03, five scale
@@ -17,7 +17,6 @@ scale count is pinned by the caller.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import sys
 from dataclasses import dataclass, field
@@ -36,7 +35,6 @@ MSSSIM_K1 = 0.01
 MSSSIM_K2 = 0.03
 
 RD_CSV_FIELDS = ("codec", "image", "bpp", "psnr_db", "msssim", "msssim_db")
-BD_CSV_FIELDS = ("codec", "dataset", "range_lo", "range_hi", "bd_rate_pct")
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +162,6 @@ def bpp(container, orig_w: int, orig_h: int) -> float:
 class RdPoint:
     bpp: float
     distortion: float
-    metric: str = "psnr_db"
 
     def __post_init__(self):
         if not self.bpp > 0:
@@ -240,7 +237,7 @@ def bd_rate(anchor: RdCurve, test: RdCurve, bpp_range: tuple[float, float]) -> f
 
 
 # ---------------------------------------------------------------------------
-# report assembly
+# RD rows and curves
 
 @dataclass
 class RdRow:
@@ -295,16 +292,14 @@ def read_rd_csv(path) -> list[RdRow]:
     return rows
 
 
-def average_rows(rows: list[RdRow], metric: str = "psnr_db",
-                 warn=None) -> dict[str, RdCurve]:
-    """One averaged RD point per (codec, quality); curves keyed by codec.
-
-    Mean-of-per-image-bpp is the curve value; when it diverges from the
-    pooled total-bits/total-pixels reading by more than 1% (unequal image
-    sizes) a warning naming both values is emitted.
-    """
+def average_rows(rows: list[RdRow], metric: str = "psnr_db") -> dict[str, RdCurve]:
+    """One RD point per (codec, quality), at the mean of its rows' bpp and
+    distortion; curves keyed by codec."""
+    groups: dict[tuple[str, str], list[RdRow]] = {}
+    for r in rows:
+        groups.setdefault((r.codec, r.quality), []).append(r)
     curves: dict[str, RdCurve] = {}
-    for (codec_name, quality), grp in sorted(_group(rows).items()):
+    for (codec_name, quality), grp in sorted(groups.items()):
         mean_bpp = float(np.mean([g.bpp for g in grp]))
         if metric == "msssim_db":
             dist = float(np.mean([g.msssim for g in grp]))
@@ -314,16 +309,8 @@ def average_rows(rows: list[RdRow], metric: str = "psnr_db",
         else:
             dist = float(np.mean([g.psnr_db for g in grp]))
         curves.setdefault(codec_name, RdCurve(codec_name)).points.append(
-            RdPoint(mean_bpp, dist, metric))
+            RdPoint(mean_bpp, dist))
     return curves
-
-
-def _group(rows: list[RdRow]) -> dict[tuple[str, str], list[RdRow]]:
-    """Rows keyed by (codec, quality): one RD point each."""
-    groups: dict[tuple[str, str], list[RdRow]] = {}
-    for r in rows:
-        groups.setdefault((r.codec, r.quality), []).append(r)
-    return groups
 
 
 def write_curves_csv(curves: dict[str, RdCurve], out) -> None:
@@ -335,97 +322,35 @@ def write_curves_csv(curves: dict[str, RdCurve], out) -> None:
             writer.writerow([name, "mean", _fmt(pt.bpp), _fmt(pt.distortion), "", ""])
 
 
-def model_rd_rows(model, image_paths: list, codec: str = "c2f",
-                  pixel_counts: dict[str, int] | None = None) -> list[RdRow]:
+def model_rd_rows(model, image_paths: list, codec: str = "c2f") -> list[RdRow]:
     """Encode, decode and score every image with one model, serially.
 
     One RdRow per image; quality is the model's lambda tag and bpp counts
-    the whole container.  If `pixel_counts` is given, each image's pixel
-    count is recorded in it under the image's file name.
+    the whole container.  The model's curve point takes the mean of the
+    per-image bpp; where that diverges by more than 1% from the pooled
+    total bits over total pixels (images of unequal sizes), a warning
+    naming both values goes to stderr.
     """
     from .codec import decode_array, encode_array
     from .imageio import read_image
 
     rows = []
+    bits = pixels = 0
     for path in image_paths:
         img = read_image(path)
-        if pixel_counts is not None:
-            pixel_counts[Path(path).name] = img.shape[0] * img.shape[1]
         res = encode_array(model, img)
         out = decode_array(model, res.data)
+        bits += 8 * len(res.data)
+        pixels += img.shape[0] * img.shape[1]
         rows.append(RdRow(codec=codec, quality=str(model.lambda_tag),
                           image=Path(path).name,
                           bpp=bpp(len(res.data), img.shape[1], img.shape[0]),
                           psnr_db=psnr(img, out.image),
                           msssim=ms_ssim(img, out.image)))
+    if rows:
+        mean_v = float(np.mean([r.bpp for r in rows]))
+        pooled_v = bits / pixels
+        if abs(mean_v - pooled_v) > 0.01 * pooled_v:
+            print(f"warning: {codec}@{model.lambda_tag}: mean bpp {mean_v:.4f} vs "
+                  f"pooled {pooled_v:.4f} diverge > 1%", file=sys.stderr)
     return rows
-
-
-def pooled_bpp(rows: list[RdRow], pixel_counts: dict[str, int]) -> float:
-    """Total bits over total pixels for one (codec, quality) group."""
-    bits = sum(r.bpp * pixel_counts[r.image] for r in rows)
-    return bits / sum(pixel_counts[r.image] for r in rows)
-
-
-def emit_rd_report(image_paths: list, model_paths: list, out_dir,
-                   external_csvs: list | None = None,
-                   anchor: str = "c2f", dataset: str = "dataset",
-                   bpp_range: tuple[float, float] = (0.4, 1.15),
-                   metric: str = "psnr_db") -> dict:
-    """Encode/decode a dataset with a model zoo, join external codec points,
-    and write rd_points.csv, rd_curves.csv and bd_rate.csv under out_dir."""
-    from .imageio import read_image
-    from .weights import load_model
-
-    if not image_paths:
-        raise ConfigError("no images supplied")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    rows: list[RdRow] = []
-    pixel_counts: dict[str, int] = {}
-    for mpath in model_paths or []:
-        rows.extend(model_rd_rows(load_model(mpath), image_paths,
-                                  pixel_counts=pixel_counts))
-    for path in image_paths:  # images no model row has read yet
-        if Path(path).name not in pixel_counts:
-            img_shape = read_image(path).shape
-            pixel_counts[Path(path).name] = img_shape[0] * img_shape[1]
-
-    for csv_path in external_csvs or []:
-        rows.extend(read_rd_csv(csv_path))
-
-    with open(out_dir / "rd_points.csv", "w", newline="") as fh:
-        write_rd_csv(rows, fh)
-
-    curves = average_rows(rows, metric=metric)
-    if anchor not in curves:
-        raise ConfigError(
-            f"anchor codec {anchor!r} absent from results ({sorted(curves)})")
-
-    with open(out_dir / "rd_curves.csv", "w", newline="") as fh:
-        write_curves_csv(curves, fh)
-    # flag mean-vs-pooled divergence for unequal image sizes
-    for (codec_name, quality), grp in sorted(_group(rows).items()):
-        if all(r.image in pixel_counts for r in grp):
-            mean_v = float(np.mean([g.bpp for g in grp]))
-            pooled_v = pooled_bpp(grp, pixel_counts)
-            if pooled_v > 0 and abs(mean_v - pooled_v) / pooled_v > 0.01:
-                print(f"warning: {codec_name}@{quality}: mean bpp {mean_v:.4f} vs "
-                      f"pooled {pooled_v:.4f} diverge > 1%", file=sys.stderr)
-
-    bd_rows = []
-    for name, curve in sorted(curves.items()):
-        if name == anchor:
-            continue
-        try:
-            value = bd_rate(curves[anchor], curve, bpp_range)
-        except EvaluationError as exc:
-            print(f"warning: skipping BD-rate for {name!r}: {exc}", file=sys.stderr)
-            continue
-        bd_rows.append([name, dataset, bpp_range[0], bpp_range[1], f"{value:.4f}"])
-    with open(out_dir / "bd_rate.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BD_CSV_FIELDS)
-        writer.writerows(bd_rows)
-    return {"rows": rows, "curves": curves, "bd": bd_rows}

@@ -120,16 +120,6 @@ class PatchLoader:
             out[i] = crop_.astype(np.float32) / 255.0
         return out
 
-    def __iter__(self):
-        step = 0
-        while True:
-            yield self.batch(step)
-            step += 1
-
-
-def load_patches(paths: list, patch: int, seed: int, batch: int = 1) -> PatchLoader:
-    return PatchLoader(paths, patch, seed, batch)
-
 
 # ---------------------------------------------------------------------------
 # differentiable MS-SSIM (training loss variant: valid windows, [0,1] range)
@@ -232,7 +222,7 @@ def rd_loss(model: CodecModel, batch: np.ndarray, lambda_: float,
     else:
         raise ConfigError(f"unknown distortion kind {distortion!r}")
 
-    lif = ad.l2_norm(ad.sub(model.info_fidelity_project(lat.y), lat.x_cont))
+    lif = ad.l2_norm(ad.sub(model.info_proj(lat.y), lat.x_cont))
     loss = ad.add(r_bpp, ad.mul_const(d, d_weight))
     if lif_weight > 0.0:
         loss = ad.add(loss, ad.mul_const(lif, lif_weight))
@@ -253,7 +243,7 @@ def train(config: TrainConfig, dataset_paths: list, out_dir=None,
     lif column is the step's own L_if (before its update), logged even
     once its weight has decayed to zero.
     """
-    loader = load_patches(dataset_paths, config.patch, config.seed, config.batch)
+    loader = PatchLoader(dataset_paths, config.patch, config.seed, config.batch)
     if resume is not None:
         model, opt_arrays, start_step = load_checkpoint(resume)
         opt = Adam(model.param_list(), lr=config.lr)

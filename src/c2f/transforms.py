@@ -387,9 +387,6 @@ class CodecModel:
                             sigma_z=self.fz.sigma_values(),
                             x_cont=x_cont, side1=side1, side2=side2)
 
-    def info_fidelity_project(self, y: Tensor) -> Tensor:
-        return self.info_proj(y)
-
     def synthesize(self, xhat: Tensor, side1: Tensor, side2: Tensor) -> Tensor:
         """Reconstruct the image; output is unclipped (clip at inference)."""
         # the three paths are freed as soon as they are concatenated;

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,37 @@ def test_non_finite_forward_rejected():
     a = ad.scalar(0.0)
     with pytest.raises(NumericError):
         ad.log(a)  # log(0) = -inf
+
+
+@pytest.mark.parametrize("op, value, name", [
+    (ad.sqrt, -1.0, "sqrt"),  # NaN
+    (ad.exp, 100.0, "exp"),   # +inf
+    (ad.log, 0.0, "log"),     # -inf
+])
+def test_non_finite_forward_names_the_op(op, value, name):
+    x = np.full((1, 2, 3, 4), 0.5, np.float32)
+    x[0, 1, 1, 2] = value
+    with pytest.raises(NumericError, match=f"non-finite values produced by op '{name}'"):
+        op(Tensor(x))
+
+
+def test_non_finite_gradient_names_the_op():
+    x = Tensor(np.zeros((1, 1, 2, 2), np.float32), requires_grad=True)
+    loss = ad.sum_all(ad.sqrt(x))  # d sqrt(x)/dx = +inf at 0
+    with np.errstate(divide="ignore"), \
+            pytest.raises(NumericError, match="non-finite gradient out of op 'sqrt'"):
+        loss.backward()
+
+
+def test_finiteness_check_makes_no_temporary():
+    data = np.ones((1, 384, 256, 128), np.float32)  # a 48 MiB full-resolution map
+    tracemalloc.start()
+    try:
+        ad._check_finite(data, "probe")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

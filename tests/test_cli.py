@@ -7,9 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
+import c2f.imageio as imageio
 import c2f.weights as wts
 from c2f.cli import main
-from c2f.evaluation import bpp as bpp_of
+from c2f.codec import encode_array
+from c2f.evaluation import RD_CSV_FIELDS, bpp as bpp_of
 from c2f.imageio import read_image, write_image
 from c2f.training import synthetic_patch
 from c2f.transforms import ArchConfig, CodecModel
@@ -159,6 +161,41 @@ def test_rdcurve_over_model_zoo(workdir, tmp_path, capsys):
     assert len(rows) == 4
     assert all(r["codec"] == "c2f" and r["image"] == "mean" for r in rows)
     assert all(float(r["bpp"]) > 0 for r in rows)
+
+
+def _rdcurve_on(tmp_path, capsys, monkeypatch, sizes):
+    model = CodecModel(TINY, lambda_tag=300, seed=10)
+    wts.save_model(model, tmp_path / "m.c2fw")
+    rng = np.random.default_rng(4)
+    images = [synthetic_patch(rng, size) for size in sizes]
+    for i, img in enumerate(images):
+        write_image(tmp_path / f"im{i}.png", img)
+    reads = []
+    monkeypatch.setattr(imageio, "read_image",
+                        lambda path, real=imageio.read_image: reads.append(path) or real(path))
+    assert run(["rdcurve", "--models", tmp_path / "m.c2fw", "--images", tmp_path]) == 0
+    assert len(reads) == len(images)  # the bpp warning reads no image a second time
+    return model, images, capsys.readouterr()
+
+
+def test_rdcurve_warns_when_mean_and_pooled_bpp_diverge(tmp_path, capsys, monkeypatch):
+    model, images, captured = _rdcurve_on(tmp_path, capsys, monkeypatch, (64, 256))
+    nbytes = [len(encode_array(model, img).data) for img in images]
+    mean = np.mean([bpp_of(n, img.shape[1], img.shape[0])
+                    for n, img in zip(nbytes, images)])
+    pooled = 8 * sum(nbytes) / sum(img.shape[0] * img.shape[1] for img in images)
+    assert abs(mean - pooled) > 0.01 * pooled
+    assert f"mean bpp {mean:.4f} vs pooled {pooled:.4f}" in captured.err
+    # the warning goes to stderr only: stdout stays the curve CSV
+    lines = list(csv.reader(io.StringIO(captured.out)))
+    assert lines[0] == list(RD_CSV_FIELDS)
+    assert len(lines) == 2 and len(lines[1]) == len(RD_CSV_FIELDS)
+    assert float(lines[1][2]) == pytest.approx(mean, abs=1e-6)
+
+
+def test_rdcurve_same_size_images_do_not_warn(tmp_path, capsys, monkeypatch):
+    captured = _rdcurve_on(tmp_path, capsys, monkeypatch, (64, 64))[2]
+    assert "warning" not in captured.err
 
 
 def test_bdrate_identical_curves_zero(tmp_path, capsys):

@@ -1,6 +1,4 @@
-import csv
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,15 +280,6 @@ def test_average_rows_groups_by_quality():
     assert [p.distortion for p in pts] == [pytest.approx(31.0), pytest.approx(34.0)]
 
 
-def test_pooled_vs_mean_bpp():
-    rows = [ev.RdRow("x", "0", "small.png", 1.0, 30, 0.9),
-            ev.RdRow("x", "0", "large.png", 2.0, 30, 0.9)]
-    pixel_counts = {"small.png": 100, "large.png": 10000}
-    pooled = ev.pooled_bpp(rows, pixel_counts)
-    assert pooled == pytest.approx((1.0 * 100 + 2.0 * 10000) / 10100)
-    assert abs(pooled - 1.5) > 0.01 * pooled  # diverges from the mean
-
-
 def test_rd_csv_roundtrip(tmp_path):
     rows = [ev.RdRow("c2f", "0", "a.png", 0.8, math.inf, 0.95)]
     path = tmp_path / "rd.csv"
@@ -302,83 +291,3 @@ def test_rd_csv_roundtrip(tmp_path):
     assert back[0].psnr_db == math.inf
     assert back[0].bpp == pytest.approx(0.8)
     assert back[0].codec == "c2f"
-
-
-# ---------------------------------------------------------------------------
-# report assembly end to end
-
-def test_emit_rd_report(tmp_path):
-    import c2f.weights as wts
-    from c2f.errors import ConfigError
-    from c2f.imageio import write_image
-    from c2f.training import synthetic_patch
-    from c2f.transforms import ArchConfig, CodecModel
-
-    rng = np.random.default_rng(0)
-    images = []
-    for i in range(2):
-        p = tmp_path / f"im{i}.png"
-        write_image(p, synthetic_patch(rng, 64))
-        images.append(p)
-    models = []
-    for i, tag in enumerate((100, 300, 600, 1200)):
-        mp = tmp_path / f"m{tag}.c2fw"
-        wts.save_model(CodecModel(ArchConfig(n_main=8, c_y=8, c_z=4),
-                                  lambda_tag=tag, seed=i), mp)
-        models.append(mp)
-
-    ext = tmp_path / "jpeg.csv"
-    with open(ext, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["codec", "image", "bpp", "psnr_db", "msssim", "quality"])
-        for q, (b, p) in enumerate([(0.3, 28.0), (0.6, 31.0), (1.0, 33.5), (1.7, 35.5)]):
-            for img in ("im0.png", "im1.png"):
-                w.writerow(["jpeg", img, b, p, 0.9, q])
-
-    out = tmp_path / "report"
-    result = ev.emit_rd_report(images, models, out, external_csvs=[ext],
-                               anchor="jpeg", bpp_range=(0.35, 1.6))
-    assert (out / "rd_points.csv").exists()
-    assert (out / "rd_curves.csv").exists()
-    bd_lines = (out / "bd_rate.csv").read_text().strip().splitlines()
-    assert bd_lines[0] == "codec,dataset,range_lo,range_hi,bd_rate_pct"
-    assert len(result["curves"]["c2f"].points) == 4
-    assert len(result["curves"]["jpeg"].points) == 4
-    # untrained zoo points need not form a monotone curve; its BD row is
-    # skipped rather than failing the whole report
-    assert all(line.split(",")[0] != "jpeg" for line in bd_lines[1:])
-
-    with pytest.raises(ConfigError):
-        ev.emit_rd_report(images, models[:1], out, anchor="absent")
-
-
-def test_emit_rd_report_reads_each_image_once(tmp_path, monkeypatch):
-    import c2f.imageio as imageio
-    import c2f.weights as wts
-    from c2f.training import synthetic_patch
-    from c2f.transforms import ArchConfig, CodecModel
-
-    rng = np.random.default_rng(2)
-    images = []
-    for i, size in enumerate((64, 128)):
-        p = tmp_path / f"im{i}.png"
-        imageio.write_image(p, synthetic_patch(rng, size))
-        images.append(p)
-    model = tmp_path / "m.c2fw"
-    wts.save_model(CodecModel(ArchConfig(n_main=8, c_y=8, c_z=4), lambda_tag=100, seed=0), model)
-    real = imageio.read_image
-    reads = []
-
-    def counting_read(path):
-        reads.append(Path(path).name)
-        return real(path)
-
-    monkeypatch.setattr(imageio, "read_image", counting_read)
-    ev.emit_rd_report(images, [model], tmp_path / "one", anchor="c2f")
-    assert sorted(reads) == ["im0.png", "im1.png"]  # the model rows' reads only
-
-    reads.clear()
-    ext = tmp_path / "ext.csv"
-    ext.write_text("codec,image,bpp,psnr_db\nc2f,im0.png,0.5,30\nc2f,im1.png,0.7,31\n")
-    ev.emit_rd_report(images, [], tmp_path / "none", external_csvs=[ext], anchor="c2f")
-    assert sorted(reads) == ["im0.png", "im1.png"]  # no model row: counted by reading

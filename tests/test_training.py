@@ -9,7 +9,7 @@ import c2f.autodiff as ad
 import c2f.training as tr
 from c2f.autodiff import Adam, Tensor
 from c2f.errors import ConfigError
-from c2f.training import PIXEL_SCALE_SQ, TrainConfig, load_patches, rd_loss
+from c2f.training import PIXEL_SCALE_SQ, PatchLoader, TrainConfig, rd_loss
 from c2f.transforms import ArchConfig, CodecModel
 
 from gradcheck import rel_error
@@ -27,7 +27,7 @@ def dataset(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def loader(dataset):
-    return load_patches(dataset, 64, seed=5, batch=2)
+    return PatchLoader(dataset, 64, seed=5, batch=2)
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +65,7 @@ def test_lif_schedule_holds_then_decays_to_zero():
 # patches
 
 def test_patch_equals_image_when_same_size(dataset):
-    loader = load_patches(dataset[:3], 64, seed=0, batch=1)
+    loader = PatchLoader(dataset[:3], 64, seed=0, batch=1)
     batch = loader.batch(0)
     assert batch.shape == (1, 64, 64, 3)
     sources = [img.astype(np.float32) / 255.0 for img in loader.images]
@@ -79,10 +79,10 @@ def test_patch_equals_image_when_same_size(dataset):
 
 
 def test_first_batch_reproducible(dataset):
-    a = load_patches(dataset, 64, seed=9, batch=3).batch(0)
-    b = load_patches(dataset, 64, seed=9, batch=3).batch(0)
+    a = PatchLoader(dataset, 64, seed=9, batch=3).batch(0)
+    b = PatchLoader(dataset, 64, seed=9, batch=3).batch(0)
     np.testing.assert_array_equal(a, b)
-    c = load_patches(dataset, 64, seed=10, batch=3).batch(0)
+    c = PatchLoader(dataset, 64, seed=10, batch=3).batch(0)
     assert not np.array_equal(a, c)
 
 
@@ -91,7 +91,7 @@ def test_small_images_excluded_with_warning(tmp_path, dataset):
     small = tmp_path / "small.png"
     write_image(small, np.zeros((16, 16, 3), np.uint8))
     with pytest.warns(UserWarning, match="smaller than patch"):
-        loader = load_patches([small, dataset[0]], 64, seed=0)
+        loader = PatchLoader([small, dataset[0]], 64, seed=0)
     assert len(loader.images) == 1
 
 
@@ -100,7 +100,7 @@ def test_all_images_unusable_is_config_error(tmp_path):
     bad.write_bytes(b"not an image")
     with pytest.warns(UserWarning):
         with pytest.raises(ConfigError):
-            load_patches([bad], 64, seed=0)
+            PatchLoader([bad], 64, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +151,7 @@ def test_fresh_zoo_model_starts_near_mid_gray():
     # sit near that of a flat mid-gray image, or the first Adam steps blow up
     paths = sorted((Path(__file__).resolve().parent
                     / "_toy_models" / "dataset").glob("*.png"))
-    batch = load_patches(paths, ZOO_PATCH, ZOO_SEED, ZOO_BATCH).batch(0)
+    batch = PatchLoader(paths, ZOO_PATCH, ZOO_SEED, ZOO_BATCH).batch(0)
     model = CodecModel(ArchConfig(n_main=ZOO_N_MAIN, c_y=ZOO_C_Y, c_z=ZOO_C_Z),
                        seed=ZOO_SEED)
     out = rd_loss(model, batch, 0.03, np.random.default_rng([ZOO_SEED, 0, 1]))

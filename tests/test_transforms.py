@@ -252,7 +252,7 @@ def test_hyper_stack_gradcheck():
 
 def test_info_projection_shape(model):
     y = Tensor(np.random.default_rng(11).normal(size=(1, 2, 2, ARCH.c_y)).astype(np.float32))
-    out = model.info_fidelity_project(y)
+    out = model.info_proj(y)
     assert out.shape == (1, 4, 4, ARCH.n_main)
 
 
@@ -262,7 +262,7 @@ def test_info_projection_zero_kernel_gives_x_norm(model):
     saved = model.info_proj.kernel.data.copy()
     model.info_proj.kernel.data = np.zeros_like(saved)
     try:
-        lif = ad.l2_norm(ad.sub(model.info_fidelity_project(y), x)).item()
+        lif = ad.l2_norm(ad.sub(model.info_proj(y), x)).item()
         expected = float(np.linalg.norm(x.data.astype(np.float64)))
         assert lif == pytest.approx(expected, rel=1e-5)
     finally:
