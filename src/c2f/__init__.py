@@ -5,7 +5,7 @@ discretized Gaussian entropy models over a bit-exact range coder, plus
 the evaluation stack (PSNR, MS-SSIM, bpp, BD-rate) and a CLI.
 """
 
-from .autodiff import Adam, GdnParams, OpGraph, Tensor
+from .autodiff import Adam, GdnParams, Tensor
 from .codec import DecodeResult, EncodeResult, decode_array, encode_array
 from .entropy import FactorizedZ, QuantizerMode
 from .errors import C2fError
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Adam", "ArchConfig", "C2fError", "CodecModel", "DecodeResult",
-    "EncodeResult", "FactorizedZ", "GdnParams", "LatentTriple", "OpGraph",
+    "EncodeResult", "FactorizedZ", "GdnParams", "LatentTriple",
     "QuantizerMode", "RdCurve", "RdPoint", "Tensor", "TrainConfig",
     "bd_rate", "bpp", "decode_array", "encode_array", "load_model",
     "model_digest", "ms_ssim", "ms_ssim_db", "psnr", "rd_loss", "save_model",

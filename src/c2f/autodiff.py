@@ -25,8 +25,8 @@ from scipy import special
 from .errors import ContractViolation, NumericError
 
 __all__ = [
-    "Tensor", "OpGraph", "GdnParams", "Adam", "adam_step", "scalar",
-    "no_grad",
+    "Tensor", "GdnParams", "Adam", "adam_step", "scalar",
+    "ADAM_BETA1", "ADAM_BETA2", "ADAM_EPS", "no_grad",
     "add", "sub", "mul", "div", "neg", "add_const", "mul_const",
     "relu", "exp", "log", "sqrt", "square", "powc", "ndtr", "clamp",
     "sum_all", "mean_all", "mse", "l2_norm",
@@ -82,37 +82,47 @@ class Tensor:
             raise ContractViolation(f"item() on non-scalar shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
-        backward(OpGraph(self), self)
+        """Accumulate gradients of this scalar loss into every
+        requires_grad tensor it was computed from.
+
+        Nodes are ordered parents-before-children by a walk that follows
+        recorded parent order, then visited in exact reverse, so repeated
+        calls on an identical graph and values produce bit-identical
+        gradients.
+        """
+        if self.size != 1:
+            raise ContractViolation("backward() needs a scalar loss")
+        order: list[Tensor] = []
+        seen: set[int] = set()
+        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                order.append(node)
+                continue
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.append((node, True))
+            for parent in reversed(node._parents):
+                if id(parent) not in seen:
+                    stack.append((parent, False))
+        self.grad = np.ones((1, 1, 1, 1), dtype=np.float32)
+        for node in reversed(order):
+            if node._vjp is None or node.grad is None:
+                continue
+            for parent, g in zip(node._parents, node._vjp(node.grad)):
+                if g is None or not parent.requires_grad:
+                    continue
+                if not _finite(g):
+                    raise NumericError(f"non-finite gradient out of op '{node.op}'")
+                if parent.grad is None:
+                    parent.grad = np.zeros_like(parent.data)
+                parent.grad += g.astype(np.float32, copy=False)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self.op!r}, grad={self.requires_grad})"
-
-    # operator sugar; scalars are folded into const ops
-    def __add__(self, other):
-        return add_const(self, other) if isinstance(other, (int, float)) else add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add_const(self, -other) if isinstance(other, (int, float)) else sub(self, other)
-
-    def __mul__(self, other):
-        return mul_const(self, other) if isinstance(other, (int, float)) else mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return mul_const(self, 1.0 / other) if isinstance(other, (int, float)) else div(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def scalar(value: float) -> Tensor:
@@ -141,56 +151,6 @@ def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp) -> Tensor
     if _grad_enabled.get() and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, op=op, _parents=parents, _vjp=vjp)
     return Tensor(data, op=op)
-
-
-class OpGraph:
-    """Topological ordering of the op nodes reachable from a root tensor.
-
-    Traversal follows recorded parent order, so the ordering (and hence
-    gradient accumulation order) is identical across runs.
-    """
-
-    def __init__(self, root: Tensor):
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in reversed(node._parents):
-                if id(parent) not in seen:
-                    stack.append((parent, False))
-        self.nodes = order  # parents strictly before children
-
-
-def backward(graph: OpGraph, loss: Tensor) -> None:
-    """Accumulate gradients of `loss` into every requires_grad tensor.
-
-    Nodes are visited in exact reverse topological order; repeated calls
-    on an identical graph and values produce bit-identical gradients.
-    """
-    if loss.size != 1:
-        raise ContractViolation("backward() needs a scalar loss")
-    if graph.nodes[-1] is not loss:
-        raise ContractViolation("graph root does not match the loss tensor")
-    loss.grad = np.ones((1, 1, 1, 1), dtype=np.float32)
-    for node in reversed(graph.nodes):
-        if node._vjp is None or node.grad is None:
-            continue
-        for parent, g in zip(node._parents, node._vjp(node.grad)):
-            if g is None or not parent.requires_grad:
-                continue
-            if not _finite(g):
-                raise NumericError(f"non-finite gradient out of op '{node.op}'")
-            if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
-            parent.grad += g.astype(np.float32, copy=False)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -673,13 +633,13 @@ class GdnParams:
     BETA_FLOOR = 1e-6
 
     @classmethod
-    def create(cls, channels: int, beta_init: float = 1.0, gamma_init: float = 0.1,
-               requires_grad: bool = True) -> "GdnParams":
+    def create(cls, channels: int, beta_init: float = 1.0,
+               gamma_init: float = 0.1) -> "GdnParams":
         bu = np.full((1, 1, 1, channels), math.sqrt(beta_init - cls.BETA_FLOOR),
                      dtype=np.float32)
         gv = np.zeros((1, 1, channels, channels), dtype=np.float32)
         np.fill_diagonal(gv[0, 0], math.sqrt(gamma_init))
-        return cls(Tensor(bu, requires_grad), Tensor(gv, requires_grad))
+        return cls(Tensor(bu, requires_grad=True), Tensor(gv, requires_grad=True))
 
     @property
     def channels(self) -> int:
@@ -711,18 +671,21 @@ def gdn(x: Tensor, params: GdnParams, inverse: bool = False) -> Tensor:
 # ---------------------------------------------------------------------------
 # optimizer
 
-def adam_step(param: np.ndarray, grad: np.ndarray, state: dict,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def adam_step(param: np.ndarray, grad: np.ndarray, state: dict, lr: float) -> None:
     """One bias-corrected adaptive-moment update, in place."""
     state["t"] += 1
     t = state["t"]
     m, v = state["m"], state["v"]
-    m += (1.0 - beta1) * (grad - m)
-    v += (1.0 - beta2) * (grad * grad - v)
-    mhat = m / (1.0 - beta1 ** t)
-    vhat = v / (1.0 - beta2 ** t)
-    update = (lr * mhat / (np.sqrt(vhat) + eps)).astype(np.float32)
+    m += (1.0 - ADAM_BETA1) * (grad - m)
+    v += (1.0 - ADAM_BETA2) * (grad * grad - v)
+    mhat = m / (1.0 - ADAM_BETA1 ** t)
+    vhat = v / (1.0 - ADAM_BETA2 ** t)
+    update = (lr * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(np.float32)
     if not _finite(update):
         raise NumericError("non-finite adam update")
     param -= update
@@ -731,11 +694,9 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: dict,
 class Adam:
     """Adam over a fixed parameter list, with serializable state."""
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float = 1e-4):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.state = [
             {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data), "t": 0}
             for p in self.params
@@ -749,7 +710,7 @@ class Adam:
         for p, st in zip(self.params, self.state):
             if p.grad is None:
                 continue
-            adam_step(p.data, p.grad, st, self.lr, self.beta1, self.beta2, self.eps)
+            adam_step(p.data, p.grad, st, self.lr)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}

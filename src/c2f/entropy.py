@@ -80,13 +80,18 @@ def quantize(x: Tensor, mode: QuantizerMode, rng: np.random.Generator | None = N
     raise ContractViolation(f"unknown quantizer mode {mode!r}")
 
 
-def gaussian_likelihood(xhat: Tensor, mu: Tensor, sigma: Tensor) -> Tensor:
-    """Probability of each quantized value under N(mu, sigma) integrated
-    over its unit bin, floored at LIKELIHOOD_FLOOR."""
-    centered = ad.sub(xhat, mu)
+def _bin_likelihood(centered: Tensor, sigma: Tensor) -> Tensor:
+    """Mass of N(0, sigma) over the unit bin around each centred value,
+    floored at LIKELIHOOD_FLOOR."""
     hi = ad.ndtr(ad.div(ad.add_const(centered, 0.5), sigma))
     lo = ad.ndtr(ad.div(ad.add_const(centered, -0.5), sigma))
     return ad.clamp(ad.sub(hi, lo), LIKELIHOOD_FLOOR, 1.0)
+
+
+def gaussian_likelihood(xhat: Tensor, mu: Tensor, sigma: Tensor) -> Tensor:
+    """Probability of each quantized value under N(mu, sigma) integrated
+    over its unit bin, floored at LIKELIHOOD_FLOOR."""
+    return _bin_likelihood(ad.sub(xhat, mu), sigma)
 
 
 @dataclass
@@ -99,11 +104,10 @@ class FactorizedZ:
     log_sigma: Tensor  # (1, 1, 1, c)
 
     @classmethod
-    def create(cls, channels: int, requires_grad: bool = True,
-               sigma_init: float = 1.0) -> "FactorizedZ":
+    def create(cls, channels: int, sigma_init: float = 1.0) -> "FactorizedZ":
         value = float(np.log(sigma_init))
         return cls(Tensor(np.full((1, 1, 1, channels), value, np.float32),
-                          requires_grad))
+                          requires_grad=True))
 
     @property
     def channels(self) -> int:
@@ -121,10 +125,7 @@ def z_likelihood(zhat: Tensor, fz: FactorizedZ) -> Tensor:
     if zhat.shape[3] != fz.channels:
         raise ContractViolation(
             f"z has {zhat.shape[3]} channels, model has {fz.channels}")
-    sigma = fz.sigma()
-    hi = ad.ndtr(ad.div(ad.add_const(zhat, 0.5), sigma))
-    lo = ad.ndtr(ad.div(ad.add_const(zhat, -0.5), sigma))
-    return ad.clamp(ad.sub(hi, lo), LIKELIHOOD_FLOOR, 1.0)
+    return _bin_likelihood(zhat, fz.sigma())
 
 
 def rate_bits(*likelihoods: Tensor) -> Tensor:

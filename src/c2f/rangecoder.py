@@ -9,9 +9,11 @@ through identical (low, range) states, which makes the byte stream an
 exact prefix-free record: decoding reads exactly the bytes encoding
 wrote, and a truncated stream always surfaces as CorruptStreamError.
 
-Tables may carry an escape bin as their last entry; escaped values are
-followed by four bypass bytes holding the value as two's-complement
-int32 under a fixed uniform model.
+Tables may carry an escape bin as their last entry; an escaped value is
+followed by its four two's-complement int32 bytes, most significant
+first, each coded as bin [256 * b, 256 * (b + 1)) of CDF_TOTAL.  So every
+coded bin, symbol or payload byte, is one (cum_lo, cum_hi, total)
+interval through the same arithmetic.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ import numpy as np
 
 from .errors import ContractViolation, CorruptStreamError
 
-__all__ = ["CdfTable", "RangeEncoder", "RangeDecoder", "encode", "decode",
-           "CDF_TOTAL", "BYPASS_TABLE"]
+__all__ = ["CdfTable", "encode", "decode", "CDF_TOTAL"]
 
 CDF_TOTAL = 1 << 16
 
@@ -31,6 +32,7 @@ _MASK = (1 << 64) - 1
 _TOP = 1 << 56
 _BOT = 1 << 48
 _FLUSH_BYTES = 8
+_INT32_LO, _INT32_HI = -(1 << 31), (1 << 31) - 1
 
 
 class CdfTable:
@@ -78,136 +80,23 @@ class CdfTable:
         raise ContractViolation(
             f"symbol {value} outside alphabet [{self.smin}, {self.smax}] with no escape bin")
 
-    def value_of(self, index: int) -> int:
-        return self.smin + index
 
-
-# fixed uniform byte model used for escape payloads
-BYPASS_TABLE = CdfTable(0, np.arange(0, CDF_TOTAL + 256, 256, dtype=np.int64))
-
-_INT32_LO, _INT32_HI = -(1 << 31), (1 << 31) - 1
-
-
-class RangeEncoder:
-    """Single-use encoder state machine; call finish() exactly once."""
-
-    def __init__(self):
-        self.low = 0
-        self.rng = _MASK
-        self.out = bytearray()
-        self._finished = False
-
-    def _normalize(self) -> None:
-        low, rng, out = self.low, self.rng, self.out
-        while True:
-            if (low ^ (low + rng)) < _TOP:
-                pass
-            elif rng < _BOT:
-                rng = (-low) & (_BOT - 1)
-            else:
-                break
-            out.append((low >> 56) & 0xFF)
-            low = (low << 8) & _MASK
-            rng <<= 8
-        self.low, self.rng = low, rng
-
-    def _encode_freq(self, cum_lo: int, cum_hi: int, total: int) -> None:
-        r = self.rng // total
-        self.low += cum_lo * r
-        self.rng = (cum_hi - cum_lo) * r
-        self._normalize()
-
-    def encode(self, value: int, table: CdfTable) -> None:
-        if self._finished:
-            raise ContractViolation("encoder already finished")
+def _intervals(symbols: Sequence[int], tables: Sequence[CdfTable]):
+    """Yield (cum_lo, cum_hi, total) for every bin encode() codes: each
+    symbol's bin and, after an escape, its four payload bytes."""
+    for value, table in zip(symbols, tables):
+        value = int(value)
         idx = table.index_of(value)
         cum = table.cum
-        self._encode_freq(int(cum[idx]), int(cum[idx + 1]), int(cum[-1]))
+        cum_lo, cum_hi = cum[idx:idx + 2].tolist()
+        yield cum_lo, cum_hi, int(cum[-1])
         if table.has_escape and idx == table.nsymbols:
             if not (_INT32_LO <= value <= _INT32_HI):
                 raise ContractViolation(f"escape value {value} exceeds int32")
             u = value & 0xFFFFFFFF
-            bcum = BYPASS_TABLE.cum
             for shift in (24, 16, 8, 0):
                 byte = (u >> shift) & 0xFF
-                self._encode_freq(int(bcum[byte]), int(bcum[byte + 1]), CDF_TOTAL)
-
-    def finish(self) -> bytes:
-        if self._finished:
-            raise ContractViolation("encoder already finished")
-        self._finished = True
-        low = self.low
-        for _ in range(_FLUSH_BYTES):
-            self.out.append((low >> 56) & 0xFF)
-            low = (low << 8) & _MASK
-        return bytes(self.out)
-
-
-class RangeDecoder:
-    """Single-use decoder over a byte stream produced by RangeEncoder."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-        self.low = 0
-        self.rng = _MASK
-        self.code: int | None = None
-
-    def _byte(self) -> int:
-        if self.pos >= len(self.data):
-            raise CorruptStreamError(
-                f"stream exhausted at byte {self.pos} of {len(self.data)}")
-        b = self.data[self.pos]
-        self.pos += 1
-        return b
-
-    def _init_code(self) -> None:
-        code = 0
-        for _ in range(_FLUSH_BYTES):
-            code = (code << 8) | self._byte()
-        self.code = code
-
-    def _normalize(self) -> None:
-        low, rng, code = self.low, self.rng, self.code
-        while True:
-            if (low ^ (low + rng)) < _TOP:
-                pass
-            elif rng < _BOT:
-                rng = (-low) & (_BOT - 1)
-            else:
-                break
-            code = ((code << 8) & _MASK) | self._byte()
-            low = (low << 8) & _MASK
-            rng <<= 8
-        self.low, self.rng, self.code = low, rng, code
-
-    def _decode_target(self, total: int) -> tuple[int, int]:
-        if self.code is None:
-            self._init_code()
-        r = self.rng // total
-        target = ((self.code - self.low) & _MASK) // r
-        return min(target, total - 1), r
-
-    def _consume(self, cum_lo: int, cum_hi: int, r: int) -> None:
-        self.low += cum_lo * r
-        self.rng = (cum_hi - cum_lo) * r
-        self._normalize()
-
-    def decode(self, table: CdfTable) -> int:
-        cum = table.cum
-        target, r = self._decode_target(int(cum[-1]))
-        idx = int(np.searchsorted(cum, target, side="right")) - 1
-        self._consume(int(cum[idx]), int(cum[idx + 1]), r)
-        if table.has_escape and idx == table.nsymbols:
-            u = 0
-            bcum = BYPASS_TABLE.cum
-            for _ in range(4):
-                t, rb = self._decode_target(CDF_TOTAL)
-                byte = int(t) >> 8  # uniform bins of width 256
-                self._consume(int(bcum[byte]), int(bcum[byte + 1]), rb)
-                u = (u << 8) | byte
-            return u - (1 << 32) if u > _INT32_HI else u
-        return table.value_of(idx)
+                yield byte << 8, (byte + 1) << 8, CDF_TOTAL
 
 
 def encode(symbols: Sequence[int], tables: Sequence[CdfTable]) -> bytes:
@@ -215,15 +104,72 @@ def encode(symbols: Sequence[int], tables: Sequence[CdfTable]) -> bytes:
     if len(symbols) != len(tables):
         raise ContractViolation(
             f"{len(symbols)} symbols but {len(tables)} tables")
-    enc = RangeEncoder()
-    for value, table in zip(symbols, tables):
-        enc.encode(int(value), table)
-    return enc.finish()
+    low, rng = 0, _MASK
+    out = bytearray()
+    for cum_lo, cum_hi, total in _intervals(symbols, tables):
+        r = rng // total
+        low += cum_lo * r
+        rng = (cum_hi - cum_lo) * r
+        while True:
+            if (low ^ (low + rng)) < _TOP:
+                pass
+            elif rng < _BOT:
+                rng = (-low) & (_BOT - 1)
+            else:
+                break
+            out.append(low >> 56)
+            low = (low << 8) & _MASK
+            rng <<= 8
+    return bytes(out) + low.to_bytes(_FLUSH_BYTES, "big")
 
 
 def decode(data: bytes, tables: Sequence[CdfTable], n: int) -> list[int]:
     """Decode exactly n symbols; inverse of encode() for identical tables."""
     if n != len(tables):
         raise ContractViolation(f"n={n} but {len(tables)} tables supplied")
-    dec = RangeDecoder(data)
-    return [dec.decode(table) for table in tables]
+    out: list[int] = []
+    if n == 0:
+        return out
+    end = len(data)
+    if end < _FLUSH_BYTES:
+        raise CorruptStreamError(f"stream exhausted at byte {end} of {end}")
+    code = int.from_bytes(data[:_FLUSH_BYTES], "big")
+    pos = _FLUSH_BYTES
+    low, rng = 0, _MASK
+    for table in tables:
+        cum = table.cum
+        escape = table.nsymbols if table.has_escape else -1
+        total, payload, bins = int(cum[-1]), None, 1
+        while bins:
+            bins -= 1
+            r = rng // total
+            target = min(((code - low) & _MASK) // r, total - 1)
+            if payload is None:
+                idx = int(cum.searchsorted(target, side="right")) - 1
+                cum_lo, cum_hi = cum[idx:idx + 2].tolist()
+                if idx == escape:  # four payload bytes follow, 256 counts each
+                    total, payload, bins = CDF_TOTAL, 0, 4
+            else:
+                byte = target >> 8
+                payload = (payload << 8) | byte
+                cum_lo, cum_hi = byte << 8, (byte + 1) << 8
+            low += cum_lo * r
+            rng = (cum_hi - cum_lo) * r
+            while True:
+                if (low ^ (low + rng)) < _TOP:
+                    pass
+                elif rng < _BOT:
+                    rng = (-low) & (_BOT - 1)
+                else:
+                    break
+                if pos >= end:
+                    raise CorruptStreamError(f"stream exhausted at byte {pos} of {end}")
+                code = ((code << 8) & _MASK) | data[pos]
+                pos += 1
+                low = (low << 8) & _MASK
+                rng <<= 8
+        if payload is None:
+            out.append(table.smin + idx)
+        else:
+            out.append(payload - (1 << 32) if payload > _INT32_HI else payload)
+    return out

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import c2f.autodiff as ad
-from c2f.autodiff import Tensor, GdnParams, Adam
+from c2f.autodiff import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam, GdnParams, Tensor
 from c2f.errors import ContractViolation, NumericError
 
 from gradcheck import assert_grads_close, probe_gradcheck
@@ -380,7 +380,7 @@ def test_binary_ops_gradcheck():
     a = randt((1, 2, 2, 3), seed=36)
     b = Tensor(np.abs(randt((1, 2, 2, 3), 37).data) + 1.0, requires_grad=True)
     probe_gradcheck(lambda: ad.add(ad.mul(a, b), ad.div(a, b)), [a, b])
-    probe_gradcheck(lambda: ad.sub(ad.neg(a), ad.div(b, a + 4.0)), [a, b])
+    probe_gradcheck(lambda: ad.sub(ad.neg(a), ad.div(b, ad.add_const(a, 4.0))), [a, b])
 
 
 def test_broadcast_bias_gradcheck():
@@ -547,10 +547,10 @@ def test_adam_first_step_bias_corrected():
 
 
 def test_adam_two_steps_match_closed_form():
-    lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
+    lr, b1, b2, eps = 0.05, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     g1, g2 = 1.0, -0.5
     p = Tensor(np.zeros((1, 1, 1, 1), dtype=np.float32), requires_grad=True)
-    opt = Adam([p], lr=lr, beta1=b1, beta2=b2, eps=eps)
+    opt = Adam([p], lr=lr)
     for g in (g1, g2):
         p.grad = np.full_like(p.data, g)
         opt.step()

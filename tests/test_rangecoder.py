@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,20 +115,43 @@ def test_truncated_stream_errors():
             rc.decode(data[:cut], tables, 200)
 
 
+def escape_stream():
+    """500 Gaussian rows, values drawn from them, every 37th an int32:
+    25 escapes in 316 bytes."""
+    rng = np.random.default_rng(7)
+    n = 500
+    mu = rng.normal(0, 3, n)
+    sigma = np.exp(rng.uniform(-4, 5, n))
+    values = np.round(rng.normal(mu, sigma)).astype(np.int64)
+    i32 = np.iinfo(np.int32)
+    values[::37] = rng.integers(i32.min, i32.max, values[::37].size)
+    tables = ent.coder_tables(ent.build_cdf_tables(mu, sigma))
+    return values.tolist(), tables
+
+
+def test_escape_stream_bytes_are_pinned():
+    symbols, tables = escape_stream()
+    assert sum(t.index_of(s) == t.nsymbols for s, t in zip(symbols, tables)) == 25
+    data, back = roundtrip(symbols, tables)
+    assert back == symbols
+    assert len(data) == 316
+    assert hashlib.sha256(data).hexdigest() == (
+        "eb637f94e343dca6063c187b86d86ead21f8e6f71954d34462d2221b370bfde7")
+
+
+def test_every_cut_of_escape_stream_errors():
+    symbols, tables = escape_stream()
+    data = rc.encode(symbols, tables)
+    for cut in range(len(data)):
+        with pytest.raises(CorruptStreamError):
+            rc.decode(data[:cut], tables, len(symbols))
+
+
 def test_symbol_table_count_mismatch():
     with pytest.raises(ContractViolation):
         rc.encode([1, 2], [uniform_table()])
     with pytest.raises(ContractViolation):
         rc.decode(b"\x00" * 16, [uniform_table()] * 2, 3)
-
-
-def test_encoder_single_use():
-    enc = rc.RangeEncoder()
-    enc.finish()
-    with pytest.raises(ContractViolation):
-        enc.finish()
-    with pytest.raises(ContractViolation):
-        enc.encode(0, uniform_table())
 
 
 def test_compression_bound():
