@@ -147,7 +147,6 @@ def no_grad():
 
 def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp) -> Tensor:
     """Wrap an op result; the tape entry is recorded only if needed."""
-    data = np.ascontiguousarray(data, dtype=np.float32)
     if _grad_enabled.get() and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, op=op, _parents=parents, _vjp=vjp)
     return Tensor(data, op=op)
@@ -663,8 +662,7 @@ def gdn(x: Tensor, params: GdnParams, inverse: bool = False) -> Tensor:
     if x.shape[3] != params.channels:
         raise ContractViolation(
             f"gdn params for {params.channels} channels, input has {x.shape[3]}")
-    norm = add(cmatmul(square(x), params.gamma()), params.beta())
-    root = sqrt(norm)
+    root = sqrt(add(cmatmul(square(x), params.gamma()), params.beta()))
     return mul(x, root) if inverse else div(x, root)
 
 

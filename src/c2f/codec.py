@@ -52,12 +52,6 @@ def _symbols(t: Tensor) -> np.ndarray:
     return t.data.reshape(-1).astype(np.int64)
 
 
-def _tables(mu, sigma) -> tuple[list[rc.CdfTable], np.ndarray]:
-    # build_cdf_tables is looked up in this module at call time, so a
-    # wrapper set on codec.build_cdf_tables sees the grid being built
-    return CODER_GRID.tables(mu, sigma, build=build_cdf_tables)
-
-
 def _z_tables(sigma_z: np.ndarray, n_symbols: int) -> tuple[list[rc.CdfTable], int]:
     # one exact zero-mean table per channel, channel innermost
     c = sigma_z.size
@@ -65,7 +59,7 @@ def _z_tables(sigma_z: np.ndarray, n_symbols: int) -> tuple[list[rc.CdfTable], i
 
 
 def _encode(values: np.ndarray, tables: list[rc.CdfTable], center) -> bytes:
-    return rc.encode(values - center, tables)
+    return rc.encode((values - center).tolist(), tables)
 
 
 def _decode(data: bytes, tables: list[rc.CdfTable], center, shape) -> Tensor:
@@ -104,8 +98,8 @@ def encode_array(model: CodecModel, img: np.ndarray) -> EncodeResult:
     x_syms = _symbols(lat.x)
 
     zbytes = _encode(z_syms, *_z_tables(sigma_z, z_syms.size))
-    ybytes = _encode(y_syms, *_tables(lat.mu_y.data, lat.sigma_y.data))
-    xbytes = _encode(x_syms, *_tables(lat.mu_x.data, lat.sigma_x.data))
+    ybytes = _encode(y_syms, *CODER_GRID.tables(lat.mu_y.data, lat.sigma_y.data))
+    xbytes = _encode(x_syms, *CODER_GRID.tables(lat.mu_x.data, lat.sigma_x.data))
 
     modeled = (_modeled_bits(z_syms, 0.0, np.tile(sigma_z, z_syms.size // sigma_z.size))
                + _modeled_bits(y_syms, lat.mu_y.data.reshape(-1), lat.sigma_y.data.reshape(-1))
@@ -154,11 +148,11 @@ def _decode_streams(model: CodecModel, header: ContainerHeader, zbytes: bytes,
 
     with ad.no_grad():
         side2, mu_y, sigma_y = model.side_params(zhat, 2)
-    yhat = _decode(ybytes, *_tables(mu_y.data, sigma_y.data), y_shape)
+    yhat = _decode(ybytes, *CODER_GRID.tables(mu_y.data, sigma_y.data), y_shape)
 
     with ad.no_grad():
         side1, mu_x, sigma_x = model.side_params(yhat, 1)
-    xhat = _decode(xbytes, *_tables(mu_x.data, sigma_x.data), x_shape)
+    xhat = _decode(xbytes, *CODER_GRID.tables(mu_x.data, sigma_x.data), x_shape)
 
     with ad.no_grad():
         recon = model.synthesize(xhat, side1, side2)

@@ -250,17 +250,18 @@ class CoderGrid:
         k = np.searchsorted(self._sigma_bounds, sigma, side="right")
         return k * GRID_OFFSETS + j, center.astype(np.int64)
 
-    def tables(self, mu, sigma, build=build_cdf_tables) -> tuple[list[CdfTable], np.ndarray]:
+    def tables(self, mu, sigma) -> tuple[list[CdfTable], np.ndarray]:
         """Coder tables and integer centres for elements modelled by (mu, sigma).
 
-        `build(mu, sigma)`, normally build_cdf_tables, makes every row of
-        the grid on the first call; later calls reuse those tables.
+        The first call builds every row of the grid with one
+        build_cdf_tables call; later calls reuse those tables.
         """
         row, center = self.locate(mu, sigma)
         grid = self._grid
         if grid is None:
             k, j = np.divmod(np.arange(GRID_SIGMAS * GRID_OFFSETS), GRID_OFFSETS)
-            grid = self._grid = tuple(coder_tables(build(self.offsets[j], self.sigmas[k])))
+            rows = build_cdf_tables(self.offsets[j], self.sigmas[k])
+            grid = self._grid = tuple(coder_tables(rows))
         return [grid[r] for r in row.tolist()], center
 
 

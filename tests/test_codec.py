@@ -3,11 +3,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import c2f.codec as codec
 import c2f.weights as wts
 from c2f.container import HEADER_SIZE, MAX_SIDE, read_container
-from c2f.errors import (ContractViolation, CorruptStreamError,
+from c2f.errors import (ContractViolation, CorruptStreamError, FormatError,
                         ModelIdMismatchError, NumericError,
                         VersionMismatchError)
 from c2f.evaluation import bpp, psnr
@@ -176,6 +178,39 @@ def test_bit_flips_decode_or_fail_as_corrupt_stream(zoo_stream):
         except CorruptStreamError as exc:
             causes.append(type(exc.__cause__))
     assert NumericError in causes  # the sweep reaches the overflow case
+
+
+@pytest.fixture(scope="module")
+def zoo_container_64(toy_zoo):
+    """The lambda=0.03 zoo model and a container of held-out image 0 (64x64)."""
+    model = toy_zoo.load(0.03)
+    return model, codec.encode_array(model, heldout_images(1)[0]).data
+
+
+@settings(max_examples=80, deadline=None)
+@given(short=st.integers(0, 8), cut=st.none() | st.integers(0),
+       edits=st.lists(st.tuples(st.integers(0), st.integers(0, 255)), max_size=6))
+def test_fuzzed_container_decodes_or_fails_as_corrupt(zoo_container_64, short, cut, edits):
+    # shorten the X stream, with the header's x length following so the
+    # coder meets the short stream; overwrite bytes anywhere; then
+    # optionally cut the file short
+    model, data = zoo_container_64
+    bad = bytearray(data[:len(data) - short])
+    x_len = struct.unpack_from("<Q", bad, 72)[0]
+    struct.pack_into("<Q", bad, 72, x_len - short)
+    for pos, value in edits:
+        bad[pos % len(bad)] = value
+    if cut is not None:
+        del bad[cut % (len(bad) + 1):]
+    if len(bad) >= HEADER_SIZE:
+        orig_w, orig_h = struct.unpack_from("<II", bad, 38)
+        assume(orig_w <= 256 and orig_h <= 256)  # bounds what a decode allocates
+    try:
+        out = codec.decode_array(model, bytes(bad))
+    except (CorruptStreamError, FormatError):
+        return
+    assert out.image.shape == (out.header.orig_h, out.header.orig_w, 3)
+    assert out.image.dtype == np.uint8
 
 
 def test_hostile_padded_size_refused_before_decoding(model, monkeypatch):

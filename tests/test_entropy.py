@@ -255,16 +255,18 @@ def test_grid_rows_are_build_cdf_tables_at_grid_points():
     np.testing.assert_array_equal([t.cum for t in tables], want)
 
 
-def test_grid_is_built_whole_on_first_use_and_only_then():
+def test_grid_is_built_whole_on_first_use_and_only_then(monkeypatch):
     grid = ent.CoderGrid()
     built = []
+    build_cdf_tables = ent.build_cdf_tables
 
     def build(mu, sigma):
         built.append(len(mu))
-        return ent.build_cdf_tables(mu, sigma)
+        return build_cdf_tables(mu, sigma)
 
-    first, _ = grid.tables([0.0, 0.25], [1.0, 1.0], build=build)
-    second, _ = grid.tables([0.5, -3.0], [7.0, 0.1], build=build)
+    monkeypatch.setattr(ent, "build_cdf_tables", build)
+    first, _ = grid.tables([0.0, 0.25], [1.0, 1.0])
+    second, _ = grid.tables([0.5, -3.0], [7.0, 0.1])
     assert built == [ent.GRID_SIGMAS * ent.GRID_OFFSETS]
     for table in first + second:
         table.validate()

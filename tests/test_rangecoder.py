@@ -176,6 +176,14 @@ def test_table_validation():
         rc.CdfTable(0, [1, 65536]).validate()         # does not start at 0
 
 
+@pytest.mark.parametrize("total", [100, rc.CDF_TOTAL - 1])
+def test_table_with_another_total_is_refused_at_construction(total):
+    # the coder splits its range by CDF_TOTAL, so such a table is never built
+    for has_escape in (False, True):
+        with pytest.raises(ContractViolation, match="run from 0 to 65536"):
+            rc.CdfTable(0, [0, total // 2, total], has_escape=has_escape)
+
+
 # ---------------------------------------------------------------------------
 # properties
 
