@@ -10,11 +10,19 @@ conv (exact adjoints of each other), GDN / iGDN, space-to-depth and its
 inverse, a small elementwise suite, and the pieces of the discretized
 Gaussian rate term (exp, log, ndtr, clamp).  Non-finite values anywhere
 in a forward or backward pass raise ``NumericError`` immediately.
+
+Every op returns a fresh array, except the in-place inference epilogues
+``add_``, ``relu_`` and ``gdn_``.  They write into their first argument
+and record no tape, so they serve only a map that no tape records and
+that the caller itself created (a layer's own conv output); where the op
+would be recorded they refuse.  Each gives the bits of its taped op and
+keeps that op's finiteness check.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -32,7 +40,7 @@ __all__ = [
     "sum_all", "mean_all", "mse", "l2_norm",
     "concat_channels", "channel_slice",
     "conv2d", "deconv2d", "space_to_depth", "depth_to_space",
-    "cmatmul", "avg_pool2", "gdn",
+    "cmatmul", "avg_pool2", "gdn", "add_", "relu_", "gdn_",
 ]
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -145,11 +153,23 @@ def no_grad():
         _grad_enabled.reset(token)
 
 
+def _records(parents: tuple[Tensor, ...]) -> bool:
+    return _grad_enabled.get() and any(p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp) -> Tensor:
     """Wrap an op result; the tape entry is recorded only if needed."""
-    if _grad_enabled.get() and any(p.requires_grad for p in parents):
+    if _records(parents):
         return Tensor(data, requires_grad=True, op=op, _parents=parents, _vjp=vjp)
     return Tensor(data, op=op)
+
+
+def _writable(a: Tensor, *others: Tensor) -> np.ndarray:
+    """a's array, for an in-place op on a and others: refused where the op
+    would be recorded, since a tape may hold a's values."""
+    if _records((a, *others)):
+        raise ContractViolation("in-place ops run only where no tape is recorded")
+    return a.data
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -167,6 +187,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
     return _make(a.data + b.data, "add", (a, b), vjp)
+
+
+def add_(a: Tensor, b: Tensor) -> Tensor:
+    """add(a, b) written into a; b broadcasts to a's shape."""
+    data = _writable(a, b)
+    data += b.data
+    _check_finite(data, "add")
+    return a
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -206,6 +234,16 @@ def mul_const(a: Tensor, c: float) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0  # subgradient at exactly 0 is defined as 0
     return _make(np.where(mask, a.data, 0), "relu", (a,), lambda g: (g * mask,))
+
+
+def relu_(a: Tensor) -> Tensor:
+    """relu written into a.  For a -0.0, maximum may return either zero
+    (numpy does not say which); relu gives +0.0, and adding +0.0 turns
+    either into that and leaves every other value alone."""
+    data = _writable(a)
+    np.maximum(data, 0, out=data)
+    data += 0
+    return a
 
 
 def exp(a: Tensor) -> Tensor:
@@ -281,20 +319,36 @@ def l2_norm(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # shape ops
 
-def concat_channels(tensors: list[Tensor]) -> Tensor:
-    ref = tensors[0].shape[:3]
-    for t in tensors[1:]:
-        if t.shape[:3] != ref:
+def concat_channels(tensors: Iterable[Tensor], channels: int | None = None) -> Tensor:
+    """Join maps along channels, `channels` in all (by default, the sum).
+
+    Each map is copied into its slice of the output as it arrives and is
+    kept only if the tape needs it, so an iterator that computes the maps
+    one by one holds at most one of them beside the output."""
+    if channels is None:
+        tensors = list(tensors)
+        channels = sum(t.shape[3] for t in tensors)
+    out, parents, spans, hi = None, [], [], 0
+    for t in tensors:
+        if out is None:
+            out = np.empty((*t.shape[:3], channels), dtype=np.float32)
+        lo, hi = hi, hi + t.shape[3]
+        if t.shape[:3] != out.shape[:3] or hi > channels:
             raise ContractViolation(
-                f"concat needs matching (b,h,w); got {[t.shape for t in tensors]}")
-    sizes = [t.shape[3] for t in tensors]
-    bounds = np.cumsum([0] + sizes)
+                f"concat of {channels} channels over (b,h,w) {out.shape[:3]} "
+                f"got {t.shape} at channel {lo}")
+        out[..., lo:hi] = t.data
+        if _records((t,)):
+            parents.append(t)
+            spans.append((lo, hi))
+        del t  # before the iterator computes the next map
+    if out is None or hi != channels:
+        raise ContractViolation(f"concat of {channels} channels got {hi}")
 
     def vjp(g):
-        return tuple(g[..., bounds[i]:bounds[i + 1]] for i in range(len(sizes)))
+        return tuple(g[..., lo:hi] for lo, hi in spans)
 
-    return _make(np.concatenate([t.data for t in tensors], axis=3),
-                 "concat", tuple(tensors), vjp)
+    return _make(out, "concat", tuple(parents), vjp)
 
 
 def channel_slice(a: Tensor, start: int, stop: int) -> Tensor:
@@ -664,6 +718,44 @@ def gdn(x: Tensor, params: GdnParams, inverse: bool = False) -> Tensor:
             f"gdn params for {params.channels} channels, input has {x.shape[3]}")
     root = sqrt(add(cmatmul(square(x), params.gamma()), params.beta()))
     return mul(x, root) if inverse else div(x, root)
+
+
+def gdn_(x: Tensor, params: GdnParams, inverse: bool = False) -> Tensor:
+    """gdn written into x.
+
+    GDN mixes channels pixel by pixel, so it runs over bands of rows of
+    x's (pixels, c) view with band-sized scratch: gdn's ops in gdn's
+    order, each with its finiteness check and errstate.  Bands are cut as
+    _bands cuts them, so each band's cmatmul rows are the rows the whole
+    product gives."""
+    data = _writable(x, params.beta_u, params.gamma_v)
+    c = params.channels
+    if x.shape[3] != c:
+        raise ContractViolation(f"gdn params for {c} channels, input has {x.shape[3]}")
+    flat = data.reshape(-1, c)
+    beta, gamma_t = params.beta_values(), params.gamma_values().T
+    bands = [(r0, r1) for _, _, r0, r1 in _bands(1, len(flat), _BAND_ROWS)]
+    sq = np.empty((max(r1 - r0 for r0, r1 in bands), c), dtype=np.float32)
+    root = np.empty_like(sq)
+    for r0, r1 in bands:
+        xb, s, r = flat[r0:r1], sq[:r1 - r0], root[:r1 - r0]
+        with np.errstate(over="ignore"):
+            np.multiply(xb, xb, out=s)
+        _check_finite(s, "square")
+        np.matmul(s, gamma_t, out=r)
+        _check_finite(r, "cmatmul")
+        r += beta
+        _check_finite(r, "add")
+        with np.errstate(invalid="ignore"):
+            np.sqrt(r, out=r)
+        _check_finite(r, "sqrt")
+        if inverse:
+            xb *= r
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xb /= r
+        _check_finite(xb, "mul" if inverse else "div")
+    return x
 
 
 # ---------------------------------------------------------------------------

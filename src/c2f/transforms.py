@@ -96,7 +96,11 @@ class ConvLayer:
     activation.  A deconv kernel is laid out (kh, kw, out, in), the
     adjoint-convention layout, and its init std counts in_ch / stride**2
     inputs per output, since a stride-s deconv spreads each input over
-    s*s outputs."""
+    s*s outputs.
+
+    When the conv output records no tape entry (inference), it is this
+    call's own map: the bias, ReLU and GDN/iGDN are written into it in
+    place (autodiff's add_, relu_, gdn_), with the bits of the taped ops."""
 
     def __init__(self, rng, in_ch: int, out_ch: int, kernel: int, stride: int,
                  activation: str, bias: bool = True,
@@ -118,9 +122,10 @@ class ConvLayer:
         # looked up per call, so a wrapper installed on the module sees it
         op = ad.deconv2d if self.transpose else ad.conv2d
         out = op(x, self.kernel, self.stride, "same")
+        inplace = not out.requires_grad
         if self.bias is not None:
-            out = ad.add(out, self.bias)
-        return _activate(out, self.activation, self.gdn)
+            out = (ad.add_ if inplace else ad.add)(out, self.bias)
+        return _activate(out, self.activation, self.gdn, inplace)
 
     def params(self, prefix: str):
         yield f"{prefix}.kernel", self.kernel
@@ -153,15 +158,14 @@ class SpaceToDepthLayer:
         return _describe(self)
 
 
-def _activate(out: Tensor, activation: str, gdn_params) -> Tensor:
+def _activate(out: Tensor, activation: str, gdn_params, inplace: bool) -> Tensor:
     if activation == "linear":
         return out
     if activation == "relu":
-        return ad.relu(out)
-    if activation == "gdn":
-        return ad.gdn(out, gdn_params)
-    if activation == "igdn":
-        return ad.gdn(out, gdn_params, inverse=True)
+        return (ad.relu_ if inplace else ad.relu)(out)
+    if activation in ("gdn", "igdn"):
+        return (ad.gdn_ if inplace else ad.gdn)(out, gdn_params,
+                                                inverse=activation == "igdn")
     raise ContractViolation(f"unknown activation {activation!r}")
 
 
@@ -388,12 +392,18 @@ class CodecModel:
                             x_cont=x_cont, side1=side1, side2=side2)
 
     def synthesize(self, xhat: Tensor, side1: Tensor, side2: Tensor) -> Tensor:
-        """Reconstruct the image; output is unclipped (clip at inference)."""
-        # the three paths are freed as soon as they are concatenated;
-        # concat_channels refuses grids that disagree
-        fused = self.fuse_in(ad.concat_channels([
-            self.synthesis_main(xhat), self.side1_up(side1), self.side2_up(side2)]))
-        res = ad.add(fused, self.res_b(self.res_a(fused)))
+        """Reconstruct the image; output is unclipped (clip at inference).
+
+        The three paths meet in one (b, h/2, w/2, n + 2*cs) map.  Each path
+        is copied into its channel slice as soon as it is computed, and
+        where no tape holds it, freed; the residual is then added into
+        res_b's own output.  concat_channels refuses grids that disagree."""
+        paths = ((self.synthesis_main, xhat), (self.side1_up, side1),
+                 (self.side2_up, side2))
+        fused = self.fuse_in(ad.concat_channels(
+            (net(x) for net, x in paths), self.fuse_in.in_ch))
+        res = self.res_b(self.res_a(fused))
+        res = ad.add(fused, res) if res.requires_grad else ad.add_(res, fused)
         del fused
         return self.final_up(self.fuse_out(res))
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -60,9 +61,26 @@ def model_bytes(model: CodecModel, extra: dict[str, np.ndarray] | None = None) -
     return head + _pack_records(params)
 
 
+# each model load_model returned -> [its read-only parameter arrays, their
+# digest once model_digest has computed it]
+_loaded: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def model_digest(model: CodecModel) -> bytes:
-    """32-byte identity of the exact weights (canonical serialization)."""
-    return hashlib.sha256(model_bytes(model)).digest()
+    """32-byte identity of the exact weights (canonical serialization).
+
+    A model from load_model is hashed once, on first use: its arrays are
+    read-only, so the digest holds while every parameter is bound to the
+    array it was loaded with.  Any other model, fresh or in training, is
+    hashed from its live weights on every call."""
+    entry = _loaded.get(model)
+    live = [t.data for t in model.named_params().values()]
+    if entry is None or not all(
+            a is b and not a.flags.writeable for a, b in zip(live, entry[0])):
+        return hashlib.sha256(model_bytes(model)).digest()
+    if entry[1] is None:
+        entry[1] = hashlib.sha256(model_bytes(model)).digest()
+    return entry[1]
 
 
 def save_model(model: CodecModel, path) -> bytes:
@@ -133,7 +151,14 @@ def _load(data: bytes) -> tuple[CodecModel, dict[str, np.ndarray]]:
 
 
 def load_model(path) -> CodecModel:
-    return _load(Path(path).read_bytes())[0]
+    """The model a weights file holds.  Its parameter arrays are read-only,
+    so an in-place write raises instead of going past model_digest."""
+    model = _load(Path(path).read_bytes())[0]
+    arrays = [t.data for t in model.named_params().values()]
+    for arr in arrays:
+        arr.flags.writeable = False
+    _loaded[model] = [arrays, None]
+    return model
 
 
 def save_checkpoint(model: CodecModel, opt: Adam, step: int, path) -> None:

@@ -335,6 +335,41 @@ def test_relu_values():
     np.testing.assert_array_equal(ad.relu(x).data.reshape(-1), [0.0, 2.0, 0.0])
 
 
+def test_relu_in_place_gives_relu_bits():
+    # maximum keeps -0.0; relu gives +0.0 there
+    vals = np.array([-1.0, -0.0, 0.0, 2.5, -3e-38, 7.0], np.float32)
+    x = Tensor(vals.reshape(1, 1, 2, 3))
+    with ad.no_grad():
+        out = ad.relu_(Tensor(x.data.copy()))
+    assert out.data.tobytes() == ad.relu(x).data.tobytes()
+
+
+def test_in_place_ops_refuse_a_recorded_op():
+    a, b = randt((1, 2, 2, 3), 1), randt((1, 1, 1, 3), 2)
+    p = GdnParams.create(3)
+    for call in (lambda: ad.add_(a, b), lambda: ad.relu_(a), lambda: ad.gdn_(a, p)):
+        with pytest.raises(ContractViolation, match="no tape"):
+            call()
+    with ad.no_grad():
+        before = a.data.copy()
+        assert ad.add_(a, b) is a
+        assert np.array_equal(a.data, before + b.data)
+
+
+def test_concat_from_an_iterator_drops_untaped_maps():
+    a, b = randt((1, 2, 2, 3), 21), randt((1, 2, 2, 5), 22)
+    with ad.no_grad():
+        out = ad.concat_channels(iter([a, b]), 8)
+    assert not out.requires_grad and out._parents == ()
+    assert np.array_equal(out.data, np.concatenate([a.data, b.data], axis=3))
+    taped = ad.concat_channels(iter([a, b]), 8)
+    assert taped._parents == (a, b)
+    with pytest.raises(ContractViolation):
+        ad.concat_channels(iter([a, b]), 9)
+    with pytest.raises(ContractViolation):
+        ad.concat_channels(iter([a, b]), 7)
+
+
 def test_mse_zero_on_identical():
     x = randt((1, 3, 3, 2), seed=20)
     assert ad.mse(x, x).item() == 0.0

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from c2f.errors import (ContractViolation, CorruptStreamError, FormatError,
                         ModelIdMismatchError, NumericError,
                         VersionMismatchError)
 from c2f.evaluation import bpp, psnr
+from c2f.training import synthetic_patch
 from c2f.transforms import ArchConfig, CodecModel
 
 from zoo import ZOO_LAMBDAS, heldout_images
@@ -146,6 +148,65 @@ def test_zoo_rate_bound_and_latents_unchanged_by_grid(toy_zoo):
             containers.update(res.data)
     assert latents.hexdigest() == ZOO_LATENTS_SHA
     assert containers.hexdigest() == ZOO_CONTAINERS_SHA
+
+
+# ---------------------------------------------------------------------------
+# a wide image: maps of many row bands
+
+def traced_peak(fn, *args):
+    """fn(*args) and the tracemalloc peak it reached, in MiB."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def wide_roundtrip():
+    """A random-init n_main=16 model codes a 1024x1024 image of 256 seeded
+    synthetic tiles; encode and decode each run under tracemalloc, after a
+    64x64 warm-up has built the shared coder-table grid.
+
+    At h/2 a map has 262,144 pixel rows, which GDN and the conv engine cut
+    into 32 bands of 8,192: unlike the 64x64 zoo, a band-edge error shows
+    here."""
+    model = CodecModel(ArchConfig(n_main=16), seed=0)
+    rng = np.random.default_rng(1)
+    img = np.concatenate([np.concatenate([synthetic_patch(rng, 64) for _ in range(16)],
+                                         axis=1) for _ in range(16)], axis=0)
+    codec.encode_array(model, img[:64, :64])
+    res, enc_peak = traced_peak(codec.encode_array, model, img)
+    out, dec_peak = traced_peak(codec.decode_array, model, res.data)
+    return res, out, enc_peak, dec_peak
+
+
+def test_wide_container_and_pixels_are_pinned(wide_roundtrip):
+    # computed with every layer epilogue and the synthesis join allocating
+    # a fresh map per op; writing in place must give the same bits
+    res, out, _, _ = wide_roundtrip
+    assert out.latent_digest == res.latent_digest
+    assert hashlib.sha256(res.data).hexdigest() == \
+        "1160b724e8d29ea1f161bfbe7be7edd2b8fd0a297a4c71467f4078c5dfbfc9fd"
+    assert hashlib.sha256(out.image.tobytes()).hexdigest() == \
+        "f428d3fb29c432eebb6f6d681e6ff478b4d170b21501a7ac4347aed245cb789e"
+
+
+def test_encode_peak_is_bounded(wide_roundtrip):
+    # an h/2 map here is 512 x 512 x 16 float32 = 16 MiB.  With a fresh
+    # array per epilogue op (bias, then the five GDN ops) encode peaked at
+    # 60.0 MiB, in analysis layer 0; written in place, with GDN scratch of
+    # one band, it peaks at 35.1 MiB
+    assert wide_roundtrip[2] < 48, f"encode peaked at {wide_roundtrip[2]:.1f} MiB"
+
+
+def test_decode_peak_is_bounded(wide_roundtrip):
+    # with the three synthesis paths and their concatenation alive at once
+    # (4 maps of 16 MiB) decode peaked at 65.3 MiB; written path by path
+    # into one buffer, the peak is fuse_in's input buffer, its output and
+    # its band scratch: 51.4 MiB
+    assert wide_roundtrip[3] < 58, f"decode peaked at {wide_roundtrip[3]:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import tracemalloc
 
@@ -9,7 +10,7 @@ import c2f.weights as wts
 from c2f.autodiff import Tensor
 from c2f.entropy import SIGMA_MIN
 from c2f.errors import ContractViolation, FormatError
-from c2f.transforms import ArchConfig, CodecModel
+from c2f.transforms import ArchConfig, CodecModel, ConvLayer
 
 from gradcheck import assert_grads_close
 
@@ -209,6 +210,44 @@ def test_synthesize_scratch_is_bounded():
     assert peak < 56 * 2 ** 20, f"synthesize peaked at {peak / 2 ** 20:.1f} MiB"
 
 
+@pytest.mark.parametrize("activation", ["linear", "relu", "gdn", "igdn"])
+@pytest.mark.parametrize("transpose", [False, True])
+def test_layer_epilogue_in_place_is_bit_exact(transpose, activation):
+    # a 5x5 stride-2 layer with a 96 x 192 x 16 output: 18,432 pixel rows,
+    # which GDN cuts into 3 bands.  Random bias and GDN weights, so every
+    # epilogue op moves the values
+    rng = np.random.default_rng(7)
+    layer = ConvLayer(rng, 16, 16, 5, 2, activation, transpose=transpose)
+    layer.bias.data = rng.normal(0, 0.5, layer.bias.shape).astype(np.float32)
+    if layer.gdn is not None:
+        layer.gdn.beta_u.data = rng.uniform(0.5, 1.5, (1, 1, 1, 16)).astype(np.float32)
+        layer.gdn.gamma_v.data = rng.uniform(0, 0.4, (1, 1, 16, 16)).astype(np.float32)
+    shape = (1, 48, 96, 16) if transpose else (1, 192, 384, 16)
+    x = Tensor(rng.normal(0, 2, shape).astype(np.float32))
+    taped = layer(x)
+    with ad.no_grad():
+        untaped = layer(x)
+    assert taped.requires_grad and untaped.op == ("deconv2d" if transpose else "conv2d")
+    assert taped.shape == untaped.shape == (1, 96, 192, 16)
+    assert np.array_equal(taped.data, untaped.data)
+    assert taped.data.tobytes() == untaped.data.tobytes()  # signed zeros too
+
+
+def test_synthesize_without_tape_is_bit_exact():
+    # n_main=16 to a 512x512 output: 65,536 pixel rows at h/2 (8 bands)
+    model = CodecModel(ArchConfig(n_main=16), seed=3)
+    rng = np.random.default_rng(3)
+    xhat = Tensor(np.round(rng.normal(0, 2, (1, 32, 32, 16))).astype(np.float32))
+    s1 = Tensor(rng.normal(size=(1, 32, 32, 16)).astype(np.float32))
+    s2 = Tensor(rng.normal(size=(1, 16, 16, 16)).astype(np.float32))
+    taped = model.synthesize(xhat, s1, s2)
+    with ad.no_grad():
+        untaped = model.synthesize(xhat, s1, s2)
+    assert taped.requires_grad and not untaped.requires_grad
+    assert np.array_equal(taped.data, untaped.data)
+    assert taped.data.tobytes() == untaped.data.tobytes()
+
+
 def test_gradients_reach_encoder_params(model):
     for p in model.param_list():
         p.grad = None
@@ -293,6 +332,32 @@ def test_digest_changes_with_weights(model, tmp_path):
         assert wts.model_digest(model) != d0
     finally:
         k.data = k.data - np.float32(1e-3)
+
+
+def test_loaded_model_digest_is_cached_and_tracks_rebinding(tmp_path, model, monkeypatch):
+    path = tmp_path / "m.c2fw"
+    wts.save_model(model, path)
+    serialized = []
+    real = wts.model_bytes
+    monkeypatch.setattr(wts, "model_bytes",
+                        lambda m, *a: serialized.append(m) or real(m, *a))
+    loaded = wts.load_model(path)
+    assert serialized == []  # hashed lazily, not at load
+    d0 = wts.model_digest(loaded)
+    assert d0 == wts.model_digest(loaded) == hashlib.sha256(real(loaded)).digest()
+    assert len(serialized) == 1
+    # the weights are read-only, so the cache cannot go stale in place
+    k = loaded.analysis_t.layers[0].kernel
+    with pytest.raises(ValueError):
+        k.data += np.float32(1e-3)
+    # a rebound array is seen, and the live weights are hashed
+    k.data = k.data + np.float32(1e-3)
+    d1 = wts.model_digest(loaded)
+    assert d1 != d0 and d1 == hashlib.sha256(real(loaded)).digest()
+    # a fresh model is hashed on every call
+    wts.model_digest(model)
+    wts.model_digest(model)
+    assert serialized.count(model) == 2
 
 
 def test_load_rejects_wrong_shape(tmp_path, model):
