@@ -531,21 +531,49 @@ def _scatter(y: np.ndarray, kern: np.ndarray, stride: int, pt: int, pl: int,
              out_h: int, out_w: int) -> np.ndarray:
     """The adjoint of _gather, cropped: each tap's product is added where it
     lands inside rows pt..pt+out_h-1 and columns pl..pl+out_w-1 of the
-    padded plane, which is never built."""
+    padded plane, which is never built.
+
+    A thin output (kh * kw * ci <= co, as in the deconv to pixels) takes
+    all taps in one (rows, co) @ (co, kh * kw * ci) product, over bands of
+    output rows, each with the input rows that land in it: every output
+    element still sums its taps in the same order, the product is no wider
+    than the rows it reads, and with w > 1 no band is a one-row sgemv.
+    Otherwise each tap is one product over the whole input."""
     b, h, w, co = y.shape
     kh, kw, ci, _ = kern.shape
+    s = stride
     out = np.zeros((b, out_h, out_w, ci), dtype=np.float32)
-    yf = y.reshape(b * h * w, co)
-    cols = [_landing(j, pl, stride, w, out_w) for j in range(kw)]
-    for i in range(kh):
-        r0, r1 = _landing(i, pt, stride, h, out_h)
-        for j, (c0, c1) in enumerate(cols):
-            if r0 == r1 or c0 == c1:
-                continue
-            top, left = i + r0 * stride - pt, j + c0 * stride - pl
-            out[:, top:top + (r1 - r0 - 1) * stride + 1:stride,
-                left:left + (c1 - c0 - 1) * stride + 1:stride, :] += \
-                (yf @ kern[i, j].T).reshape(b, h, w, ci)[:, r0:r1, c0:c1]
+    cols = [_landing(j, pl, s, w, out_w) for j in range(kw)]
+    stacked = kh * kw * ci <= co and w > 1
+    if stacked:
+        # transposed like each kern[i, j].T, so sgemm reads it the same way
+        taps = kern.reshape(kh * kw * ci, co).T
+        bands = _bands(b, out_h, s * max(_BAND_ROWS // w, 1))
+    else:
+        bands = [(0, b, 0, out_h)]
+    for n0, n1, o0, o1 in bands:
+        # input rows q0..q1-1 have a tap landing in output rows o0..o1-1
+        q0 = max(-(-(o0 + pt - kh + 1) // s), 0)
+        q1 = min((o1 - 1 + pt) // s + 1, h)
+        if q1 <= q0:
+            continue
+        rows = y[n0:n1, q0:q1].reshape(-1, co)
+        if stacked:
+            prod = (rows @ taps).reshape(n1 - n0, q1 - q0, w, kh * kw * ci)
+        pad = pt + o0 - s * q0  # output row o0 is row pad of the band's padded plane
+        for i in range(kh):
+            r0, r1 = _landing(i, pad, s, q1 - q0, o1 - o0)
+            for j, (c0, c1) in enumerate(cols):
+                if r0 == r1 or c0 == c1:
+                    continue
+                if stacked:
+                    tap = (i * kw + j) * ci
+                    part = prod[:, r0:r1, c0:c1, tap:tap + ci]
+                else:
+                    part = (rows @ kern[i, j].T).reshape(n1 - n0, q1 - q0, w, ci)[:, r0:r1, c0:c1]
+                top, left = o0 + i + r0 * s - pad, j + c0 * s - pl
+                out[n0:n1, top:top + (r1 - r0 - 1) * s + 1:s,
+                    left:left + (c1 - c0 - 1) * s + 1:s, :] += part
     return out
 
 

@@ -7,12 +7,13 @@ Stream order is Z, then Y (tables predicted from the decoded Z), then X
 (tables predicted from the decoded Y); symbols are raster scan with the
 channel axis innermost.
 
-Every stream reaches the range coder as one CdfTable per symbol and an
-integer centre subtracted from each value.  Y and X code through the
-shared `entropy.CODER_GRID`: each element is coded as value - c under the
-grid table nearest its (mu - c, sigma), where c is its mean rounded to an
+Every stream reaches the range coder as one `rangecoder.TableRows` (an
+array of cumulative rows and the row of every symbol) and an integer
+centre subtracted from each value.  Y and X code through the shared
+`entropy.CODER_GRID`: each element is coded as value - c under the grid
+row nearest its (mu - c, sigma), where c is its mean rounded to an
 integer in the alphabet.  Z is zero-mean with one sigma per channel, so
-it is coded under its c_z exact tables, built on every call, with c = 0.
+it is coded under its c_z exact rows, built on every call, with c = 0.
 The latents, their digest and `modeled_bits` (the float model's
 cross-entropy) do not depend on the grid; only the Y and X stream bytes
 do.
@@ -31,7 +32,7 @@ from .autodiff import Tensor
 from .container import (ContainerHeader, check_image_size, read_container,
                         write_container)
 from .entropy import (CODER_GRID, LIKELIHOOD_FLOOR, QuantizerMode,
-                      build_cdf_tables, coder_tables, gaussian_bin_prob)
+                      alphabet_rows, build_cdf_tables, gaussian_bin_prob)
 from .errors import (ContractViolation, CorruptStreamError,
                      ModelIdMismatchError, NumericError)
 from .imageio import crop, pad_to_multiple
@@ -52,17 +53,17 @@ def _symbols(t: Tensor) -> np.ndarray:
     return t.data.reshape(-1).astype(np.int64)
 
 
-def _z_tables(sigma_z: np.ndarray, n_symbols: int) -> tuple[list[rc.CdfTable], int]:
-    # one exact zero-mean table per channel, channel innermost
+def _z_tables(sigma_z: np.ndarray, n_symbols: int) -> tuple[rc.TableRows, int]:
+    # one exact zero-mean row per channel, channel innermost
     c = sigma_z.size
-    return coder_tables(build_cdf_tables(np.zeros(c), sigma_z)) * (n_symbols // c), 0
+    return alphabet_rows(build_cdf_tables(np.zeros(c), sigma_z), np.arange(n_symbols) % c), 0
 
 
-def _encode(values: np.ndarray, tables: list[rc.CdfTable], center) -> bytes:
-    return rc.encode((values - center).tolist(), tables)
+def _encode(values: np.ndarray, tables: rc.TableRows, center) -> bytes:
+    return rc.encode(values - center, tables)
 
 
-def _decode(data: bytes, tables: list[rc.CdfTable], center, shape) -> Tensor:
+def _decode(data: bytes, tables: rc.TableRows, center, shape) -> Tensor:
     rel = rc.decode(data, tables, int(np.prod(shape)))
     return Tensor((np.asarray(rel, np.int64) + center).astype(np.float32).reshape(shape))
 
@@ -156,8 +157,11 @@ def _decode_streams(model: CodecModel, header: ContainerHeader, zbytes: bytes,
 
     with ad.no_grad():
         recon = model.synthesize(xhat, side1, side2)
-    pixels = np.clip(recon.data[0], 0.0, 1.0)
-    img = np.round(pixels * 255.0).astype(np.uint8)
+    # the decoder's own map becomes the pixels in place
+    pixels = recon.data[0]
+    np.clip(pixels, 0.0, 1.0, out=pixels)
+    np.multiply(pixels, 255.0, out=pixels)
+    img = np.round(pixels, out=pixels).astype(np.uint8)
     return DecodeResult(
         image=crop(img, header.orig_h, header.orig_w),
         header=header,

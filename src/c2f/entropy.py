@@ -6,16 +6,17 @@ float64 numpy so the probabilities the coder uses are the exact
 discretized CDFs, integerized with largest-remainder apportionment to a
 total of 65536 with every bin kept >= 1.
 
-Every stream reaches the range coder the same way: a list of CdfTables,
-one per symbol, and an integer centre subtracted from each value.  The
-tables are not built per latent element.  `CoderGrid` holds one shared
-set on a (sigma, mean-offset) grid: sigma is quantized to one of
+Every stream reaches the range coder the same way: one
+`rangecoder.TableRows` (an array of cumulative rows over the alphabet
+and the row of every symbol) and an integer centre subtracted from each
+value.  The rows are not built per latent element.  `CoderGrid` holds one
+shared set on a (sigma, mean-offset) grid: sigma is quantized to one of
 GRID_SIGMAS log-spaced scales, and each element codes its value relative
-to the integer centre c = clip(floor(mu + 0.5)) under the table for its
+to the integer centre c = clip(floor(mu + 0.5)) under the row for its
 fractional offset mu - c.  Bucket choice is by exact float64 comparison
-and arithmetic only, so encoder and decoder pick the same table from the
+and arithmetic only, so encoder and decoder pick the same row from the
 same float32 mu and sigma.  The zero-mean Z stream has one model per
-channel and is coded under its exact per-channel tables, centre 0.
+channel and is coded under its exact per-channel rows, centre 0.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ from scipy import special
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractViolation, NumericError
-from .rangecoder import CDF_TOTAL, CdfTable
+from .rangecoder import CDF_TOTAL, TableRows
 
 __all__ = [
     "QuantizerMode", "FactorizedZ", "CoderGrid", "CODER_GRID",
     "quantize", "gaussian_likelihood", "z_likelihood", "rate_bits",
-    "gaussian_bin_prob", "build_cdf_tables", "coder_tables",
+    "gaussian_bin_prob", "build_cdf_tables", "alphabet_rows",
     "SIGMA_MIN", "SIGMA_MAX", "LIKELIHOOD_FLOOR", "ALPHABET_MIN", "ALPHABET_MAX",
     "GRID_SIGMAS", "GRID_OFFSETS",
 ]
@@ -204,22 +205,23 @@ def build_cdf_tables(mu, sigma) -> np.ndarray:
     return out
 
 
-def coder_tables(cum_rows: np.ndarray) -> list[CdfTable]:
-    """One coder table per cumulative row from build_cdf_tables."""
-    return [CdfTable(ALPHABET_MIN, cum, has_escape=True) for cum in cum_rows]
+def alphabet_rows(cum_rows: np.ndarray, index) -> TableRows:
+    """Coder tables over the alphabet plus escape for rows from
+    build_cdf_tables; symbol i is coded under cum_rows[index[i]]."""
+    return TableRows(cum_rows, index, ALPHABET_MIN, ALPHABET_MAX - ALPHABET_MIN + 1, True)
 
 
 class CoderGrid:
-    """Coder tables on the (sigma, mean-offset) grid the Y and X streams share.
+    """Coder table rows on the (sigma, mean-offset) grid the Y and X streams share.
 
-    Table r = k * GRID_OFFSETS + j models N(offsets[j], sigmas[k]) over the
+    Row r = k * GRID_OFFSETS + j models N(offsets[j], sigmas[k]) over the
     alphabet [ALPHABET_MIN, ALPHABET_MAX] plus an escape bin.  An element
     with mean mu and scale sigma codes the relative symbol value - c, where
-    c = clip(floor(mu + 0.5), ALPHABET_MIN, ALPHABET_MAX), under the table
+    c = clip(floor(mu + 0.5), ALPHABET_MIN, ALPHABET_MAX), under the row
     whose offset is nearest to mu - c (clipped to [-0.5, 0.5]) and whose
     sigma is nearest in log scale.  All rows are built in one call on first
     use and never change after; threads that race to the first use each
-    build the same tables and one set is kept.
+    build the same rows and one set is kept.
     """
 
     def __init__(self):
@@ -232,10 +234,10 @@ class CoderGrid:
         # bounds are the geometric midpoints of neighbouring scales
         self._sigma_bounds = np.array([math.exp(0.5 * (a + b)) for a, b in zip(logs, logs[1:])])
         self.offsets = np.linspace(-0.5, 0.5, GRID_OFFSETS)
-        self._grid: tuple[CdfTable, ...] | None = None
+        self._rows: np.ndarray | None = None
 
     def locate(self, mu, sigma) -> tuple[np.ndarray, np.ndarray]:
-        """(table index, integer centre) of every element, as int64 arrays."""
+        """(grid row, integer centre) of every element, as int64 arrays."""
         mu = np.asarray(mu, dtype=np.float64).reshape(-1)
         sigma = np.asarray(sigma, dtype=np.float64).reshape(-1)
         if mu.shape != sigma.shape:
@@ -250,19 +252,18 @@ class CoderGrid:
         k = np.searchsorted(self._sigma_bounds, sigma, side="right")
         return k * GRID_OFFSETS + j, center.astype(np.int64)
 
-    def tables(self, mu, sigma) -> tuple[list[CdfTable], np.ndarray]:
+    def tables(self, mu, sigma) -> tuple[TableRows, np.ndarray]:
         """Coder tables and integer centres for elements modelled by (mu, sigma).
 
         The first call builds every row of the grid with one
-        build_cdf_tables call; later calls reuse those tables.
+        build_cdf_tables call; later calls reuse those rows.
         """
         row, center = self.locate(mu, sigma)
-        grid = self._grid
-        if grid is None:
+        rows = self._rows
+        if rows is None:
             k, j = np.divmod(np.arange(GRID_SIGMAS * GRID_OFFSETS), GRID_OFFSETS)
-            rows = build_cdf_tables(self.offsets[j], self.sigmas[k])
-            grid = self._grid = tuple(coder_tables(rows))
-        return [grid[r] for r in row.tolist()], center
+            rows = self._rows = build_cdf_tables(self.offsets[j], self.sigmas[k])
+        return alphabet_rows(rows, row), center
 
 
 # the process-wide grid the codec codes with

@@ -237,6 +237,37 @@ def test_bands_hold_whole_images_or_even_pieces_of_one():
     assert ad._bands(1, 7, 0) == [(0, 1, r, r + 1) for r in range(7)]
 
 
+@pytest.mark.parametrize("band", [None, 96])
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("shape", [(1, 16, 48), (1, 1, 640), (2, 1, 1)],
+                         ids=["16x48", "1x640", "2x1x1"])
+def test_thin_deconv_takes_one_product_bit_exact(monkeypatch, shape, stride, padding, band):
+    # final_up's kernel, 128 -> 3 channels over 5x5 taps: the 75 stacked
+    # columns fit in the 128 input channels, so with more than one input
+    # column every tap comes from one product.  The inputs have 640 or
+    # more pixels, as any final_up input of the codec has (1024 at the
+    # smallest image): smaller ones send the reference's 3-column
+    # per-tap products to OpenBLAS's small-matrix sgemm, which rounds
+    # differently.  A one-pixel-wide input keeps the per-tap products.
+    bands = []
+    if band is not None:
+        # 96 rows of 48 columns is 2 input rows: 8 output bands at stride 2
+        monkeypatch.setattr(ad, "_BAND_ROWS", band)
+    real = ad._bands
+    monkeypatch.setattr(ad, "_bands", lambda *a: bands.append(real(*a)) or bands[-1])
+    rng = np.random.default_rng(sum(shape) + 10 * stride + (padding == "same"))
+    y = rng.normal(size=(*shape, 128)).astype(np.float32)
+    kern = (rng.normal(size=(5, 5, 3, 128)) * 0.05).astype(np.float32)
+    dec = ad.deconv2d(Tensor(y), Tensor(kern), stride, padding)
+    big_h, big_w = dec.shape[1:3]
+    _, _, pads = _pads(big_h, big_w, 5, stride, padding)
+    assert np.array_equal(dec.data, _ref_scatter_crop(y, kern, stride, pads, big_h, big_w))
+    assert len(bands) == (shape[2] > 1)
+    if band is not None and shape == (1, 16, 48):
+        assert len(bands[0]) >= 2
+
+
 # ---------------------------------------------------------------------------
 # GDN
 

@@ -151,8 +151,14 @@ def test_rate_differentiable_end_to_end():
 # ---------------------------------------------------------------------------
 # CDF tables
 
+def alphabet_table(mu, sigma):
+    """The build_cdf_tables row of N(mu, sigma) as a table over the alphabet."""
+    row = ent.build_cdf_tables([mu], [sigma])[0]
+    return rc.CdfTable(ent.ALPHABET_MIN, row, has_escape=True)
+
+
 def test_cdf_table_normalization_and_floor():
-    table = ent.coder_tables(ent.build_cdf_tables([0.0], [ent.SIGMA_MIN]))[0]
+    table = alphabet_table(0.0, ent.SIGMA_MIN)
     table.validate()
     assert table.cum[-1] == 65536
     freqs = np.diff(table.cum)
@@ -162,7 +168,7 @@ def test_cdf_table_normalization_and_floor():
 
 
 def test_cdf_table_bit_costs_track_float_model():
-    table = ent.coder_tables(ent.build_cdf_tables([0.0], [1.0]))[0]
+    table = alphabet_table(0.0, 1.0)
     k = np.arange(-8, 9, dtype=np.float64)
     q = ent.gaussian_bin_prob(k, 0.0, 1.0)
     freqs = np.diff(table.cum)[[table.index_of(int(v)) for v in k]]
@@ -177,7 +183,7 @@ def test_cdf_table_bit_costs_track_float_model():
 
 
 def test_cdf_table_escape_holds_tail_mass():
-    table = ent.coder_tables(ent.build_cdf_tables([0.0], [64.0]))[0]
+    table = alphabet_table(0.0, 64.0)
     esc_freq = int(table.cum[-1] - table.cum[-2])
     tail = 1.0 - float(ent.gaussian_bin_prob(np.arange(-127, 129), 0.0, 64.0).sum())
     assert esc_freq / 65536.0 == pytest.approx(tail, abs=2e-4)
@@ -194,20 +200,23 @@ def test_build_cdf_tables_batch_matches_scalar():
 
 def test_coder_tables_view_rows_over_the_alphabet():
     rows = ent.build_cdf_tables([0.0, 0.0], [0.5, 4.0])
-    tables = ent.coder_tables(rows)
-    assert len(tables) == 2
-    for table, row in zip(tables, rows):
-        assert (table.smin, table.smax) == (ent.ALPHABET_MIN, ent.ALPHABET_MAX)
-        assert table.has_escape
-        assert np.shares_memory(table.cum, row)
+    tables = ent.alphabet_rows(rows, [1, 0, 1])
+    assert len(tables) == 3
+    np.testing.assert_array_equal(tables.index, [1, 0, 1])
+    np.testing.assert_array_equal(tables.smin, ent.ALPHABET_MIN)
+    np.testing.assert_array_equal(tables.smin + tables.nsymbols - 1, ent.ALPHABET_MAX)
+    assert np.all(tables.has_escape)
+    assert np.shares_memory(tables.cum, rows)
 
 
 def test_grid_tables_share_one_table_per_row():
     tables, center = CODER_GRID.tables([0.0, 2.0, 0.0, 5.25], [0.5, 0.5, 4.0, 4.0])
     assert len(tables) == 4
     np.testing.assert_array_equal(center, [0, 2, 0, 5])
-    assert tables[0] is tables[1]  # same offset and scale: one table object
-    assert tables[0] is not tables[2]
+    assert tables.index[0] == tables.index[1]  # same offset and scale: one row
+    assert tables.index[0] != tables.index[2]
+    again, _ = CODER_GRID.tables([0.0], [0.5])
+    assert again.cum is tables.cum  # every call reads the grid's one array
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +261,7 @@ def test_grid_rows_are_build_cdf_tables_at_grid_points():
     k, j = np.divmod(row, ent.GRID_OFFSETS)
     want = ent.build_cdf_tables(CODER_GRID.offsets[j], CODER_GRID.sigmas[k])
     tables, _ = CODER_GRID.tables(mu, sigma)
-    np.testing.assert_array_equal([t.cum for t in tables], want)
+    np.testing.assert_array_equal(tables.cum[tables.index], want)
 
 
 def test_grid_is_built_whole_on_first_use_and_only_then(monkeypatch):
@@ -268,8 +277,10 @@ def test_grid_is_built_whole_on_first_use_and_only_then(monkeypatch):
     first, _ = grid.tables([0.0, 0.25], [1.0, 1.0])
     second, _ = grid.tables([0.5, -3.0], [7.0, 0.1])
     assert built == [ent.GRID_SIGMAS * ent.GRID_OFFSETS]
-    for table in first + second:
-        table.validate()
+    assert first.cum is second.cum
+    for tables in (first, second):
+        for r in tables.index:
+            rc.CdfTable(ent.ALPHABET_MIN, tables.cum[r], has_escape=True).validate()
 
 
 @pytest.mark.parametrize("sigma", [ent.SIGMA_MIN, ent.SIGMA_MAX])

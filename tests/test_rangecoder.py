@@ -31,6 +31,12 @@ def skew_table(nbins=256, hot=0):
     return rc.CdfTable(0, np.concatenate([[0], np.cumsum(freqs)])).validate()
 
 
+def alphabet_table(mu, sigma):
+    """The build_cdf_tables row of N(mu, sigma) as a table over the alphabet."""
+    row = ent.build_cdf_tables([mu], [sigma])[0]
+    return rc.CdfTable(ent.ALPHABET_MIN, row, has_escape=True)
+
+
 def roundtrip(symbols, tables):
     data = rc.encode(symbols, tables)
     return data, rc.decode(data, tables, len(symbols))
@@ -82,20 +88,20 @@ def test_gaussian_tables_roundtrip(sigma):
     rng = np.random.default_rng(3)
     n = 2000
     values = np.clip(np.round(rng.normal(0, sigma, size=n)), -127, 128).astype(int)
-    table = ent.coder_tables(ent.build_cdf_tables([0.0], [sigma]))[0]
+    table = alphabet_table(0.0, sigma)
     data, back = roundtrip(values.tolist(), [table] * n)
     assert back == values.tolist()
 
 
 def test_escape_values_roundtrip():
-    table = ent.coder_tables(ent.build_cdf_tables([0.0], [1.0]))[0]
+    table = alphabet_table(0.0, 1.0)
     symbols = [0, 1, 900, -5000, 2, 2 ** 31 - 1, -(2 ** 31), -1]
     _, back = roundtrip(symbols, [table] * len(symbols))
     assert back == symbols
 
 
 def test_escape_rejected_beyond_int32():
-    table = ent.coder_tables(ent.build_cdf_tables([0.0], [1.0]))[0]
+    table = alphabet_table(0.0, 1.0)
     with pytest.raises(ContractViolation):
         rc.encode([2 ** 31], [table])
 
@@ -125,7 +131,8 @@ def escape_stream():
     values = np.round(rng.normal(mu, sigma)).astype(np.int64)
     i32 = np.iinfo(np.int32)
     values[::37] = rng.integers(i32.min, i32.max, values[::37].size)
-    tables = ent.coder_tables(ent.build_cdf_tables(mu, sigma))
+    tables = [rc.CdfTable(ent.ALPHABET_MIN, row, has_escape=True)
+              for row in ent.build_cdf_tables(mu, sigma)]
     return values.tolist(), tables
 
 
@@ -147,6 +154,93 @@ def test_every_cut_of_escape_stream_errors():
             rc.decode(data[:cut], tables, len(symbols))
 
 
+def grid_stream():
+    """20,480 values coded through CODER_GRID, relative to their centres:
+    most sit on an integer mean under a tiny sigma and cost almost nothing,
+    every 64th has a fractional mean and a wide sigma, and every 2,048th
+    is an int32 escape.  10 escapes in 225 bytes."""
+    rng = np.random.default_rng(13)
+    n = 20_480
+    mu = rng.integers(-20, 21, n).astype(np.float64)
+    sigma = np.exp(rng.uniform(-4.6, -2.5, n))
+    mu[::64] += rng.uniform(-0.5, 0.5, n // 64)
+    sigma[::64] = np.exp(rng.uniform(-1, 3, n // 64))
+    values = np.round(rng.normal(mu, sigma)).astype(np.int64)
+    i32 = np.iinfo(np.int32)
+    values[::2048] = rng.integers(i32.min, i32.max, n // 2048)
+    tables, center = ent.CODER_GRID.tables(mu, sigma)
+    return values - center, tables
+
+
+def listed(tables):
+    """The same tables as a list of CdfTable objects, one per symbol."""
+    index = tables.index.tolist()
+    distinct = {r: rc.CdfTable(ent.ALPHABET_MIN, tables.cum[r], has_escape=True)
+                for r in set(index)}
+    return [distinct[r] for r in index]
+
+
+def test_grid_stream_bytes_are_pinned_on_both_paths():
+    rel, tables = grid_stream()
+    assert np.count_nonzero((rel < ent.ALPHABET_MIN) | (rel > ent.ALPHABET_MAX)) == 10
+    data = rc.encode(rel, tables)
+    assert rc.encode(rel.tolist(), listed(tables)) == data
+    assert len(data) == 225
+    assert hashlib.sha256(data).hexdigest() == (
+        "8ab02930005b8babeb7abfe636cb1f6684c0dacf9d9eec205a3553a14f68663d")
+    assert rc.decode(data, tables, rel.size) == rel.tolist()
+    assert rc.decode(data, listed(tables), rel.size) == rel.tolist()
+
+
+def test_every_cut_of_grid_stream_errors():
+    rel, tables = grid_stream()
+    data = rc.encode(rel, tables)
+    for cut in range(len(data)):
+        with pytest.raises(CorruptStreamError):
+            rc.decode(data[:cut], tables, rel.size)
+
+
+def test_mixed_width_tables_stack_into_one_array():
+    """12 tables of 1-257 bins, smin in [-300, 300], every third with an
+    escape bin, in one 3,000-symbol stream with 41 escapes."""
+    rng = np.random.default_rng(17)
+    i32 = np.iinfo(np.int32)
+    distinct = []
+    for k in range(12):
+        nbins = int(rng.integers(1, 258))
+        cuts = rng.choice(np.arange(1, rc.CDF_TOTAL), size=nbins - 1, replace=False)
+        cum = np.concatenate([[0], np.sort(cuts), [rc.CDF_TOTAL]]).astype(np.int64)
+        distinct.append(rc.CdfTable(int(rng.integers(-300, 300)), cum,
+                                    has_escape=nbins > 1 and k % 3 == 0))
+    tables = [distinct[i] for i in rng.integers(0, len(distinct), 3000).tolist()]
+    symbols = [int(rng.integers(i32.min, i32.max)) if t.has_escape and rng.random() < 0.05
+               else int(rng.integers(t.smin, t.smin + t.nsymbols)) for t in tables]
+    assert sum(t.index_of(s) == t.nsymbols for s, t in zip(symbols, tables)) == 41
+    rows = rc.TableRows.stack(tables)
+    assert rows.cum.shape == (len(distinct), max(t.cum.size for t in distinct))
+    data, back = roundtrip(symbols, tables)
+    assert back == symbols
+    assert hashlib.sha256(data).hexdigest() == (
+        "078391fcdec183aef21e183277d67559cec54a30d21c7ee7858a172934090ec2")
+    assert rc.encode(symbols, rows) == data
+    assert rc.decode(data, rows, len(symbols)) == symbols
+
+
+def test_table_rows_contract():
+    cum = np.array([[0, 100, rc.CDF_TOTAL], [0, 5, rc.CDF_TOTAL]])
+    rc.TableRows(cum, [0, 1, 1], 0, 2, False)
+    with pytest.raises(ContractViolation):
+        rc.TableRows(cum, [0, 2], 0, 2, False)           # no row 2
+    with pytest.raises(ContractViolation):
+        rc.TableRows(cum, [-1], 0, 2, False)
+    with pytest.raises(ContractViolation):
+        rc.TableRows(cum, [0], 0, 2, True)               # 3 bins in a width-3 row
+    with pytest.raises(ContractViolation):
+        rc.TableRows(cum[:, :2], [0], 0, 1, False)       # a row ends at 100
+    with pytest.raises(ContractViolation):
+        rc.TableRows(cum[:, 1:], [0], 0, 1, False)       # a row starts at 100
+
+
 def test_symbol_table_count_mismatch():
     with pytest.raises(ContractViolation):
         rc.encode([1, 2], [uniform_table()])
@@ -165,6 +259,14 @@ def test_compression_bound():
             idx = t.index_of(s)
             ideal += -np.log2((t.cum[idx + 1] - t.cum[idx]) / rc.CDF_TOTAL)
         assert len(data) * 8 <= ideal + 256 + 0.001 * ideal
+
+
+def test_empty_bin_is_refused_when_coded():
+    # never validate()d: coding bin 0 would leave the coder no range
+    table = rc.CdfTable(0, [0, 0, rc.CDF_TOTAL])
+    with pytest.raises(ContractViolation, match="freq >= 1"):
+        rc.encode([0], [table])
+    assert rc.decode(rc.encode([1], [table]), [table], 1) == [1]
 
 
 def test_table_validation():
