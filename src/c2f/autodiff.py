@@ -33,7 +33,7 @@ from scipy import special
 from .errors import ContractViolation, NumericError
 
 __all__ = [
-    "Tensor", "GdnParams", "Adam", "adam_step", "scalar",
+    "Tensor", "GdnParams", "Adam", "adam_step",
     "ADAM_BETA1", "ADAM_BETA2", "ADAM_EPS", "no_grad",
     "add", "sub", "mul", "div", "neg", "add_const", "mul_const",
     "relu", "exp", "log", "sqrt", "square", "powc", "ndtr", "clamp",
@@ -131,10 +131,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self.op!r}, grad={self.requires_grad})"
-
-
-def scalar(value: float) -> Tensor:
-    return Tensor(np.full((1, 1, 1, 1), value, dtype=np.float32))
 
 
 # Per-context (and so per-thread: a new thread starts with an empty
@@ -363,33 +359,34 @@ def channel_slice(a: Tensor, start: int, stop: int) -> Tensor:
     return _make(a.data[..., start:stop], "channel_slice", (a,), vjp)
 
 
-def space_to_depth(a: Tensor, block: int = 2) -> Tensor:
+def space_to_depth(a: Tensor) -> Tensor:
+    """Each 2x2 block of pixels becomes 4 * c channels."""
     b, h, w, c = a.shape
-    if h % block or w % block:
-        raise ContractViolation(f"space_to_depth needs dims divisible by {block}; got {a.shape}")
+    if h % 2 or w % 2:
+        raise ContractViolation(f"space_to_depth needs even dims; got {a.shape}")
     def fwd(x):
-        return (x.reshape(b, h // block, block, w // block, block, c)
+        return (x.reshape(b, h // 2, 2, w // 2, 2, c)
                  .transpose(0, 1, 3, 2, 4, 5)
-                 .reshape(b, h // block, w // block, block * block * c))
+                 .reshape(b, h // 2, w // 2, 4 * c))
     def vjp(g):
-        back = (g.reshape(b, h // block, w // block, block, block, c)
+        back = (g.reshape(b, h // 2, w // 2, 2, 2, c)
                  .transpose(0, 1, 3, 2, 4, 5)
                  .reshape(b, h, w, c))
         return (np.ascontiguousarray(back),)
     return _make(fwd(a.data), "space_to_depth", (a,), vjp)
 
 
-def depth_to_space(a: Tensor, block: int = 2) -> Tensor:
+def depth_to_space(a: Tensor) -> Tensor:
     b, h, w, c = a.shape
-    if c % (block * block):
-        raise ContractViolation(f"depth_to_space needs channels divisible by {block * block}")
-    c2 = c // (block * block)
+    if c % 4:
+        raise ContractViolation("depth_to_space needs channels divisible by 4")
+    c2 = c // 4
     def fwd(x):
-        return (x.reshape(b, h, w, block, block, c2)
+        return (x.reshape(b, h, w, 2, 2, c2)
                  .transpose(0, 1, 3, 2, 4, 5)
-                 .reshape(b, h * block, w * block, c2))
+                 .reshape(b, h * 2, w * 2, c2))
     def vjp(g):
-        back = (g.reshape(b, h, block, w, block, c2)
+        back = (g.reshape(b, h, 2, w, 2, c2)
                  .transpose(0, 1, 3, 2, 4, 5)
                  .reshape(b, h, w, c))
         return (np.ascontiguousarray(back),)
@@ -405,10 +402,14 @@ def depth_to_space(a: Tensor, block: int = 2) -> Tensor:
 # padded input rows it reads into one reused buffer, or reads x in place
 # when there is no pad.  Every output element
 # is still the same ci-length sgemm dot products, summed over the taps in
-# row-major order.  sgemm returns each row bit-identical whatever the
-# number of rows in the call, as long as that stays a real matrix (a
-# one-row product runs as sgemv and rounds differently); bands are
-# balanced so that none is a short leftover.
+# row-major order.  sgemm may round a row differently depending on how
+# many rows share the product: with OpenBLAS 0.3.31 on one thread, the
+# first rows of an (M, 128) @ (128, 3) product differ from the same rows
+# at M = 4096 for every M <= 256 tried, and with a transposed (32, 32)
+# right operand for every M <= 37.  What keeps the encoder and the decoder
+# in step is that every band cut depends only on the shapes of the call,
+# so both run the same products.  Bands are balanced so that none is a
+# short leftover (a one-row product runs as sgemv).
 
 # flattened matmul rows per band
 _BAND_ROWS = 8192
@@ -740,10 +741,8 @@ class GdnParams:
 
 
 def gdn(x: Tensor, params: GdnParams, inverse: bool = False) -> Tensor:
-    """y_i = x_i / sqrt(beta_i + sum_j gamma_ij x_j^2); inverse multiplies."""
-    if x.shape[3] != params.channels:
-        raise ContractViolation(
-            f"gdn params for {params.channels} channels, input has {x.shape[3]}")
+    """y_i = x_i / sqrt(beta_i + sum_j gamma_ij x_j^2); inverse multiplies.
+    cmatmul refuses x whose channels are not the params' channels."""
     root = sqrt(add(cmatmul(square(x), params.gamma()), params.beta()))
     return mul(x, root) if inverse else div(x, root)
 
@@ -753,9 +752,11 @@ def gdn_(x: Tensor, params: GdnParams, inverse: bool = False) -> Tensor:
 
     GDN mixes channels pixel by pixel, so it runs over bands of rows of
     x's (pixels, c) view with band-sized scratch: gdn's ops in gdn's
-    order, each with its finiteness check and errstate.  Bands are cut as
-    _bands cuts them, so each band's cmatmul rows are the rows the whole
-    product gives."""
+    order, each with its finiteness check and errstate.  The bands are cut
+    from x's shape alone, as _bands cuts them, so one shape always gives
+    the same bits.  They equal gdn's single product only where sgemm rounds
+    a row alike at both row counts (see the conv engine's note), as it
+    does at the layer shapes test_transforms pins."""
     data = _writable(x, params.beta_u, params.gamma_v)
     c = params.channels
     if x.shape[3] != c:

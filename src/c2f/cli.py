@@ -31,16 +31,16 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-class _WeightsIoError(Exception):
-    """Weights file unreadable or malformed: an i/o failure, not a stream error."""
+class _InputIoError(Exception):
+    """A weights or image file unreadable or malformed: an i/o failure, not
+    a stream error, even where the reader raises TruncatedFileError."""
 
 
-def _load_model_io(path):
-    from .weights import load_model
+def _read_input(read, path):
     try:
-        return load_model(path)
+        return read(path)
     except FormatError as exc:
-        raise _WeightsIoError(f"{path}: {exc}") from exc
+        raise _InputIoError(f"{path}: {exc}") from exc
 
 
 def _list_images(path: str) -> list[Path]:
@@ -86,9 +86,10 @@ def cmd_encode(args) -> int:
     from .codec import encode_array
     from .evaluation import bpp
     from .imageio import read_image
+    from .weights import load_model
 
-    model = _load_model_io(args.model)
-    img = read_image(args.input)
+    model = _read_input(load_model, args.model)
+    img = _read_input(read_image, args.input)
     t0 = time.monotonic()
     res = encode_array(model, img)
     ms = 1000.0 * (time.monotonic() - t0)
@@ -104,8 +105,9 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     from .codec import decode_array
     from .imageio import write_image
+    from .weights import load_model
 
-    model = _load_model_io(args.model)
+    model = _read_input(load_model, args.model)
     data = Path(args.input).read_bytes()
     t0 = time.monotonic()
     out = decode_array(model, data)
@@ -122,8 +124,8 @@ def cmd_eval(args) -> int:
     from .evaluation import RdRow, bpp, ms_ssim, psnr, write_rd_csv
     from .imageio import read_image
 
-    ref = read_image(args.ref)
-    test = read_image(args.test)
+    ref = _read_input(read_image, args.ref)
+    test = _read_input(read_image, args.test)
     rate = float("nan")
     if args.container:
         rate = bpp(Path(args.container).read_bytes(), ref.shape[1], ref.shape[0])
@@ -140,12 +142,13 @@ def cmd_eval(args) -> int:
 
 def cmd_rdcurve(args) -> int:
     from .evaluation import average_rows, model_rd_rows, write_curves_csv, write_rd_csv
+    from .weights import load_model
 
     images = _list_images(args.images)
     model_paths = [m for part in args.models for m in part.split(",") if m]
     rows = []
     for mpath in model_paths:
-        new = model_rd_rows(_load_model_io(mpath), images, args.codec)
+        new = model_rd_rows(_read_input(load_model, mpath), images, args.codec)
         rows.extend(new)
         _log(f"model {mpath}: "
              f"mean bpp {np.mean([r.bpp for r in new]):.4f}, "
@@ -257,7 +260,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (FileNotFoundError, IsADirectoryError, PermissionError, OSError,
-            _WeightsIoError) as exc:
+            _InputIoError) as exc:
         _log(f"error: {exc}")
         return EXIT_IO
     except (ModelIdMismatchError, CorruptStreamError, BadMagicError,

@@ -36,7 +36,7 @@ from .entropy import (CODER_GRID, LIKELIHOOD_FLOOR, QuantizerMode,
 from .errors import (ContractViolation, CorruptStreamError,
                      ModelIdMismatchError, NumericError)
 from .imageio import crop, pad_to_multiple
-from .transforms import CodecModel, LatentTriple
+from .transforms import DOWNSAMPLE, CodecModel, LatentTriple
 from .weights import model_digest
 
 
@@ -86,7 +86,7 @@ def encode_array(model: CodecModel, img: np.ndarray) -> EncodeResult:
         raise ContractViolation(f"encoder expects (h, w, 3) uint8, got {img.shape} {img.dtype}")
     orig_h, orig_w = img.shape[:2]
     check_image_size(orig_w, orig_h)
-    padded = pad_to_multiple(img, 64)
+    padded = pad_to_multiple(img, DOWNSAMPLE)
     pad_h, pad_w = padded.shape[:2]
 
     with ad.no_grad():
@@ -145,17 +145,12 @@ def _decode_streams(model: CodecModel, header: ContainerHeader, zbytes: bytes,
     x_shape, y_shape, z_shape = model.latent_shapes(header.pad_h, header.pad_w)
 
     sigma_z = model.fz.sigma_values()
-    zhat = _decode(zbytes, *_z_tables(sigma_z, int(np.prod(z_shape))), z_shape)
-
     with ad.no_grad():
+        zhat = _decode(zbytes, *_z_tables(sigma_z, int(np.prod(z_shape))), z_shape)
         side2, mu_y, sigma_y = model.side_params(zhat, 2)
-    yhat = _decode(ybytes, *CODER_GRID.tables(mu_y.data, sigma_y.data), y_shape)
-
-    with ad.no_grad():
+        yhat = _decode(ybytes, *CODER_GRID.tables(mu_y.data, sigma_y.data), y_shape)
         side1, mu_x, sigma_x = model.side_params(yhat, 1)
-    xhat = _decode(xbytes, *CODER_GRID.tables(mu_x.data, sigma_x.data), x_shape)
-
-    with ad.no_grad():
+        xhat = _decode(xbytes, *CODER_GRID.tables(mu_x.data, sigma_x.data), x_shape)
         recon = model.synthesize(xhat, side1, side2)
     # the decoder's own map becomes the pixels in place
     pixels = recon.data[0]

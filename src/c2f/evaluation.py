@@ -52,10 +52,9 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     return 10.0 * math.log10(255.0 ** 2 / mse)
 
 
-def gaussian_window(size: int = MSSSIM_WINDOW, sigma: float = MSSSIM_SIGMA) -> np.ndarray:
-    half = (size - 1) / 2.0
-    x = np.arange(size, dtype=np.float64) - half
-    w = np.exp(-(x ** 2) / (2.0 * sigma ** 2))
+def gaussian_window() -> np.ndarray:
+    x = np.arange(MSSSIM_WINDOW, dtype=np.float64) - (MSSSIM_WINDOW - 1) / 2.0
+    w = np.exp(-(x ** 2) / (2.0 * MSSSIM_SIGMA ** 2))
     return w / w.sum()
 
 
@@ -64,10 +63,10 @@ def _filter2(plane: np.ndarray, window: np.ndarray) -> np.ndarray:
     return ndimage.correlate1d(out, window, axis=1, mode="reflect")
 
 
-def _ssim_pass(a: np.ndarray, b: np.ndarray, data_range: float) -> tuple[float, float]:
+def _ssim_pass(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """Mean luminance and contrast-structure terms for one scale."""
-    c1 = (MSSSIM_K1 * data_range) ** 2
-    c2 = (MSSSIM_K2 * data_range) ** 2
+    c1 = (MSSSIM_K1 * 255.0) ** 2
+    c2 = (MSSSIM_K2 * 255.0) ** 2
     window = gaussian_window()
     mu_a = _filter2(a, window)
     mu_b = _filter2(b, window)
@@ -99,9 +98,8 @@ def max_scales(h: int, w: int) -> int:
     return scales
 
 
-def ms_ssim(a: np.ndarray, b: np.ndarray, data_range: float = 255.0,
-            scales: int | None = None) -> float:
-    """Multi-scale structural similarity in [0, 1], channel-averaged."""
+def ms_ssim(a: np.ndarray, b: np.ndarray, scales: int | None = None) -> float:
+    """Multi-scale structural similarity in [0, 1] of 8-bit images, channel-averaged."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
@@ -130,7 +128,7 @@ def ms_ssim(a: np.ndarray, b: np.ndarray, data_range: float = 255.0,
         mcs = []
         lum = 1.0
         for s in range(scales):
-            lum, cs = _ssim_pass(pa, pb, data_range)
+            lum, cs = _ssim_pass(pa, pb)
             mcs.append(max(cs, 0.0))
             if s + 1 < scales:
                 pa = _downsample2(pa)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .container import MAX_SIDE
 from .errors import ContractViolation, FormatError, TruncatedFileError
 
 _PNG_SIG = b"\x89PNG\r\n\x1a\n"
@@ -55,6 +56,8 @@ def decode_png(data: bytes) -> np.ndarray:
             raise TruncatedFileError("PNG chunk truncated")
         pos += length + 4  # skip CRC
         if ctype == b"IHDR":
+            if length != 13:
+                raise FormatError(f"PNG IHDR chunk is {length} bytes, not 13")
             ihdr = struct.unpack(">IIBBBBB", chunk)
         elif ctype == b"IDAT":
             idat.extend(chunk)
@@ -63,6 +66,7 @@ def decode_png(data: bytes) -> np.ndarray:
     if ihdr is None:
         raise FormatError("PNG missing IHDR")
     w, h, depth, color, comp, filt, interlace = ihdr
+    _check_size("PNG", w, h)
     if depth != 8:
         raise FormatError(f"only 8-bit PNG supported, got depth {depth}")
     if color not in _CHANNELS:
@@ -70,13 +74,18 @@ def decode_png(data: bytes) -> np.ndarray:
     if interlace != 0:
         raise FormatError("interlaced PNG not supported")
     nch = _CHANNELS[color]
+    stride = w * nch
+    expected = h * (stride + 1)
+    inflater = zlib.decompressobj()
     try:
-        raw = zlib.decompress(bytes(idat))
+        # one byte past the size the header gives is enough to refuse more
+        raw = inflater.decompress(idat, expected + 1)
     except zlib.error as exc:
         raise FormatError(f"PNG deflate stream corrupt: {exc}") from exc
-    stride = w * nch
-    if len(raw) != h * (stride + 1):
+    if len(raw) != expected:
         raise TruncatedFileError("PNG pixel data has wrong length")
+    if not inflater.eof:
+        raise FormatError("PNG deflate stream corrupt: incomplete or truncated stream")
     img = _unfilter(np.frombuffer(raw, np.uint8).reshape(h, stride + 1), w, nch)
     img = img.reshape(h, w, nch)
     if color == 0:
@@ -155,17 +164,23 @@ def decode_ppm(data: bytes) -> np.ndarray:
             raise TruncatedFileError("PPM header truncated")
         c = data[pos:pos + 1]
         if c == b"#":
-            pos = data.index(b"\n", pos) + 1
+            pos = data.find(b"\n", pos) + 1
+            if pos == 0:
+                raise TruncatedFileError("PPM header truncated")
         elif c.isspace():
             pos += 1
         else:
             end = pos
             while end < len(data) and not data[end:end + 1].isspace():
                 end += 1
-            fields.append(int(data[pos:end]))
+            field = data[pos:end]
+            if not field.isdigit() or len(field) > 9:
+                raise FormatError(f"PPM header field {field[:12]!r} is not a number below 10^9")
+            fields.append(int(field))
             pos = end
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
+    _check_size("PPM", w, h)
     if maxval != 255:
         raise FormatError(f"only 8-bit PPM supported, got maxval {maxval}")
     need = w * h * 3
@@ -173,6 +188,13 @@ def decode_ppm(data: bytes) -> np.ndarray:
     if len(pix) != need:
         raise TruncatedFileError("PPM pixel data truncated")
     return np.frombuffer(pix, np.uint8).reshape(h, w, 3).copy()
+
+
+def _check_size(kind: str, w: int, h: int) -> None:
+    # encode_array refuses these sizes too; refused here before a header
+    # sizes any buffer
+    if not (1 <= w <= MAX_SIDE and 1 <= h <= MAX_SIDE):
+        raise FormatError(f"{kind} size {w}x{h} is outside 1..{MAX_SIDE} per side")
 
 
 def encode_ppm(arr: np.ndarray) -> bytes:

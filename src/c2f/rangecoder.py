@@ -63,10 +63,6 @@ class CdfTable:
             raise ContractViolation("cdf must run from 0 to 65536")
         self.nsymbols = self.cum.size - 1 - self.has_escape
 
-    @property
-    def smax(self) -> int:
-        return self.smin + self.nsymbols - 1
-
     def validate(self) -> "CdfTable":
         if self.cum[0] != 0:
             raise ContractViolation("cdf must run from 0 to 65536")
@@ -81,7 +77,8 @@ class CdfTable:
         if self.has_escape:
             return self.nsymbols
         raise ContractViolation(
-            f"symbol {value} outside alphabet [{self.smin}, {self.smax}] with no escape bin")
+            f"symbol {value} outside alphabet [{self.smin}, "
+            f"{self.smin + self.nsymbols - 1}] with no escape bin")
 
 
 class TableRows:

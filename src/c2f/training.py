@@ -27,7 +27,7 @@ from .entropy import QuantizerMode, gaussian_likelihood, rate_bits, z_likelihood
 from .errors import ConfigError, ContractViolation
 from .evaluation import MSSSIM_WEIGHTS, MSSSIM_WINDOW, gaussian_window
 from .imageio import read_image
-from .transforms import ArchConfig, CodecModel
+from .transforms import DOWNSAMPLE, ArchConfig, CodecModel
 from .weights import load_checkpoint, save_checkpoint, save_model
 
 
@@ -57,8 +57,8 @@ class TrainConfig:
     def __post_init__(self):
         if not self.lambda_ > 0:
             raise ConfigError(f"lambda must be positive, got {self.lambda_}")
-        if self.patch % 64:
-            raise ConfigError(f"patch must be a multiple of 64, got {self.patch}")
+        if self.patch % DOWNSAMPLE:
+            raise ConfigError(f"patch must be a multiple of {DOWNSAMPLE}, got {self.patch}")
         if self.steps < 1 or self.batch < 1:
             raise ConfigError("steps and batch must be >= 1")
         if self.distortion not in ("mse", "msssim"):

@@ -95,6 +95,19 @@ def test_malformed_weights_header_exits_3(workdir, tmp_path, capsys, offset, val
     assert "bad.c2fw" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["encode", "eval"])
+def test_truncated_image_exits_3(workdir, tmp_path, capsys, command):
+    # a bad input image is an i/o failure, not a model or stream mismatch
+    bad = tmp_path / "cut.ppm"
+    bad.write_bytes(b"P6\n64 64\n255\n" + bytes(100))
+    args = (["encode", "--model", workdir / "model.c2fw", "--input", bad,
+             "--output", tmp_path / "x.c2f"] if command == "encode"
+            else ["eval", "--ref", workdir / "img0.png", "--test", bad])
+    assert run(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cut.ppm" in err and err.count("\n") == 1
+
+
 def test_wrong_model_exits_4(workdir, tmp_path):
     other = CodecModel(TINY, lambda_tag=999, seed=9)
     wts.save_model(other, tmp_path / "other.c2fw")

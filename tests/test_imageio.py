@@ -1,5 +1,6 @@
 import io
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -105,6 +106,44 @@ def test_not_an_image(tmp_path):
 def test_truncated_ppm():
     with pytest.raises(TruncatedFileError):
         iio.decode_ppm(b"P6\n4 4\n255\nshort")
+
+
+def png_of(ihdr: bytes, idat: bytes = b"") -> bytes:
+    return (iio._PNG_SIG + iio._chunk(b"IHDR", ihdr) + iio._chunk(b"IDAT", idat)
+            + iio._chunk(b"IEND", b""))
+
+
+@pytest.mark.parametrize("data", [
+    b"P6\nabc 2\n255\n" + bytes(12),                   # size field not a number
+    b"P6\n-1 2\n255\n" + bytes(12),                    # nor a signed one
+    b"P6\n# x",                                         # comment with no newline
+    b"P6\n0 2\n255\n",                                 # zero width
+    png_of(struct.pack(">IIB", 1, 1, 8)),               # IHDR of 9 bytes, not 13
+    # sizes outside 1..MAX_SIDE, each with the pixel rows it claims
+    png_of(struct.pack(">IIBBBBB", 0, 1, 8, 2, 0, 0, 0), zlib.compress(bytes(1))),
+    png_of(struct.pack(">IIBBBBB", 1, (1 << 15) + 1, 8, 2, 0, 0, 0),
+           zlib.compress(bytes(((1 << 15) + 1) * 4))),
+], ids=["ppm-size-text", "ppm-size-signed", "ppm-comment-no-newline", "ppm-zero-width",
+        "png-short-ihdr", "png-zero-width", "png-too-tall"])
+def test_malformed_header_is_a_format_error(data):
+    with pytest.raises(FormatError):  # TruncatedFileError is one too
+        iio.decode_png(data) if data[:8] == iio._PNG_SIG else iio.decode_ppm(data)
+
+
+def test_png_inflate_is_bounded_by_its_header():
+    # a 1x1 RGB image needs 4 bytes; its IDAT inflates to 64 MiB of zeros
+    deflater = zlib.compressobj(9)
+    zeros = bytes(1 << 20)
+    idat = b"".join([deflater.compress(zeros) for _ in range(64)] + [deflater.flush()])
+    data = png_of(struct.pack(">IIBBBBB", 1, 1, 8, 2, 0, 0, 0), idat)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedFileError):
+            iio.decode_png(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, f"decode_png peaked at {peak / 2 ** 20:.1f} MiB"
 
 
 def test_writer_rejects_float():

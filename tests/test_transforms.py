@@ -64,12 +64,15 @@ def test_hyper_synthesis_shapes(model):
     assert model.hyper_synthesis(z, 2).shape == (1, 2, 2, ARCH.c_y)
 
 
-def test_hyper_channel_contract(model):
+@pytest.mark.parametrize("stage, level", [
+    ("hyper_analysis", 1), ("hyper_analysis", 2),
+    ("hyper_synthesis", 1), ("hyper_synthesis", 2),
+    ("predict_params", "x"), ("predict_params", "y")])
+def test_hyper_channel_contract(model, stage, level):
+    # 5 channels is no stage's width (8 or 4); the stage's first layer refuses it
     bad = Tensor(np.zeros((1, 4, 4, 5), np.float32))
     with pytest.raises(ContractViolation):
-        model.hyper_analysis(bad, 1)
-    with pytest.raises(ContractViolation):
-        model.hyper_synthesis(bad, 2)
+        getattr(model, stage)(bad, level)
 
 
 # ---------------------------------------------------------------------------
