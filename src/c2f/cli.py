@@ -142,9 +142,10 @@ def cmd_eval(args) -> int:
 
 def cmd_rdcurve(args) -> int:
     from .evaluation import average_rows, model_rd_rows, write_curves_csv, write_rd_csv
+    from .imageio import read_image
     from .weights import load_model
 
-    images = _list_images(args.images)
+    images = [(p.name, _read_input(read_image, p)) for p in _list_images(args.images)]
     model_paths = [m for part in args.models for m in part.split(",") if m]
     rows = []
     for mpath in model_paths:

@@ -65,7 +65,7 @@ def _encode(values: np.ndarray, tables: rc.TableRows, center) -> bytes:
 
 def _decode(data: bytes, tables: rc.TableRows, center, shape) -> Tensor:
     rel = rc.decode(data, tables, int(np.prod(shape)))
-    return Tensor((np.asarray(rel, np.int64) + center).astype(np.float32).reshape(shape))
+    return Tensor((rel + center).astype(np.float32).reshape(shape))
 
 
 def _modeled_bits(values: np.ndarray, mu, sigma) -> float:

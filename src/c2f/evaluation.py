@@ -20,7 +20,6 @@ import csv
 import math
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
@@ -281,13 +280,21 @@ def read_rd_csv(path) -> list[RdRow]:
             key = (rec["codec"], rec["image"])
             idx = seen[key] = seen.get(key, -1) + 1
             quality = rec.get("quality") or str(idx)
-            psnr_field = rec.get("psnr_db") or rec.get("psnr") or "nan"
+            line = reader.line_num
             rows.append(RdRow(
                 codec=rec["codec"], quality=quality, image=rec["image"],
-                bpp=float(rec["bpp"]),
-                psnr_db=math.inf if psnr_field == "inf" else float(psnr_field),
-                msssim=float(rec.get("msssim") or "nan")))
+                bpp=_csv_float(path, line, "bpp", rec["bpp"]),
+                psnr_db=_csv_float(path, line, "psnr_db",
+                                   rec.get("psnr_db") or rec.get("psnr") or "nan"),
+                msssim=_csv_float(path, line, "msssim", rec.get("msssim") or "nan")))
     return rows
+
+
+def _csv_float(path, line: int, field: str, text) -> float:
+    try:
+        return float(text)
+    except (TypeError, ValueError):  # TypeError: the row ends before the field
+        raise ConfigError(f"{path} line {line}: {field} {text!r} is not a number") from None
 
 
 def average_rows(rows: list[RdRow], metric: str = "psnr_db") -> dict[str, RdCurve]:
@@ -320,8 +327,9 @@ def write_curves_csv(curves: dict[str, RdCurve], out) -> None:
             writer.writerow([name, "mean", _fmt(pt.bpp), _fmt(pt.distortion), "", ""])
 
 
-def model_rd_rows(model, image_paths: list, codec: str = "c2f") -> list[RdRow]:
-    """Encode, decode and score every image with one model, serially.
+def model_rd_rows(model, images: list, codec: str = "c2f") -> list[RdRow]:
+    """Encode, decode and score every (name, image) pair with one model,
+    serially.
 
     One RdRow per image; quality is the model's lambda tag and bpp counts
     the whole container.  The model's curve point takes the mean of the
@@ -330,18 +338,16 @@ def model_rd_rows(model, image_paths: list, codec: str = "c2f") -> list[RdRow]:
     naming both values goes to stderr.
     """
     from .codec import decode_array, encode_array
-    from .imageio import read_image
 
     rows = []
     bits = pixels = 0
-    for path in image_paths:
-        img = read_image(path)
+    for name, img in images:
         res = encode_array(model, img)
         out = decode_array(model, res.data)
         bits += 8 * len(res.data)
         pixels += img.shape[0] * img.shape[1]
         rows.append(RdRow(codec=codec, quality=str(model.lambda_tag),
-                          image=Path(path).name,
+                          image=name,
                           bpp=bpp(len(res.data), img.shape[1], img.shape[0]),
                           psnr_db=psnr(img, out.image),
                           msssim=ms_ssim(img, out.image)))

@@ -110,19 +110,20 @@ def _unfilter(rows: np.ndarray, w: int, nch: int) -> np.ndarray:
             rec = cur.reshape(w, nch).cumsum(axis=0).reshape(-1) % 256
         elif ftype == 2:  # Up
             rec = (cur + prev) % 256
-        elif ftype == 3:  # Average
-            rec = cur.copy()
+        elif ftype == 3:  # Average, byte by byte over Python ints
+            rec, up = cur.tolist(), prev.tolist()
             for x in range(w * nch):
                 left = rec[x - nch] if x >= nch else 0
-                rec[x] = (rec[x] + (left + prev[x]) // 2) % 256
-        elif ftype == 4:  # Paeth
-            rec = cur.copy()
+                rec[x] = (rec[x] + (left + up[x]) // 2) % 256
+            rec = np.array(rec, dtype=np.int64)
+        elif ftype == 4:  # Paeth, likewise
+            rec, up = cur.tolist(), prev.tolist()
             for x in range(w * nch):
                 a = rec[x - nch] if x >= nch else 0
-                b = prev[x]
-                c = prev[x - nch] if x >= nch else 0
-                p = a + b - c
-                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+                b = up[x]
+                c = up[x - nch] if x >= nch else 0
+                # |p - a|, |p - b|, |p - c| for p = a + b - c
+                pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - 2 * c)
                 if pa <= pb and pa <= pc:
                     pred = a
                 elif pb <= pc:
@@ -130,6 +131,7 @@ def _unfilter(rows: np.ndarray, w: int, nch: int) -> np.ndarray:
                 else:
                     pred = c
                 rec[x] = (rec[x] + pred) % 256
+            rec = np.array(rec, dtype=np.int64)
         else:
             raise FormatError(f"unknown PNG filter type {ftype}")
         out[y] = rec.astype(np.uint8)

@@ -17,8 +17,7 @@ two's-complement int32 bytes, most significant first, each coded as bin
 [256 * b, 256 * (b + 1)).
 
 A stream's tables reach the coder as one TableRows: an (R, W) array of
-cumulative rows and the row index of every symbol.  A list of CdfTable
-objects, one per symbol, is stacked into that form first.
+cumulative rows and the row index of every symbol.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import numpy as np
 
 from .errors import ContractViolation, CorruptStreamError
 
-__all__ = ["CdfTable", "TableRows", "encode", "decode", "CDF_TOTAL"]
+__all__ = ["TableRows", "encode", "decode", "CDF_TOTAL"]
 
 CDF_TOTAL = 1 << 16
 
@@ -42,53 +41,14 @@ _INT32_LO, _INT32_HI = -(1 << 31), (1 << 31) - 1
 _PAYLOAD_SHIFTS = np.array([24, 16, 8, 0], dtype=np.int64)
 
 
-class CdfTable:
-    """Integer CDF over a contiguous symbol alphabet starting at smin.
-
-    `cum` has one more entry than there are bins, starts at 0, is strictly
-    increasing (every bin holds frequency >= 1) and ends exactly at 65536;
-    the constructor checks the bin count and the end, validate() the rest.
-    If `has_escape` is set, the final bin codes out-of-alphabet values.
-    """
-
-    __slots__ = ("smin", "cum", "has_escape", "nsymbols")
-
-    def __init__(self, smin: int, cum, has_escape: bool = False):
-        self.smin = int(smin)
-        self.cum = np.asarray(cum, dtype=np.int64)
-        self.has_escape = bool(has_escape)
-        if self.cum.ndim != 1 or self.cum.size < 2:
-            raise ContractViolation("cdf table needs at least one bin")
-        if self.cum[-1] != CDF_TOTAL:
-            raise ContractViolation("cdf must run from 0 to 65536")
-        self.nsymbols = self.cum.size - 1 - self.has_escape
-
-    def validate(self) -> "CdfTable":
-        if self.cum[0] != 0:
-            raise ContractViolation("cdf must run from 0 to 65536")
-        if not np.all(np.diff(self.cum) >= 1):
-            raise ContractViolation("cdf must be strictly increasing (freq >= 1)")
-        return self
-
-    def index_of(self, value: int) -> int:
-        off = value - self.smin
-        if 0 <= off < self.nsymbols:
-            return off
-        if self.has_escape:
-            return self.nsymbols
-        raise ContractViolation(
-            f"symbol {value} outside alphabet [{self.smin}, "
-            f"{self.smin + self.nsymbols - 1}] with no escape bin")
-
-
 class TableRows:
     """The tables of one stream as arrays: symbol i is coded under row index[i].
 
     `cum` is a C-contiguous (R, W) int64 array.  Row r is a cumulative
-    table like CdfTable.cum, padded with CDF_TOTAL to width W: its first
-    nsymbols[r] bins code the values smin[r] onward, and if has_escape[r]
-    the next bin is the escape bin.  smin, nsymbols and has_escape are
-    per row, and a scalar stands for every row.
+    table that starts at 0, ends at CDF_TOTAL and is padded with CDF_TOTAL
+    to width W: its first nsymbols[r] bins code the values smin[r] onward,
+    and if has_escape[r] the next bin is the escape bin.  smin, nsymbols
+    and has_escape are per row, and a scalar stands for every row.
     """
 
     __slots__ = ("cum", "index", "smin", "nsymbols", "has_escape")
@@ -109,25 +69,8 @@ class TableRows:
         if self.index.size and not 0 <= self.index.min() <= self.index.max() < rows:
             raise ContractViolation(f"row index outside the {rows} rows")
 
-    @classmethod
-    def stack(cls, tables: Sequence[CdfTable]) -> "TableRows":
-        """One row per distinct table of a per-symbol table list."""
-        rows: dict[int, int] = {}
-        index = [rows.setdefault(id(t), len(rows)) for t in tables]
-        distinct = list({id(t): t for t in tables}.values())
-        width = max((t.cum.size for t in distinct), default=2)
-        cum = np.full((len(distinct), width), CDF_TOTAL, dtype=np.int64)
-        for r, t in enumerate(distinct):
-            cum[r, :t.cum.size] = t.cum
-        return cls(cum, index, [t.smin for t in distinct],
-                   [t.nsymbols for t in distinct], [t.has_escape for t in distinct])
-
     def __len__(self) -> int:
         return self.index.size
-
-
-def _rows(tables) -> TableRows:
-    return tables if isinstance(tables, TableRows) else TableRows.stack(tables)
 
 
 def _bins(values: np.ndarray, t: TableRows) -> tuple[np.ndarray, np.ndarray]:
@@ -161,10 +104,8 @@ def _bins(values: np.ndarray, t: TableRows) -> tuple[np.ndarray, np.ndarray]:
     return np.insert(cum_lo, after, payload.reshape(-1) << 8), np.insert(freq, after, 256)
 
 
-def encode(symbols: Sequence[int], tables: TableRows | Sequence[CdfTable]) -> bytes:
-    """Encode one stream; symbols[i] is coded with row tables.index[i]
-    (or with tables[i] of a CdfTable list)."""
-    t = _rows(tables)
+def encode(symbols: Sequence[int], t: TableRows) -> bytes:
+    """Encode one stream; symbols[i] is coded with row t.index[i]."""
     try:
         values = np.asarray(symbols, dtype=np.int64).reshape(-1)
     except OverflowError:
@@ -192,13 +133,13 @@ def encode(symbols: Sequence[int], tables: TableRows | Sequence[CdfTable]) -> by
     return bytes(out) + low.to_bytes(_FLUSH_BYTES, "big")
 
 
-def decode(data: bytes, tables: TableRows | Sequence[CdfTable], n: int) -> list[int]:
-    """Decode exactly n symbols; inverse of encode() for identical tables."""
-    t = _rows(tables)
+def decode(data: bytes, t: TableRows, n: int) -> np.ndarray:
+    """Decode exactly n symbols into an int64 array; inverse of encode()
+    for identical tables."""
     if n != len(t):
         raise ContractViolation(f"n={n} but {len(t)} tables supplied")
     if n == 0:
-        return []
+        return np.zeros(0, dtype=np.int64)
     end = len(data)
     if end < _FLUSH_BYTES:
         raise CorruptStreamError(f"stream exhausted at byte {end} of {end}")
@@ -256,4 +197,4 @@ def decode(data: bytes, tables: TableRows | Sequence[CdfTable], n: int) -> list[
         found.append(p)
     values = np.asarray(found, dtype=np.int64) - start - 1 + t.smin[t.index]
     values[escaped] = payloads
-    return values.tolist()
+    return values

@@ -23,6 +23,7 @@ from c2f.autodiff import GdnParams, Tensor
 from c2f.evaluation import RdCurve, RdPoint
 from c2f.transforms import FINAL_UP_INIT_GAIN, ArchConfig, CodecModel
 
+from cdf_rows import draw_symbols, padded_rows
 from gradcheck import probe_gradcheck, rel_error
 from zoo import ZOO_LAMBDAS, heldout_images
 
@@ -55,21 +56,22 @@ def test_criterion_01_lossless_coding_property_suite():
             nbins = int(rng.integers(2, 258))
             freqs = np.ones(nbins, dtype=np.int64)
             freqs[int(rng.integers(nbins))] = rc.CDF_TOTAL - (nbins - 1)
-            table = rc.CdfTable(int(rng.integers(-50, 50)),
-                                np.concatenate([[0], np.cumsum(freqs)]))
-            tables = [table] * int(rng.integers(0, 40))
+            cums = [np.concatenate([[0], np.cumsum(freqs)])]
+            smin = [int(rng.integers(-50, 50))]
+            index = [0] * int(rng.integers(0, 40))  # one row for every symbol
         else:
-            tables = []
+            cums, smin = [], []
             for _ in range(int(rng.integers(0, 18))):
                 nbins = int(rng.integers(1, 258))
                 cuts = rng.choice(np.arange(1, rc.CDF_TOTAL), size=nbins - 1,
                                   replace=False)
-                cum = np.concatenate([[0], np.sort(cuts), [rc.CDF_TOTAL]])
-                tables.append(rc.CdfTable(int(rng.integers(-200, 200)),
-                                          cum.astype(np.int64)))
-        symbols = [int(rng.integers(t.smin, t.smin + t.nsymbols)) for t in tables]
+                cums.append(np.concatenate([[0], np.sort(cuts), [rc.CDF_TOTAL]]))
+                smin.append(int(rng.integers(-200, 200)))
+            index = list(range(len(cums)))  # a row of its own for each symbol
+        tables = padded_rows(cums, smin, index)
+        symbols = draw_symbols(rng, tables)
         data = rc.encode(symbols, tables)
-        assert rc.decode(data, tables, len(symbols)) == symbols
+        assert rc.decode(data, tables, len(symbols)).tolist() == symbols
         cases += 1
     elapsed = time.monotonic() - t0
     assert cases == 10_000

@@ -95,14 +95,16 @@ def test_malformed_weights_header_exits_3(workdir, tmp_path, capsys, offset, val
     assert "bad.c2fw" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["encode", "eval"])
+@pytest.mark.parametrize("command", ["encode", "eval", "rdcurve"])
 def test_truncated_image_exits_3(workdir, tmp_path, capsys, command):
     # a bad input image is an i/o failure, not a model or stream mismatch
     bad = tmp_path / "cut.ppm"
     bad.write_bytes(b"P6\n64 64\n255\n" + bytes(100))
-    args = (["encode", "--model", workdir / "model.c2fw", "--input", bad,
-             "--output", tmp_path / "x.c2f"] if command == "encode"
-            else ["eval", "--ref", workdir / "img0.png", "--test", bad])
+    args = {"encode": ["encode", "--model", workdir / "model.c2fw", "--input", bad,
+                       "--output", tmp_path / "x.c2f"],
+            "eval": ["eval", "--ref", workdir / "img0.png", "--test", bad],
+            "rdcurve": ["rdcurve", "--models", workdir / "model.c2fw",
+                        "--images", tmp_path]}[command]
     assert run(args) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "cut.ppm" in err and err.count("\n") == 1
@@ -235,6 +237,19 @@ def test_bdrate_single_point_curve_refused(tmp_path, capsys):
                 w.writerow(["x", "img.png", 0.3 + 0.3 * i, 30 + 2 * i, "", ""])
     rc = run(["bdrate", "--anchor", tmp_path / "a.csv", "--test", tmp_path / "b.csv"])
     assert rc == 5
+
+
+def test_bdrate_non_numeric_field_exits_5(tmp_path, capsys):
+    with open(tmp_path / "a.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["codec", "image", "bpp", "psnr_db"])
+        w.writerow(["c2f", "a.png", 0.3, 30])
+        w.writerow(["c2f", "a.png", "abc", 30])
+    rc = run(["bdrate", "--anchor", tmp_path / "a.csv", "--test", tmp_path / "a.csv"])
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "a.csv line 3" in err and "bpp 'abc'" in err
 
 
 def test_train_command_smoke(workdir, tmp_path, capsys):

@@ -62,38 +62,43 @@ def test_png_rgba_drops_alpha():
 
 @pytest.mark.parametrize("ftype", [0, 1, 2, 3, 4])
 def test_png_all_filter_types_decode(ftype):
-    """Encode rows manually with one filter type and check recovery."""
+    """Encode rows manually with one filter type and check recovery, for
+    every colour type: 1, 3, 2 and 4 bytes per pixel."""
     rng = np.random.default_rng(10 + ftype)
-    img = rng.integers(0, 256, (6, 7, 3), dtype=np.uint8)
-    h, w, _ = img.shape
-    flat = img.reshape(h, w * 3).astype(np.int64)
-    rows = np.zeros((h, w * 3 + 1), np.uint8)
-    prev = np.zeros(w * 3, dtype=np.int64)
-    for y in range(h):
-        cur = flat[y]
-        left = np.concatenate([[0, 0, 0], cur[:-3]])
-        upleft = np.concatenate([[0, 0, 0], prev[:-3]])
-        if ftype == 0:
-            filt = cur
-        elif ftype == 1:
-            filt = cur - left
-        elif ftype == 2:
-            filt = cur - prev
-        elif ftype == 3:
-            filt = cur - (left + prev) // 2
-        else:
-            p = left + prev - upleft
-            pa, pb, pc = np.abs(p - left), np.abs(p - prev), np.abs(p - upleft)
-            pred = np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, prev, upleft))
-            filt = cur - pred
-        rows[y, 0] = ftype
-        rows[y, 1:] = (filt % 256).astype(np.uint8)
-        prev = cur
-    ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
-    data = (b"\x89PNG\r\n\x1a\n" + iio._chunk(b"IHDR", ihdr)
-            + iio._chunk(b"IDAT", zlib.compress(rows.tobytes()))
-            + iio._chunk(b"IEND", b""))
-    np.testing.assert_array_equal(iio.decode_png(data), img)
+    for color, nch in ((0, 1), (2, 3), (4, 2), (6, 4)):
+        img = rng.integers(0, 256, (6, 7, nch), dtype=np.uint8)
+        h, w, _ = img.shape
+        flat = img.reshape(h, w * nch).astype(np.int64)
+        rows = np.zeros((h, w * nch + 1), np.uint8)
+        prev = np.zeros(w * nch, dtype=np.int64)
+        none = np.zeros(nch, dtype=np.int64)
+        for y in range(h):
+            cur = flat[y]
+            left = np.concatenate([none, cur[:-nch]])
+            upleft = np.concatenate([none, prev[:-nch]])
+            if ftype == 0:
+                filt = cur
+            elif ftype == 1:
+                filt = cur - left
+            elif ftype == 2:
+                filt = cur - prev
+            elif ftype == 3:
+                filt = cur - (left + prev) // 2
+            else:
+                p = left + prev - upleft
+                pa, pb, pc = np.abs(p - left), np.abs(p - prev), np.abs(p - upleft)
+                pred = np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, prev, upleft))
+                filt = cur - pred
+            rows[y, 0] = ftype
+            rows[y, 1:] = (filt % 256).astype(np.uint8)
+            prev = cur
+        ihdr = struct.pack(">IIBBBBB", w, h, 8, color, 0, 0, 0)
+        data = (b"\x89PNG\r\n\x1a\n" + iio._chunk(b"IHDR", ihdr)
+                + iio._chunk(b"IDAT", zlib.compress(rows.tobytes()))
+                + iio._chunk(b"IEND", b""))
+        # gray (and gray+alpha) is replicated to RGB, alpha is dropped
+        want = np.repeat(img[..., :1], 3, axis=2) if nch < 3 else img[..., :3]
+        np.testing.assert_array_equal(iio.decode_png(data), want, err_msg=f"color {color}")
 
 
 def test_not_an_image(tmp_path):

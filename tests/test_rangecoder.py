@@ -9,51 +9,65 @@ import c2f.entropy as ent
 import c2f.rangecoder as rc
 from c2f.errors import ContractViolation, CorruptStreamError
 
+from cdf_rows import draw_symbols, padded_rows
 
-def uniform_table(nbins=256):
+
+def uniform_table(n, nbins=256):
+    """n symbols under one uniform row over 0..nbins-1."""
     step = rc.CDF_TOTAL // nbins
-    return rc.CdfTable(0, np.arange(0, rc.CDF_TOTAL + step, step, dtype=np.int64))
+    return padded_rows([np.arange(0, rc.CDF_TOTAL + step, step)], [0], np.zeros(n, int))
 
 
-def random_table(rng, max_bins=257):
-    """Random valid table: distinct cut points guarantee freq >= 1."""
-    nbins = int(rng.integers(1, max_bins + 1))
-    cuts = rng.choice(np.arange(1, rc.CDF_TOTAL), size=nbins - 1, replace=False)
-    cum = np.concatenate([[0], np.sort(cuts), [rc.CDF_TOTAL]]).astype(np.int64)
-    smin = int(rng.integers(-200, 200))
-    return rc.CdfTable(smin, cum).validate()
+def random_tables(rng, n, max_bins=257):
+    """n symbols, each under its own random row: distinct cut points
+    guarantee freq >= 1."""
+    cums, smin = [], []
+    for _ in range(n):
+        nbins = int(rng.integers(1, max_bins + 1))
+        cuts = rng.choice(np.arange(1, rc.CDF_TOTAL), size=nbins - 1, replace=False)
+        cums.append(np.concatenate([[0], np.sort(cuts), [rc.CDF_TOTAL]]))
+        smin.append(int(rng.integers(-200, 200)))
+    return padded_rows(cums, smin, np.arange(n))
 
 
-def skew_table(nbins=256, hot=0):
-    """One bin holds 65536-(nbins-1), every other bin holds 1."""
+def skew_table(n, nbins=256, hot=0):
+    """n symbols under one row where bin `hot` holds 65536-(nbins-1) and
+    every other bin holds 1."""
     freqs = np.ones(nbins, dtype=np.int64)
     freqs[hot] = rc.CDF_TOTAL - (nbins - 1)
-    return rc.CdfTable(0, np.concatenate([[0], np.cumsum(freqs)])).validate()
+    return padded_rows([np.concatenate([[0], np.cumsum(freqs)])], [0], np.zeros(n, int))
 
 
-def alphabet_table(mu, sigma):
-    """The build_cdf_tables row of N(mu, sigma) as a table over the alphabet."""
-    row = ent.build_cdf_tables([mu], [sigma])[0]
-    return rc.CdfTable(ent.ALPHABET_MIN, row, has_escape=True)
+def alphabet_table(mu, sigma, n):
+    """n symbols under the build_cdf_tables row of N(mu, sigma)."""
+    return ent.alphabet_rows(ent.build_cdf_tables([mu], [sigma]), np.zeros(n, int))
+
+
+def escapes(symbols, tables):
+    """How many symbols lie outside their row's alphabet."""
+    off = np.asarray(symbols) - tables.smin[tables.index]
+    return int(np.count_nonzero((off < 0) | (off >= tables.nsymbols[tables.index])))
 
 
 def roundtrip(symbols, tables):
     data = rc.encode(symbols, tables)
-    return data, rc.decode(data, tables, len(symbols))
+    back = rc.decode(data, tables, len(symbols))
+    assert back.dtype == np.int64 and back.shape == (len(symbols),)
+    return data, back.tolist()
 
 
 # ---------------------------------------------------------------------------
 
 def test_empty_stream_is_flush_only():
-    data = rc.encode([], [])
+    data, back = roundtrip([], uniform_table(0))
     assert len(data) <= 8
-    assert rc.decode(data, [], 0) == []
+    assert back == []
 
 
 def test_uniform_bytes_cost_one_byte_each():
     rng = np.random.default_rng(0)
     symbols = rng.integers(0, 256, size=1000).tolist()
-    tables = [uniform_table()] * 1000
+    tables = uniform_table(1000)
     data, back = roundtrip(symbols, tables)
     assert back == symbols
     assert abs(len(data) - 1000) <= 8
@@ -62,14 +76,13 @@ def test_uniform_bytes_cost_one_byte_each():
 def test_encode_is_deterministic():
     rng = np.random.default_rng(1)
     symbols = rng.integers(0, 256, size=300).tolist()
-    tables = [uniform_table()] * 300
+    tables = uniform_table(300)
     assert rc.encode(symbols, tables) == rc.encode(symbols, tables)
 
 
 def test_extreme_skew_roundtrip():
-    table = skew_table(256, hot=10)
     symbols = [10] * 5000 + [0, 255, 10, 128]
-    data, back = roundtrip(symbols, [table] * len(symbols))
+    data, back = roundtrip(symbols, skew_table(len(symbols), 256, hot=10))
     assert back == symbols
     # nearly-certain symbols cost almost nothing
     assert len(data) < 40
@@ -77,8 +90,8 @@ def test_extreme_skew_roundtrip():
 
 def test_mixed_tables_roundtrip():
     rng = np.random.default_rng(2)
-    tables = [random_table(rng) for _ in range(400)]
-    symbols = [int(rng.integers(t.smin, t.smin + t.nsymbols)) for t in tables]
+    tables = random_tables(rng, 400)
+    symbols = draw_symbols(rng, tables)
     _, back = roundtrip(symbols, tables)
     assert back == symbols
 
@@ -88,33 +101,30 @@ def test_gaussian_tables_roundtrip(sigma):
     rng = np.random.default_rng(3)
     n = 2000
     values = np.clip(np.round(rng.normal(0, sigma, size=n)), -127, 128).astype(int)
-    table = alphabet_table(0.0, sigma)
-    data, back = roundtrip(values.tolist(), [table] * n)
+    data, back = roundtrip(values.tolist(), alphabet_table(0.0, sigma, n))
     assert back == values.tolist()
 
 
 def test_escape_values_roundtrip():
-    table = alphabet_table(0.0, 1.0)
     symbols = [0, 1, 900, -5000, 2, 2 ** 31 - 1, -(2 ** 31), -1]
-    _, back = roundtrip(symbols, [table] * len(symbols))
+    _, back = roundtrip(symbols, alphabet_table(0.0, 1.0, len(symbols)))
     assert back == symbols
 
 
 def test_escape_rejected_beyond_int32():
-    table = alphabet_table(0.0, 1.0)
     with pytest.raises(ContractViolation):
-        rc.encode([2 ** 31], [table])
+        rc.encode([2 ** 31], alphabet_table(0.0, 1.0, 1))
 
 
 def test_out_of_alphabet_without_escape():
     with pytest.raises(ContractViolation):
-        rc.encode([300], [uniform_table()])
+        rc.encode([300], uniform_table(1))
 
 
 def test_truncated_stream_errors():
     rng = np.random.default_rng(4)
     symbols = rng.integers(0, 256, size=200).tolist()
-    tables = [uniform_table()] * 200
+    tables = uniform_table(200)
     data = rc.encode(symbols, tables)
     for cut in (0, 1, 7, len(data) // 2, len(data) - 1):
         with pytest.raises(CorruptStreamError):
@@ -131,14 +141,12 @@ def escape_stream():
     values = np.round(rng.normal(mu, sigma)).astype(np.int64)
     i32 = np.iinfo(np.int32)
     values[::37] = rng.integers(i32.min, i32.max, values[::37].size)
-    tables = [rc.CdfTable(ent.ALPHABET_MIN, row, has_escape=True)
-              for row in ent.build_cdf_tables(mu, sigma)]
-    return values.tolist(), tables
+    return values.tolist(), ent.alphabet_rows(ent.build_cdf_tables(mu, sigma), np.arange(n))
 
 
 def test_escape_stream_bytes_are_pinned():
     symbols, tables = escape_stream()
-    assert sum(t.index_of(s) == t.nsymbols for s, t in zip(symbols, tables)) == 25
+    assert escapes(symbols, tables) == 25
     data, back = roundtrip(symbols, tables)
     assert back == symbols
     assert len(data) == 316
@@ -172,24 +180,14 @@ def grid_stream():
     return values - center, tables
 
 
-def listed(tables):
-    """The same tables as a list of CdfTable objects, one per symbol."""
-    index = tables.index.tolist()
-    distinct = {r: rc.CdfTable(ent.ALPHABET_MIN, tables.cum[r], has_escape=True)
-                for r in set(index)}
-    return [distinct[r] for r in index]
-
-
-def test_grid_stream_bytes_are_pinned_on_both_paths():
+def test_grid_stream_bytes_are_pinned():
     rel, tables = grid_stream()
-    assert np.count_nonzero((rel < ent.ALPHABET_MIN) | (rel > ent.ALPHABET_MAX)) == 10
-    data = rc.encode(rel, tables)
-    assert rc.encode(rel.tolist(), listed(tables)) == data
+    assert escapes(rel, tables) == 10
+    data, back = roundtrip(rel, tables)
     assert len(data) == 225
     assert hashlib.sha256(data).hexdigest() == (
         "8ab02930005b8babeb7abfe636cb1f6684c0dacf9d9eec205a3553a14f68663d")
-    assert rc.decode(data, tables, rel.size) == rel.tolist()
-    assert rc.decode(data, listed(tables), rel.size) == rel.tolist()
+    assert back == rel.tolist()
 
 
 def test_every_cut_of_grid_stream_errors():
@@ -200,30 +198,28 @@ def test_every_cut_of_grid_stream_errors():
             rc.decode(data[:cut], tables, rel.size)
 
 
-def test_mixed_width_tables_stack_into_one_array():
-    """12 tables of 1-257 bins, smin in [-300, 300], every third with an
+def test_mixed_width_rows_code_one_stream():
+    """12 rows of 1-257 bins, smin in [-300, 300], every third with an
     escape bin, in one 3,000-symbol stream with 41 escapes."""
     rng = np.random.default_rng(17)
     i32 = np.iinfo(np.int32)
-    distinct = []
+    cums, smin, has_escape = [], [], []
     for k in range(12):
         nbins = int(rng.integers(1, 258))
         cuts = rng.choice(np.arange(1, rc.CDF_TOTAL), size=nbins - 1, replace=False)
-        cum = np.concatenate([[0], np.sort(cuts), [rc.CDF_TOTAL]]).astype(np.int64)
-        distinct.append(rc.CdfTable(int(rng.integers(-300, 300)), cum,
-                                    has_escape=nbins > 1 and k % 3 == 0))
-    tables = [distinct[i] for i in rng.integers(0, len(distinct), 3000).tolist()]
-    symbols = [int(rng.integers(i32.min, i32.max)) if t.has_escape and rng.random() < 0.05
-               else int(rng.integers(t.smin, t.smin + t.nsymbols)) for t in tables]
-    assert sum(t.index_of(s) == t.nsymbols for s, t in zip(symbols, tables)) == 41
-    rows = rc.TableRows.stack(tables)
-    assert rows.cum.shape == (len(distinct), max(t.cum.size for t in distinct))
+        cums.append(np.concatenate([[0], np.sort(cuts), [rc.CDF_TOTAL]]))
+        smin.append(int(rng.integers(-300, 300)))
+        has_escape.append(nbins > 1 and k % 3 == 0)
+    index = rng.integers(0, len(cums), 3000).tolist()
+    tables = padded_rows(cums, smin, index, has_escape)
+    nsym = tables.nsymbols.tolist()
+    symbols = [int(rng.integers(i32.min, i32.max)) if has_escape[r] and rng.random() < 0.05
+               else int(rng.integers(smin[r], smin[r] + nsym[r])) for r in index]
+    assert escapes(symbols, tables) == 41
     data, back = roundtrip(symbols, tables)
     assert back == symbols
     assert hashlib.sha256(data).hexdigest() == (
         "078391fcdec183aef21e183277d67559cec54a30d21c7ee7858a172934090ec2")
-    assert rc.encode(symbols, rows) == data
-    assert rc.decode(data, rows, len(symbols)) == symbols
 
 
 def test_table_rows_contract():
@@ -243,39 +239,31 @@ def test_table_rows_contract():
 
 def test_symbol_table_count_mismatch():
     with pytest.raises(ContractViolation):
-        rc.encode([1, 2], [uniform_table()])
+        rc.encode([1, 2], uniform_table(1))
     with pytest.raises(ContractViolation):
-        rc.decode(b"\x00" * 16, [uniform_table()] * 2, 3)
+        rc.decode(b"\x00" * 16, uniform_table(2), 3)
 
 
 def test_compression_bound():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        tables = [random_table(rng, max_bins=64) for _ in range(500)]
-        symbols = [int(rng.integers(t.smin, t.smin + t.nsymbols)) for t in tables]
+        tables = random_tables(rng, 500, max_bins=64)
+        symbols = draw_symbols(rng, tables)
         data = rc.encode(symbols, tables)
-        ideal = 0.0
-        for s, t in zip(symbols, tables):
-            idx = t.index_of(s)
-            ideal += -np.log2((t.cum[idx + 1] - t.cum[idx]) / rc.CDF_TOTAL)
+        row = tables.index
+        off = np.asarray(symbols) - tables.smin[row]
+        freq = tables.cum[row, off + 1] - tables.cum[row, off]
+        ideal = float(np.sum(-np.log2(freq / rc.CDF_TOTAL)))
         assert len(data) * 8 <= ideal + 256 + 0.001 * ideal
 
 
 def test_empty_bin_is_refused_when_coded():
-    # never validate()d: coding bin 0 would leave the coder no range
-    table = rc.CdfTable(0, [0, 0, rc.CDF_TOTAL])
+    # rows are not checked for empty bins: coding bin 0 would leave the coder no range
+    table = rc.TableRows([[0, 0, rc.CDF_TOTAL]], [0], 0, 2, False)
     with pytest.raises(ContractViolation, match="freq >= 1"):
-        rc.encode([0], [table])
-    assert rc.decode(rc.encode([1], [table]), [table], 1) == [1]
-
-
-def test_table_validation():
-    with pytest.raises(ContractViolation):
-        rc.CdfTable(0, [0, 100]).validate()           # wrong total
-    with pytest.raises(ContractViolation):
-        rc.CdfTable(0, [0, 5, 5, 65536]).validate()   # zero-frequency bin
-    with pytest.raises(ContractViolation):
-        rc.CdfTable(0, [1, 65536]).validate()         # does not start at 0
+        rc.encode([0], table)
+    _, back = roundtrip([1], table)
+    assert back == [1]
 
 
 @pytest.mark.parametrize("total", [100, rc.CDF_TOTAL - 1])
@@ -283,7 +271,7 @@ def test_table_with_another_total_is_refused_at_construction(total):
     # the coder splits its range by CDF_TOTAL, so such a table is never built
     for has_escape in (False, True):
         with pytest.raises(ContractViolation, match="run from 0 to 65536"):
-            rc.CdfTable(0, [0, total // 2, total], has_escape=has_escape)
+            rc.TableRows([[0, total // 2, total]], [0], 0, 2 - has_escape, has_escape)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +281,8 @@ def test_table_with_another_total_is_refused_at_construction(total):
 @given(st.integers(0, 2 ** 31 - 1), st.integers(0, 60))
 def test_roundtrip_property(seed, n):
     rng = np.random.default_rng(seed)
-    tables = [random_table(rng) for _ in range(n)]
-    symbols = [int(rng.integers(t.smin, t.smin + t.nsymbols)) for t in tables]
+    tables = random_tables(rng, n)
+    symbols = draw_symbols(rng, tables)
     data, back = roundtrip(symbols, tables)
     assert back == symbols
 
@@ -304,8 +292,8 @@ def test_roundtrip_property(seed, n):
 def test_skew_roundtrip_property(seed):
     rng = np.random.default_rng(seed)
     nbins = int(rng.integers(2, 257))
-    table = skew_table(nbins, hot=int(rng.integers(0, nbins)))
+    hot = int(rng.integers(0, nbins))
     n = int(rng.integers(1, 300))
     symbols = rng.integers(0, nbins, size=n).tolist()
-    _, back = roundtrip(symbols, [table] * n)
+    _, back = roundtrip(symbols, skew_table(n, nbins, hot=hot))
     assert back == symbols
