@@ -1,7 +1,7 @@
 """Coarse-to-fine hyperprior image codec.
 
 Trainable analysis/synthesis transforms with a two-level hyperprior,
-discretized Gaussian entropy models over a bit-exact range coder, plus
+discretized Gaussian entropy models over a bit-exact rANS coder, plus
 the evaluation stack (PSNR, MS-SSIM, bpp, BD-rate) and a CLI.
 """
 

@@ -7,16 +7,23 @@ Stream order is Z, then Y (tables predicted from the decoded Z), then X
 (tables predicted from the decoded Y); symbols are raster scan with the
 channel axis innermost.
 
-Every stream reaches the range coder as one `rangecoder.TableRows` (an
-array of cumulative rows and the row of every symbol) and an integer
-centre subtracted from each value.  Y and X code through the shared
-`entropy.CODER_GRID`: each element is coded as value - c under the grid
-row nearest its (mu - c, sigma), where c is its mean rounded to an
-integer in the alphabet.  Z is zero-mean with one sigma per channel, so
-it is coded under its c_z exact rows, built on every call, with c = 0.
+Every stream reaches the rANS coder (`rangecoder`) as one
+`rangecoder.TableRows` (an array of cumulative rows and the row of every
+symbol) and an integer centre subtracted from each value.  Y and X code
+through the shared `entropy.CODER_GRID`: each element is coded as
+value - c under the grid row nearest its (mu - c, sigma), where c is its
+mean rounded to an integer in the alphabet.  Z is zero-mean with one
+sigma per channel, so it is coded under its c_z exact rows, built on
+every call, with c = 0.
 The latents, their digest and `modeled_bits` (the float model's
 cross-entropy) do not depend on the grid; only the Y and X stream bytes
 do.
+
+The header carries the first 4 bytes of the latent digest.  The decoder
+compares them once X is decoded and before synthesis, so a stream that
+decodes to other latents (a flipped bit, or side-path floats that pick
+other table rows on another CPU) raises CorruptStreamError instead of
+giving a wrong image.
 """
 
 from __future__ import annotations
@@ -80,6 +87,11 @@ def latent_digest(xhat: np.ndarray, yhat: np.ndarray, zhat: np.ndarray) -> str:
     return h.hexdigest()
 
 
+def latent_check(digest: str) -> bytes:
+    """The 4 bytes of a latent digest that a container header carries."""
+    return bytes.fromhex(digest[:8])
+
+
 def encode_array(model: CodecModel, img: np.ndarray) -> EncodeResult:
     """Compress an (h, w, 3) uint8 image into a container byte string."""
     if img.ndim != 3 or img.shape[2] != 3 or img.dtype != np.uint8:
@@ -106,15 +118,17 @@ def encode_array(model: CodecModel, img: np.ndarray) -> EncodeResult:
                + _modeled_bits(y_syms, lat.mu_y.data.reshape(-1), lat.sigma_y.data.reshape(-1))
                + _modeled_bits(x_syms, lat.mu_x.data.reshape(-1), lat.sigma_x.data.reshape(-1)))
 
+    digest = latent_digest(lat.x.data, lat.y.data, lat.z.data)
     header = ContainerHeader(model_id=model_digest(model),
                              orig_w=orig_w, orig_h=orig_h,
                              pad_w=pad_w, pad_h=pad_h,
-                             lambda_tag=model.lambda_tag)
+                             lambda_tag=model.lambda_tag,
+                             latent_check=latent_check(digest))
     data = write_container(header, zbytes, ybytes, xbytes)
     return EncodeResult(
         data=data, latents=lat, modeled_bits=modeled,
         stream_bits=8 * (len(zbytes) + len(ybytes) + len(xbytes)),
-        latent_digest=latent_digest(lat.x.data, lat.y.data, lat.z.data))
+        latent_digest=digest)
 
 
 @dataclass
@@ -136,7 +150,7 @@ def decode_array(model: CodecModel, data: bytes) -> DecodeResult:
         return _decode_streams(model, header, zbytes, ybytes, xbytes)
     except NumericError as exc:
         # the weights match, so a non-finite value can only come from
-        # latents no encoder wrote: a flipped bit desynced the coder
+        # latents no encoder wrote
         raise CorruptStreamError(f"stream decodes to invalid latents: {exc}") from exc
 
 
@@ -151,6 +165,11 @@ def _decode_streams(model: CodecModel, header: ContainerHeader, zbytes: bytes,
         yhat = _decode(ybytes, *CODER_GRID.tables(mu_y.data, sigma_y.data), y_shape)
         side1, mu_x, sigma_x = model.side_params(yhat, 1)
         xhat = _decode(xbytes, *CODER_GRID.tables(mu_x.data, sigma_x.data), x_shape)
+        digest = latent_digest(xhat.data, yhat.data, zhat.data)
+        if latent_check(digest) != header.latent_check:
+            raise CorruptStreamError(
+                f"decoded latents fail the header's check ({digest[:8]} != "
+                f"{header.latent_check.hex()})")
         recon = model.synthesize(xhat, side1, side2)
     # the decoder's own map becomes the pixels in place
     pixels = recon.data[0]
@@ -160,4 +179,4 @@ def _decode_streams(model: CodecModel, header: ContainerHeader, zbytes: bytes,
     return DecodeResult(
         image=crop(img, header.orig_h, header.orig_w),
         header=header,
-        latent_digest=latent_digest(xhat.data, yhat.data, zhat.data))
+        latent_digest=digest)

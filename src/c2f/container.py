@@ -4,7 +4,7 @@ Byte-exact layout, all integers little-endian:
 
     offset  size  field
     0       4     magic "C2F1"
-    4       2     version (u16, currently 2)
+    4       2     version (u16, currently 3)
     6       32    model_id (sha-256 of the weights file)
     38      4     orig_w (u32, 1..MAX_SIDE)
     42      4     orig_h (u32, 1..MAX_SIDE)
@@ -14,15 +14,21 @@ Byte-exact layout, all integers little-endian:
     56      8     z stream length (u64)
     64      8     y stream length (u64)
     72      8     x stream length (u64)
-    80      -     Z stream bytes, then Y, then X, no padding between
+    80      4     latent check (the first 4 bytes of the latent digest)
+    84      -     Z stream bytes, then Y, then X, no padding between
 
 Decoding order Z -> Y -> X is forced by construction: the Y tables are
-predicted from the decoded Z, and the X tables from the decoded Y.
+predicted from the decoded Z, and the X tables from the decoded Y.  The
+latent check is the first 4 bytes of the sha-256 over the quantized Z, Y
+and X planes (`codec.latent_digest`); the decoder compares it once X is
+decoded, before synthesis, so a decode that does not give the encoder's
+latents fails as a corrupt stream.
 
-Version 2 Y and X streams code each element relative to its
-integer-rounded mean under a row of the shared scale x offset grid
-(`entropy.CoderGrid`); version 1 used one exact table per element and is
-refused with VersionMismatchError.
+Version 3 streams are rANS-coded (`rangecoder`), and Y and X code each
+element relative to its integer-rounded mean under a row of the shared
+scale x offset grid (`entropy.CoderGrid`).  Version 2 range-coded the
+same bins with no latent check, and version 1 used one exact table per
+element; both are refused with VersionMismatchError.
 """
 
 from __future__ import annotations
@@ -34,10 +40,10 @@ from .errors import (BadMagicError, ContractViolation, CorruptStreamError,
                      TruncatedFileError, VersionMismatchError)
 
 MAGIC = b"C2F1"
-VERSION = 2
-_FMT = "<4sH32sIIIIHQQQ"
+VERSION = 3
+_FMT = "<4sH32sIIIIHQQQ4s"
 HEADER_SIZE = struct.calcsize(_FMT)
-assert HEADER_SIZE == 80
+assert HEADER_SIZE == 84
 
 # Largest image side a container may declare.  A reader refuses a header
 # outside [1, MAX_SIDE] before the decoder sizes any table or plane from
@@ -62,11 +68,14 @@ class ContainerHeader:
     z_len: int = 0
     y_len: int = 0
     x_len: int = 0
+    latent_check: bytes = bytes(4)  # first 4 bytes of the latent digest
     version: int = VERSION
 
     def validate(self) -> "ContainerHeader":
         if len(self.model_id) != 32:
             raise ContractViolation("model_id must be a 32-byte digest")
+        if len(self.latent_check) != 4:
+            raise ContractViolation("latent_check must be 4 bytes")
         check_image_size(self.orig_w, self.orig_h)
         # the only padding encode_array writes; it also bounds what a
         # hostile header can make the decoder allocate
@@ -87,7 +96,8 @@ def write_container(header: ContainerHeader, zbytes: bytes, ybytes: bytes,
     packed = struct.pack(
         _FMT, MAGIC, header.version, header.model_id,
         header.orig_w, header.orig_h, header.pad_w, header.pad_h,
-        header.lambda_tag, header.z_len, header.y_len, header.x_len)
+        header.lambda_tag, header.z_len, header.y_len, header.x_len,
+        header.latent_check)
     return packed + zbytes + ybytes + xbytes
 
 
@@ -96,7 +106,7 @@ def read_container(data: bytes) -> tuple[ContainerHeader, bytes, bytes, bytes]:
         raise TruncatedFileError(
             f"container shorter than its {HEADER_SIZE}-byte header ({len(data)} bytes)")
     (magic, version, model_id, orig_w, orig_h, pad_w, pad_h,
-     lambda_tag, z_len, y_len, x_len) = struct.unpack_from(_FMT, data)
+     lambda_tag, z_len, y_len, x_len, latent_check) = struct.unpack_from(_FMT, data)
     if magic != MAGIC:
         raise BadMagicError(f"bad container magic {magic!r}")
     if version != VERSION:
@@ -106,7 +116,7 @@ def read_container(data: bytes) -> tuple[ContainerHeader, bytes, bytes, bytes]:
         raise TruncatedFileError(
             f"container payload is {len(data) - HEADER_SIZE} bytes, header says {end - HEADER_SIZE}")
     header = ContainerHeader(model_id, orig_w, orig_h, pad_w, pad_h,
-                             lambda_tag, z_len, y_len, x_len, version)
+                             lambda_tag, z_len, y_len, x_len, latent_check, version)
     try:
         header.validate()
     except ContractViolation as exc:

@@ -1,12 +1,12 @@
 """Quantization, discretized Gaussian likelihoods and coder-table building.
 
-The bridge between the network and the range coder.  The differentiable
-path (training) composes engine ops; the table-building path runs in
-float64 numpy so the probabilities the coder uses are the exact
-discretized CDFs, integerized with largest-remainder apportionment to a
-total of 65536 with every bin kept >= 1.
+The bridge between the network and the rANS coder (`rangecoder`).  The
+differentiable path (training) composes engine ops; the table-building
+path runs in float64 numpy so the probabilities the coder uses are the
+exact discretized CDFs, integerized with largest-remainder apportionment
+to a total of 65536 with every bin kept >= 1.
 
-Every stream reaches the range coder the same way: one
+Every stream reaches the coder the same way: one
 `rangecoder.TableRows` (an array of cumulative rows over the alphabet
 and the row of every symbol) and an integer centre subtracted from each
 value.  The rows are not built per latent element.  `CoderGrid` holds one

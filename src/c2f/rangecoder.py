@@ -1,18 +1,25 @@
-"""Bit-exact 64-bit range coder over integer CDF tables.
+"""Bit-exact single-state rANS coder over integer CDF tables (Duda 2013,
+arXiv 1311.2540).
 
-Carry-less byte-wise renormalization: a byte is emitted once the top
-byte of the coding interval is settled, and the range is truncated on
-the rare underflow where it straddles a byte boundary.  Probabilities
-are 16-bit and every bin has frequency >= 1, so any symbol a table
-admits can be coded.  Encoder and decoder walk through identical
-(low, range) states, which makes the byte stream an exact prefix-free
-record: decoding reads exactly the bytes encoding wrote, and a truncated
-stream always surfaces as CorruptStreamError.
+The state x is 32 bits and lives in [2^16, 2^32) between symbols; it is
+renormalised in 16-bit words.  Coding bin [lo, lo + f) of CDF_TOTAL =
+2^16 maps x to (x // f) * 2^16 + x % f + lo, which the decoder undoes
+with x = f * (x >> 16) + (x & 0xFFFF) - lo.  Every bin has frequency
+>= 1, so any symbol a table admits can be coded, and each bin moves at
+most one word.
+
+rANS is last in, first out: the encoder walks the bins in reverse from
+the state 2^16.  A stream is that final state as 4 big-endian bytes,
+then the words, big-endian, in the order the decoder reads them.  The
+decoder therefore ends in the encoder's start state, which makes a
+stream an exact record: decoding must read every word and finish at
+x == 2^16, so a stream that is cut, odd-length, extended or left in
+another state surfaces as CorruptStreamError.
 
 The total is a constant of the coder, not of a table: every row ends at
-CDF_TOTAL, so every coded bin is a (cum_lo, cum_hi) interval of
-CDF_TOTAL and the range splits by a shift.  Tables may carry an escape
-bin as their last entry; an escaped value is followed by its four
+CDF_TOTAL, so every coded bin is a (cum_lo, freq) interval of CDF_TOTAL
+and the state splits by a shift.  Tables may carry an escape bin as
+their last entry; an escaped value is followed by its four
 two's-complement int32 bytes, most significant first, each coded as bin
 [256 * b, 256 * (b + 1)).
 
@@ -33,10 +40,7 @@ __all__ = ["TableRows", "encode", "decode", "CDF_TOTAL"]
 
 CDF_TOTAL = 1 << 16
 
-_MASK = (1 << 64) - 1
-_TOP = 1 << 56
-_BOT = 1 << 48
-_FLUSH_BYTES = 8
+_STATE_LO = 1 << 16  # the state lives in [_STATE_LO, 2^32)
 _INT32_LO, _INT32_HI = -(1 << 31), (1 << 31) - 1
 _PAYLOAD_SHIFTS = np.array([24, 16, 8, 0], dtype=np.int64)
 
@@ -95,7 +99,7 @@ def _bins(values: np.ndarray, t: TableRows) -> tuple[np.ndarray, np.ndarray]:
     flat = t.cum.reshape(-1)
     cum_lo = flat[at]
     freq = flat[at + 1] - cum_lo
-    if freq.size and freq.min() < 1:  # an empty bin would stall the coder
+    if freq.size and freq.min() < 1:  # an empty bin cannot be coded
         raise ContractViolation("cdf must be strictly increasing (freq >= 1)")
     if not escaped.size:
         return cum_lo, freq
@@ -113,24 +117,16 @@ def encode(symbols: Sequence[int], t: TableRows) -> bytes:
     if values.size != len(t):
         raise ContractViolation(f"{values.size} symbols but {len(t)} tables")
     cum_lo, freq = _bins(values, t)
-    low, rng = 0, _MASK
-    out = bytearray()
-    emit = out.append
-    for lo, f in zip(cum_lo.tolist(), freq.tolist()):
-        r = rng >> 16  # rng // CDF_TOTAL
-        low += lo * r
-        rng = f * r
-        while True:
-            if (low ^ (low + rng)) < _TOP:
-                pass
-            elif rng < _BOT:
-                rng = (-low) & (_BOT - 1)
-            else:
-                break
-            emit(low >> 56)
-            low = (low << 8) & _MASK
-            rng <<= 8
-    return bytes(out) + low.to_bytes(_FLUSH_BYTES, "big")
+    x = _STATE_LO
+    words: list[int] = []
+    emit = words.append
+    for lo, f in zip(reversed(cum_lo.tolist()), reversed(freq.tolist())):
+        if x >> 16 >= f:  # x >= f * 2^16: move one word out
+            emit(x & 0xFFFF)
+            x >>= 16
+        x = ((x // f) << 16) + x % f + lo
+    words.reverse()
+    return x.to_bytes(4, "big") + np.array(words, dtype=">u2").tobytes()
 
 
 def decode(data: bytes, t: TableRows, n: int) -> np.ndarray:
@@ -138,11 +134,11 @@ def decode(data: bytes, t: TableRows, n: int) -> np.ndarray:
     for identical tables."""
     if n != len(t):
         raise ContractViolation(f"n={n} but {len(t)} tables supplied")
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    end = len(data)
-    if end < _FLUSH_BYTES:
-        raise CorruptStreamError(f"stream exhausted at byte {end} of {end}")
+    size = len(data)
+    if size < 4 or size % 2:
+        raise CorruptStreamError(f"a {size}-byte stream is not a state and whole words")
+    words = iter(np.frombuffer(data, ">u2", offset=4).tolist())
+    read = words.__next__
     width = t.cum.shape[1]
     flat = memoryview(t.cum.reshape(-1))
     start = t.index * width
@@ -151,50 +147,31 @@ def decode(data: bytes, t: TableRows, n: int) -> np.ndarray:
     found: list[int] = []     # each symbol's bisect position in flat
     escaped: list[int] = []   # positions in found of the escapes ...
     payloads: list[int] = []  # ... and their values
-    # diff is code - low mod 2^64: the decoder never needs code itself
-    diff = int.from_bytes(data[:_FLUSH_BYTES], "big")
-    pos = _FLUSH_BYTES
-    low, rng = 0, _MASK
-    top = CDF_TOTAL - 1
-    for base, esc in zip(start.tolist(), escape_at.tolist()):
-        payload, bins = None, 1
-        while bins:
-            bins -= 1
-            r = rng >> 16  # rng // CDF_TOTAL
-            target = diff // r
-            if target > top:
-                target = top
-            if payload is None:
-                p = bisect_right(flat, target, base, base + width)
-                cum_lo = flat[p - 1]
-                rng = (flat[p] - cum_lo) * r
-                if p == esc:  # escape: four payload bytes follow
-                    payload, bins = 0, 4
-            else:
-                byte = target >> 8
-                payload = (payload << 8) | byte
-                cum_lo = byte << 8
-                rng = r << 8
-            cum_lo *= r
-            low += cum_lo
-            diff -= cum_lo
-            while True:
-                if (low ^ (low + rng)) < _TOP:
-                    pass
-                elif rng < _BOT:
-                    rng = (-low) & (_BOT - 1)
-                else:
-                    break
-                if pos >= end:
-                    raise CorruptStreamError(f"stream exhausted at byte {pos} of {end}")
-                diff = ((diff << 8) & _MASK) | data[pos]
-                pos += 1
-                low = (low << 8) & _MASK
-                rng <<= 8
-        if payload is not None:
-            escaped.append(len(found))
-            payloads.append(payload - (1 << 32) if payload > _INT32_HI else payload)
-        found.append(p)
+    x = int.from_bytes(data[:4], "big")
+    try:
+        for base, esc in zip(start.tolist(), escape_at.tolist()):
+            slot = x & 0xFFFF
+            p = bisect_right(flat, slot, base, base + width)
+            lo = flat[p - 1]
+            x = (flat[p] - lo) * (x >> 16) + slot - lo
+            if x < _STATE_LO:
+                x = (x << 16) | read()
+            if p == esc:  # escape: four payload bins of 256 follow
+                payload = 0
+                for _ in range(4):
+                    slot = x & 0xFFFF
+                    payload = (payload << 8) | (slot >> 8)
+                    x = ((x >> 16) << 8) | (slot & 0xFF)
+                    if x < _STATE_LO:
+                        x = (x << 16) | read()
+                escaped.append(len(found))
+                payloads.append(payload - (1 << 32) if payload > _INT32_HI else payload)
+            found.append(p)
+    except StopIteration:
+        raise CorruptStreamError(f"stream of {size} bytes exhausted at symbol {len(found)}") from None
+    if x != _STATE_LO or next(words, None) is not None:
+        raise CorruptStreamError(f"stream of {size} bytes does not end in the start state "
+                                 "with every word read")
     values = np.asarray(found, dtype=np.int64) - start - 1 + t.smin[t.index]
     values[escaped] = payloads
     return values

@@ -8,9 +8,13 @@ import numpy as np
 import pytest
 
 import c2f.imageio as imageio
+import c2f.rangecoder as rangecoder
 import c2f.weights as wts
 from c2f.cli import main
-from c2f.codec import encode_array
+from c2f.codec import decode_array, encode_array, latent_check, latent_digest
+from c2f.container import read_container, write_container
+from c2f.entropy import CODER_GRID
+from c2f.errors import CorruptStreamError, NumericError
 from c2f.evaluation import RD_CSV_FIELDS, bpp as bpp_of
 from c2f.imageio import read_image, write_image
 from c2f.training import synthetic_patch
@@ -127,25 +131,38 @@ def test_corrupt_container_exits_4(workdir, tmp_path):
     assert rc == 4
 
 
+def overflowing_container(model, img):
+    """A container of img whose X stream holds 1e7 at every element, coded
+    under the tables the decoder derives from the real Y, with a latent
+    check that matches: it passes the check and overflows in synthesis."""
+    res = encode_array(model, img)
+    lat = res.latents
+    header, zbytes, ybytes, _ = read_container(res.data)
+    tables, center = CODER_GRID.tables(lat.mu_x.data, lat.sigma_x.data)
+    x = np.full(lat.x.shape, 10 ** 7, dtype=np.int64)
+    header.latent_check = latent_check(latent_digest(x, lat.y.data, lat.z.data))
+    xbytes = rangecoder.encode(x.reshape(-1) - center, tables)
+    return write_container(header, zbytes, ybytes, xbytes)
+
+
 def test_stream_that_overflows_the_decoder_exits_4(toy_zoo, tmp_path, capsys):
-    # bit 0 of byte 326 (X stream) desyncs the coder into latents whose
-    # synthesis overflows float32: held-out image 0 tiled 2x3, lambda=0.03
+    # X latents of 1e7 overflow float32 in synthesis (1e5 do not):
+    # held-out image 0 tiled 2x3, lambda=0.03
     model_path = toy_zoo.model_path(0.03)
-    img = np.tile(heldout_images(1)[0], (2, 3, 1))
-    write_image(tmp_path / "tile.png", img)
-    assert run(["encode", "--model", model_path, "--input", tmp_path / "tile.png",
-                "--output", tmp_path / "tile.c2f"]) == 0
-    data = bytearray((tmp_path / "tile.c2f").read_bytes())
-    data[326] ^= 1
-    (tmp_path / "flip.c2f").write_bytes(bytes(data))
+    model = wts.load_model(model_path)
+    data = overflowing_container(model, np.tile(heldout_images(1)[0], (2, 3, 1)))
+    (tmp_path / "overflow.c2f").write_bytes(data)
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # what would reach stderr outside pytest
-        rc = run(["decode", "--model", model_path, "--input", tmp_path / "flip.c2f",
-                  "--output", tmp_path / "flip.png"])
+        rc = run(["decode", "--model", model_path, "--input", tmp_path / "overflow.c2f",
+                  "--output", tmp_path / "overflow.png"])
     assert rc == 4
     assert "non-finite" in capsys.readouterr().err  # the overflow path, not a coder error
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    with pytest.raises(CorruptStreamError) as info:
+        decode_array(model, data)
+    assert isinstance(info.value.__cause__, NumericError)
 
 
 def test_eval_identical_pair_reports_inf(workdir, capsys):

@@ -19,14 +19,15 @@ def header(**kw):
 
 def test_header_only_file_is_exactly_header_size():
     data = cont.write_container(header(), b"", b"", b"")
-    assert len(data) == cont.HEADER_SIZE == 80
+    assert len(data) == cont.HEADER_SIZE == 84
 
 
 def test_roundtrip_preserves_everything():
     z, y, x = b"Zstream", b"YY", b"xpayload" * 9
-    data = cont.write_container(header(), z, y, x)
+    data = cont.write_container(header(latent_check=b"\x01\x02\x03\x04"), z, y, x)
     h2, z2, y2, x2 = cont.read_container(data)
     assert (z2, y2, x2) == (z, y, x)
+    assert h2.latent_check == data[80:84] == b"\x01\x02\x03\x04"
     assert (h2.orig_w, h2.orig_h, h2.pad_w, h2.pad_h) == (100, 60, 128, 64)
     assert h2.lambda_tag == 300
     assert h2.model_id == hashlib.sha256(b"weights").digest()
@@ -69,6 +70,11 @@ def test_pad_dims_validated():
 def test_model_id_length_validated():
     with pytest.raises(ContractViolation):
         cont.write_container(header(model_id=b"short"), b"", b"", b"")
+
+
+def test_latent_check_length_validated():
+    with pytest.raises(ContractViolation):
+        cont.write_container(header(latent_check=b"\x00" * 32), b"", b"", b"")
 
 
 @settings(max_examples=40, deadline=None)

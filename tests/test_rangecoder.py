@@ -60,7 +60,7 @@ def roundtrip(symbols, tables):
 
 def test_empty_stream_is_flush_only():
     data, back = roundtrip([], uniform_table(0))
-    assert len(data) <= 8
+    assert data == (1 << 16).to_bytes(4, "big")  # the start state, flushed
     assert back == []
 
 
@@ -133,7 +133,7 @@ def test_truncated_stream_errors():
 
 def escape_stream():
     """500 Gaussian rows, values drawn from them, every 37th an int32:
-    25 escapes in 316 bytes."""
+    25 escapes in 312 bytes."""
     rng = np.random.default_rng(7)
     n = 500
     mu = rng.normal(0, 3, n)
@@ -149,9 +149,9 @@ def test_escape_stream_bytes_are_pinned():
     assert escapes(symbols, tables) == 25
     data, back = roundtrip(symbols, tables)
     assert back == symbols
-    assert len(data) == 316
+    assert len(data) == 312
     assert hashlib.sha256(data).hexdigest() == (
-        "eb637f94e343dca6063c187b86d86ead21f8e6f71954d34462d2221b370bfde7")
+        "dbb976a9e65584d3d6be2ce0175ee4694280de6053f38ede956398c845b945d3")
 
 
 def test_every_cut_of_escape_stream_errors():
@@ -162,11 +162,32 @@ def test_every_cut_of_escape_stream_errors():
             rc.decode(data[:cut], tables, len(symbols))
 
 
+@pytest.mark.parametrize("tail", [b"\x00\x00", b"\x5a\xa5", b"\x00"],
+                         ids=["zero-word", "word", "odd-byte"])
+def test_stream_with_bytes_appended_errors(tail):
+    # two bytes are a word the decoder never reads; one makes the length odd
+    symbols, tables = escape_stream()
+    data = rc.encode(symbols, tables)
+    with pytest.raises(CorruptStreamError):
+        rc.decode(data + tail, tables, len(symbols))
+
+
+def test_stream_that_ends_in_another_state_errors():
+    # three uniform 4-bin symbols take 6 bits off a 32-bit state and read
+    # no word, so a flip of its bit 24 survives into the end state
+    tables = uniform_table(3, nbins=4)
+    data = rc.encode([1, 2, 3], tables)
+    assert len(data) == 4
+    bad = bytes([data[0] ^ 1]) + data[1:]
+    with pytest.raises(CorruptStreamError, match="does not end in the start state"):
+        rc.decode(bad, tables, 3)
+
+
 def grid_stream():
     """20,480 values coded through CODER_GRID, relative to their centres:
     most sit on an integer mean under a tiny sigma and cost almost nothing,
     every 64th has a fractional mean and a wide sigma, and every 2,048th
-    is an int32 escape.  10 escapes in 225 bytes."""
+    is an int32 escape.  10 escapes in 222 bytes."""
     rng = np.random.default_rng(13)
     n = 20_480
     mu = rng.integers(-20, 21, n).astype(np.float64)
@@ -184,9 +205,9 @@ def test_grid_stream_bytes_are_pinned():
     rel, tables = grid_stream()
     assert escapes(rel, tables) == 10
     data, back = roundtrip(rel, tables)
-    assert len(data) == 225
+    assert len(data) == 222
     assert hashlib.sha256(data).hexdigest() == (
-        "8ab02930005b8babeb7abfe636cb1f6684c0dacf9d9eec205a3553a14f68663d")
+        "95a4d7ed302c1a5be4d8dd32ce6b1862b9f1255a46b4dda23c1459d3cce4d3a0")
     assert back == rel.tolist()
 
 
@@ -219,7 +240,7 @@ def test_mixed_width_rows_code_one_stream():
     data, back = roundtrip(symbols, tables)
     assert back == symbols
     assert hashlib.sha256(data).hexdigest() == (
-        "078391fcdec183aef21e183277d67559cec54a30d21c7ee7858a172934090ec2")
+        "ac91e5d862d73396515c7413f458fa9c546f0ca5042ef6446a9d1f57a0ba0d87")
 
 
 def test_table_rows_contract():
