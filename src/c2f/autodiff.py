@@ -5,11 +5,11 @@ Every tensor is a dense float32 array of rank exactly 4, laid out
 (1, 1, 1, 1), per-channel vectors (1, 1, 1, c), channel matrices
 (1, 1, c, c) and convolution kernels (kh, kw, cin, cout).
 
-The op set is exactly what the codec needs: strided conv / transposed
-conv (exact adjoints of each other), GDN / iGDN, space-to-depth and its
-inverse, a small elementwise suite, and the pieces of the discretized
-Gaussian rate term (exp, log, ndtr, clamp).  Non-finite values anywhere
-in a forward or backward pass raise ``NumericError`` immediately.
+The op set is exactly what the codec needs: strided conv and transposed
+conv (exact adjoints, one gather engine: a transposed conv is a gather
+per output phase), GDN / iGDN, space-to-depth and its inverse, a small
+elementwise suite and the discretized Gaussian rate term's pieces (exp,
+log, ndtr, clamp).  Non-finite values raise ``NumericError`` at once.
 
 Every op returns a fresh array, except the in-place inference epilogues
 ``add_``, ``relu_`` and ``gdn_``.  They write into their first argument
@@ -394,22 +394,22 @@ def depth_to_space(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolution: conv2d and deconv2d share one gather/scatter pair and are
-# exact adjoints of each other for a shared kernel.
+# convolution: one banded gather engine.  conv2d's forward pass and
+# deconv2d's backward dy are one gather each; deconv2d's forward pass and
+# conv2d's backward dx (_scatter) are one stride-1 gather per output phase
+# (the sub-pixel form), so the two ops are exact adjoints.
 #
 # A gather runs over bands of output rows, so its scratch is O(band), not
 # O(image), and the padded input is never built: each band copies the
 # padded input rows it reads into one reused buffer, or reads x in place
-# when there is no pad.  Every output element
-# is still the same ci-length sgemm dot products, summed over the taps in
-# row-major order.  sgemm may round a row differently depending on how
-# many rows share the product: with OpenBLAS 0.3.31 on one thread, the
-# first rows of an (M, 128) @ (128, 3) product differ from the same rows
-# at M = 4096 for every M <= 256 tried, and with a transposed (32, 32)
-# right operand for every M <= 37.  What keeps the encoder and the decoder
-# in step is that every band cut depends only on the shapes of the call,
-# so both run the same products.  Bands are balanced so that none is a
-# short leftover (a one-row product runs as sgemv).
+# when there is no pad.  Every output sums the same ci-length sgemm dot
+# products over the taps, in the row-major order of the kernel.  sgemm
+# may round a row differently depending on the product's shape: OpenBLAS
+# 0.3.31 runs a one-row product as sgemv and, on SkylakeX, a product of
+# at most 1200 outputs with a transposed right operand through its
+# small-matrix kernel.  Every band cut depends only on the shapes of the
+# call, so the encoder and the decoder run the same products, and bands
+# are balanced so that none is a short leftover.
 
 # flattened matmul rows per band
 _BAND_ROWS = 8192
@@ -465,24 +465,29 @@ def _strided(rows: np.ndarray, src: np.ndarray, i: int, j: int, s: int) -> np.nd
 
 
 def _gather(x: np.ndarray, kern: np.ndarray, stride: int,
-            pads: tuple[int, int, int, int], oh: int, ow: int) -> np.ndarray:
+            pads: tuple[int, int, int, int], oh: int, ow: int,
+            reverse: bool = False) -> np.ndarray:
     """out[n, r, c] = sum over taps (i, j) of xp[n, s*r + i, s*c + j] @ kern[i, j],
-    where xp is x zero-padded by pads = (top, bottom, left, right)."""
+    where xp is x zero-padded by pads = (top, bottom, left, right), adding
+    the taps in row-major order, or with `reverse` in the reverse order."""
     b, _, w, ci = x.shape
     kh, kw, _, co = kern.shape
     pt, pb, pl, pr = pads
     wp, s, padded = w + pl + pr, stride, any(pads)
-    taps = list(np.ndindex(kh, kw))
+    taps = list(np.ndindex(kh, kw))[::-1 if reverse else 1]
     out = np.empty((b, oh, ow, co), dtype=np.float32)
     # Stride 1: a band's padded rows, stacked image after image, are one
     # flat array, and tap (i, j) is its contiguous view from row i, column
     # j.  The band computes wp columns per row and keeps ow, and computes
     # and drops the kh - 1 rows per image that straddle two images; a 1x1
-    # kernel has neither, so it writes into out directly.
+    # kernel has neither, so it writes into out directly.  A thin output
+    # (kh * kw * co <= ci, as in final_up's phases) takes all taps in one
+    # product no wider than the rows it reads, then adds each tap's slice.
     # Stride 2: each tap copies its strided rows and columns of the band,
     # and the products go straight into the band's rows of out.
     bands = _bands(b, oh, _BAND_ROWS // (wp if s == 1 else ow))
     direct = s > 1 or kh * kw == 1
+    thin = not direct and kh * kw * co <= ci
     reads = [(n1 - n0, (r1 - r0 - 1) * s + kh) for n0, n1, r0, r1 in bands]
     most_in = max(k * q for k, q in reads)
     most_out = max((n1 - n0) * (r1 - r0) for n0, n1, r0, r1 in bands)
@@ -490,8 +495,12 @@ def _gather(x: np.ndarray, kern: np.ndarray, stride: int,
         buf = np.zeros((most_in, wp, ci), dtype=np.float32)
     if s > 1:
         patch = np.empty((most_out * ow, ci), dtype=np.float32)
-    tmp = np.empty((most_out * ow if direct else most_in * wp, co), dtype=np.float32)
-    scratch = None if direct else np.empty_like(tmp)
+    if thin:
+        # transposed like each kern[i, j], so sgemm reads it the same way
+        stacked = np.stack([kern[i, j].T for i, j in taps]).reshape(-1, ci).T
+    tmp = np.empty((most_out * ow if direct else most_in * wp,
+                    co * len(taps) if thin else co), dtype=np.float32)
+    scratch = None if direct else np.empty((most_in * wp, co), dtype=np.float32)
     for (n0, n1, r0, r1), (k, q) in zip(bands, reads):
         if padded:
             src = buf[:k * q].reshape(k, q, wp, ci)
@@ -508,73 +517,62 @@ def _gather(x: np.ndarray, kern: np.ndarray, stride: int,
             operands = (_strided(rows, src, i, j, s) for i, j in taps)
         # out[n0:n1, r0:r1] is whole images or rows of one image: a view
         acc = out[n0:n1, r0:r1].reshape(m, co) if direct else scratch[:m]
-        for tap, ((i, j), a) in enumerate(zip(taps, operands)):
-            if tap == 0:
-                np.matmul(a, kern[i, j], out=acc)
-            else:
-                np.matmul(a, kern[i, j], out=tmp[:m])
-                acc += tmp[:m]
+        if thin:
+            prod = np.matmul(flat, stacked, out=tmp[:len(flat)])
+            parts = [prod[i * wp + j:i * wp + j + m, t * co:(t + 1) * co]
+                     for t, (i, j) in enumerate(taps)]
+            np.copyto(acc, parts[0])
+            for part in parts[1:]:
+                acc += part
+        else:
+            for tap, ((i, j), a) in enumerate(zip(taps, operands)):
+                if tap == 0:
+                    np.matmul(a, kern[i, j], out=acc)
+                else:
+                    np.matmul(a, kern[i, j], out=tmp[:m])
+                    acc += tmp[:m]
         if not direct:
             out[n0:n1, r0:r1] = \
                 scratch[:k * q * wp].reshape(k, q, wp, co)[:, :r1 - r0, :ow]
     return out
 
 
-def _landing(i: int, pad: int, stride: int, n: int, size: int) -> tuple[int, int]:
-    """Input rows r0..r1-1 whose tap-i product lands at row i + stride*r - pad
-    inside [0, size) of the cropped output."""
-    r0 = min(max(-(-(pad - i) // stride), 0), n)
-    r1 = min(max(-(-(pad + size - i) // stride), r0), n)
-    return r0, r1
+def _phase(a: int, k: int, s: int, pad: int, n: int, size: int):
+    """(o0, count, lo, hi, before, after) for one axis of _scatter's phase
+    a: outputs o0, o0 + s, ... below size, at padded positions a mod s, take
+    taps a, a + s, ... of the k, a stride-1 gather over inputs lo..hi-1
+    padded by before and after.  None if no output or no input is reached."""
+    o0 = (a - pad) % s
+    count, taps = len(range(o0, size, s)), len(range(a, k, s))
+    # output o0 + s*m takes tap a + s*t from input base + m + taps - 1 - t
+    base = (o0 + pad - a) // s - taps + 1
+    lo, hi = max(base, 0), min(base + count + taps - 1, n)
+    if not (count and taps) or hi <= lo:
+        return None
+    return o0, count, lo, hi, lo - base, base + count + taps - 1 - hi
 
 
 def _scatter(y: np.ndarray, kern: np.ndarray, stride: int, pt: int, pl: int,
              out_h: int, out_w: int) -> np.ndarray:
-    """The adjoint of _gather, cropped: each tap's product is added where it
-    lands inside rows pt..pt+out_h-1 and columns pl..pl+out_w-1 of the
-    padded plane, which is never built.
-
-    A thin output (kh * kw * ci <= co, as in the deconv to pixels) takes
-    all taps in one (rows, co) @ (co, kh * kw * ci) product, over bands of
-    output rows, each with the input rows that land in it: every output
-    element still sums its taps in the same order, the product is no wider
-    than the rows it reads, and with w > 1 no band is a one-row sgemv.
-    Otherwise each tap is one product over the whole input."""
-    b, h, w, co = y.shape
+    """The adjoint of _gather, cropped to rows pt..pt+out_h-1 and columns
+    pl..pl+out_w-1 of the padded plane.  Output phase (a, c), at padded
+    positions (a, c) mod s, takes only the taps kern[a::s, c::s]: one
+    stride-1 gather over y with them flipped and channel-transposed and
+    added in reverse, so each output sums its taps in kern's row-major order."""
+    b, h, w, _ = y.shape
     kh, kw, ci, _ = kern.shape
     s = stride
     out = np.zeros((b, out_h, out_w, ci), dtype=np.float32)
-    cols = [_landing(j, pl, s, w, out_w) for j in range(kw)]
-    stacked = kh * kw * ci <= co and w > 1
-    if stacked:
-        # transposed like each kern[i, j].T, so sgemm reads it the same way
-        taps = kern.reshape(kh * kw * ci, co).T
-        bands = _bands(b, out_h, s * max(_BAND_ROWS // w, 1))
-    else:
-        bands = [(0, b, 0, out_h)]
-    for n0, n1, o0, o1 in bands:
-        # input rows q0..q1-1 have a tap landing in output rows o0..o1-1
-        q0 = max(-(-(o0 + pt - kh + 1) // s), 0)
-        q1 = min((o1 - 1 + pt) // s + 1, h)
-        if q1 <= q0:
-            continue
-        rows = y[n0:n1, q0:q1].reshape(-1, co)
-        if stacked:
-            prod = (rows @ taps).reshape(n1 - n0, q1 - q0, w, kh * kw * ci)
-        pad = pt + o0 - s * q0  # output row o0 is row pad of the band's padded plane
-        for i in range(kh):
-            r0, r1 = _landing(i, pad, s, q1 - q0, o1 - o0)
-            for j, (c0, c1) in enumerate(cols):
-                if r0 == r1 or c0 == c1:
-                    continue
-                if stacked:
-                    tap = (i * kw + j) * ci
-                    part = prod[:, r0:r1, c0:c1, tap:tap + ci]
-                else:
-                    part = (rows @ kern[i, j].T).reshape(n1 - n0, q1 - q0, w, ci)[:, r0:r1, c0:c1]
-                top, left = o0 + i + r0 * s - pad, j + c0 * s - pl
-                out[n0:n1, top:top + (r1 - r0 - 1) * s + 1:s,
-                    left:left + (c1 - c0 - 1) * s + 1:s, :] += part
+    cols = [_phase(c, kw, s, pl, w, out_w) for c in range(s)]
+    for a in range(s):
+        rows = _phase(a, kh, s, pt, h, out_h)
+        for c, col in enumerate(cols):
+            if rows is None or col is None:
+                continue  # no tap of the phase reaches y: zeros
+            (r0, oh, q0, q1, top, bottom), (c0, ow, p0, p1, left, right) = rows, col
+            taps = kern[a::s, c::s][::-1, ::-1].transpose(0, 1, 3, 2)
+            out[:, r0::s, c0::s] = _gather(y[:, q0:q1, p0:p1], taps, 1, (top, bottom, left, right),
+                                           oh, ow, reverse=True)
     return out
 
 

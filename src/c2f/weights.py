@@ -124,6 +124,8 @@ def _parse(data: bytes):
             pos += 4 * count
         except struct.error as exc:
             raise TruncatedFileError(f"weights records truncated: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"weights record name is not UTF-8: {exc}") from exc
         records[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
     if pos != len(data):
         raise FormatError(f"{len(data) - pos} trailing bytes in weights file")

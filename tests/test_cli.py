@@ -86,10 +86,11 @@ def test_missing_weights_exits_3(workdir, capsys):
     assert "nope.c2fw" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("offset, value", [(18, 5), (10, 0)])
+@pytest.mark.parametrize("offset, value", [(18, 5), (10, 0), (31, 0xFFFFFFFF)])
 def test_malformed_weights_header_exits_3(workdir, tmp_path, capsys, offset, value):
     # main_depth (offset 18) is always 4; a zero channel count (c_y at 10)
-    # is no architecture either: both are malformed files, not bad arguments
+    # is no architecture either; nor is a first record name (from byte 31)
+    # that is not UTF-8: all are malformed files, not bad arguments
     data = bytearray((workdir / "model.c2fw").read_bytes())
     struct.pack_into("<I", data, offset, value)
     (tmp_path / "bad.c2fw").write_bytes(bytes(data))

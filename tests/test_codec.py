@@ -131,13 +131,14 @@ def test_version_1_container_refused(model, version):
 
 
 # sha-256 over the 40 latent digests (4 zoo models x 10 held-out images, in
-# ZOO_LAMBDAS then image order).  Computed with the per-element coder tables
-# of container version 1: the grid changes only the stream bytes.
-ZOO_LATENTS_SHA = "7365a8c06c1e74f605d498341f927e005a14afd5b24936020a05ba65945d9660"
+# ZOO_LAMBDAS then image order).  The per-element coder tables of container
+# version 1 gave the same latents as the grid: it changes only the stream
+# bytes.  Pinned on the RECIPE_REV 3 zoo.
+ZOO_LATENTS_SHA = "7069568f7c628933a99f7c9711d3005bfd426a5e3ae62884c42749b6dbb7e9ba"
 # sha-256 over the same 40 container byte strings, in the same order, as
 # container version 3 writes them (rANS streams, latent check in the
 # header): pins the coded streams, not just latents
-ZOO_CONTAINERS_SHA = "9a3fdadc7d2570fe9bf4cf9abda680530faf1e3b20385e295a28af10efc0bff5"
+ZOO_CONTAINERS_SHA = "2822aba51ac7a499b44bc48ad10aa3d137b18cc13777991c01d33cb0a093c9b7"
 
 
 def test_zoo_rate_bound_and_latents_unchanged_by_grid(toy_zoo):

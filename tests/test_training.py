@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 from pathlib import Path
 
@@ -163,7 +164,13 @@ class _Stop(Exception):
     pass
 
 
-def test_zoo_recipe_first_steps_match_committed_train_log():
+# sha-256 of every parameter and its Adam moments after steps 0-4 of the
+# lambda=0.03 zoo recipe.  A change to this hash is a change to training
+# numerics: bump RECIPE_REV, rebuild the zoo and re-pin it (tests/zoo.py).
+ZOO_FIRST_STEPS_STATE_SHA = "33f547ac780bb0039ff5888af0772fefdfd4749e2b4cb43f7fc3ab95647e3872"
+
+
+def test_zoo_recipe_first_steps_match_committed_train_log(monkeypatch):
     # the committed zoo pins training numerics: a change that moves them
     # must bump RECIPE_REV and rebuild the zoo (tests/zoo.py), so steps 0-4
     # of the lambda=0.03 run must replay its train_log.csv
@@ -171,6 +178,14 @@ def test_zoo_recipe_first_steps_match_committed_train_log():
     with open(root / "run_0.03" / "train_log.csv", newline="") as fh:
         want = list(csv.DictReader(fh))[:5]
     got = []
+    opts = []
+
+    class RecordedAdam(Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opts.append(self)
+
+    monkeypatch.setattr(tr, "Adam", RecordedAdam)
 
     def progress(row):
         got.append(row)
@@ -188,6 +203,12 @@ def test_zoo_recipe_first_steps_match_committed_train_log():
             value = float(ref[name])
             assert abs(row[name] - value) <= 1e-5 * abs(value) + 1e-6, (
                 f"step {row['step']}: {name}={row[name]!r}, train_log.csv has {value!r}")
+    # the replay tolerance hides last-bit moves; the state hash does not
+    digest = hashlib.sha256()
+    for param, state in zip(opts[0].params, opts[0].state, strict=True):
+        for arr in (param.data, state["m"], state["v"]):
+            digest.update(arr.tobytes())
+    assert digest.hexdigest() == ZOO_FIRST_STEPS_STATE_SHA
 
 
 def test_identity_stub_decoder_gives_zero_distortion(loader):

@@ -14,7 +14,9 @@ hashed: a pure refactor would then retrain for minutes inside pytest and
 rewrite committed files.
 
 Revisions: 1 the first zoo; 2 final_up kernel damped x0.01 so a fresh
-model starts at mid-gray.
+model starts at mid-gray; 3 deconvs and conv backward passes run as
+stride-1 phase gathers, which moves a few batch-4 training products in
+the last bit.
 """
 
 import hashlib
@@ -25,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-RECIPE_REV = 2
+RECIPE_REV = 3
 
 ZOO_LAMBDAS = (0.003, 0.01, 0.03, 0.1)
 ZOO_N_MAIN = 32
