@@ -408,8 +408,9 @@ def depth_to_space(a: Tensor) -> Tensor:
 # 0.3.31 runs a one-row product as sgemv and, on SkylakeX, a product of
 # at most 1200 outputs with a transposed right operand through its
 # small-matrix kernel.  Every band cut depends only on the shapes of the
-# call, so the encoder and the decoder run the same products, and bands
-# are balanced so that none is a short leftover.
+# call, so the encoder and the decoder run the same products.  Bands are
+# balanced, so none is a short leftover, and a stride-1 band may take
+# 2 * kh rows or more: it keeps at least kh, more than its kh - 1 halo.
 
 # flattened matmul rows per band
 _BAND_ROWS = 8192
@@ -474,7 +475,7 @@ def _gather(x: np.ndarray, kern: np.ndarray, stride: int,
     kh, kw, _, co = kern.shape
     pt, pb, pl, pr = pads
     wp, s, padded = w + pl + pr, stride, any(pads)
-    taps = list(np.ndindex(kh, kw))[::-1 if reverse else 1]
+    taps = [(i, j) for i in range(kh) for j in range(kw)][::-1 if reverse else 1]
     out = np.empty((b, oh, ow, co), dtype=np.float32)
     # Stride 1: a band's padded rows, stacked image after image, are one
     # flat array, and tap (i, j) is its contiguous view from row i, column
@@ -485,7 +486,7 @@ def _gather(x: np.ndarray, kern: np.ndarray, stride: int,
     # product no wider than the rows it reads, then adds each tap's slice.
     # Stride 2: each tap copies its strided rows and columns of the band,
     # and the products go straight into the band's rows of out.
-    bands = _bands(b, oh, _BAND_ROWS // (wp if s == 1 else ow))
+    bands = _bands(b, oh, max(_BAND_ROWS // wp, 2 * kh) if s == 1 else _BAND_ROWS // ow)
     direct = s > 1 or kh * kw == 1
     thin = not direct and kh * kw * co <= ci
     reads = [(n1 - n0, (r1 - r0 - 1) * s + kh) for n0, n1, r0, r1 in bands]

@@ -167,6 +167,8 @@ class _Stop(Exception):
 # sha-256 of every parameter and its Adam moments after steps 0-4 of the
 # lambda=0.03 zoo recipe.  A change to this hash is a change to training
 # numerics: bump RECIPE_REV, rebuild the zoo and re-pin it (tests/zoo.py).
+# Computed with OpenBLAS 0.3.31's SkylakeX kernels, as the zoo was trained:
+# on another sgemm kernel the products, and so this hash, may differ.
 ZOO_FIRST_STEPS_STATE_SHA = "33f547ac780bb0039ff5888af0772fefdfd4749e2b4cb43f7fc3ab95647e3872"
 
 
