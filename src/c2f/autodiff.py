@@ -10,6 +10,8 @@ conv (exact adjoints, one gather engine: a transposed conv is a gather
 per output phase), GDN / iGDN, space-to-depth and its inverse, a small
 elementwise suite and the discretized Gaussian rate term's pieces (exp,
 log, ndtr, clamp).  Non-finite values raise ``NumericError`` at once.
+The bands of a conv or a GDN map run on every CPU of the process's
+affinity mask, with the bits of one thread.
 
 Every op returns a fresh array, except the in-place inference epilogues
 ``add_``, ``relu_`` and ``gdn_``.  They write into their first argument
@@ -22,9 +24,12 @@ keeps that op's finiteness check.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections.abc import Iterable
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
-from contextvars import ContextVar
+from contextvars import ContextVar, copy_context
 from dataclasses import dataclass
 
 import numpy as np
@@ -444,6 +449,64 @@ def _bands(b: int, oh: int, rows: int) -> list[tuple[int, int, int, int]]:
     return [(n, n + 1, r0, r1) for n in range(b) for r0, r1 in split(oh, rows)]
 
 
+# Bands run on up to _WORKERS threads, one per CPU of the process's
+# affinity mask (of the machine where the OS keeps no mask): the calling
+# thread and a pool started at the first call with two bands or more.
+# Which thread runs a band changes no bit: the cuts and each band's
+# products are the same, and the threads share only arrays, each writing
+# its own bands of the output.  numpy lets go of the GIL inside matmul and
+# the large copies, which is where a band spends its time.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    # a forked child has none of the pool's threads
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # no fork, and no such hook, on Windows
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _over_bands(bands: list, alloc, run) -> None:
+    """run(chunk, *alloc(chunk)) for contiguous chunks of bands, one chunk
+    per worker, the first in the calling thread.
+
+    alloc runs in the calling thread: scratch made in a pool thread comes
+    from another malloc arena, and the kodak-n128 benchmark's peak RSS
+    rose from 378 to 399 MB with it on a 2-core host.  The call returns or
+    raises only once every chunk has ended, so no pool thread writes into
+    an array after it, and it raises what the first band to fail raised,
+    as one thread running the bands in order would.  A pool task never
+    submits to the pool, so waiting on one cannot deadlock, however many
+    threads call in at once."""
+    if len(bands) == 1 or _WORKERS == 1:
+        run(bands, *alloc(bands))
+        return
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="c2f-bands")
+        pool = _pool
+    n = min(_WORKERS, len(bands))
+    cuts = [len(bands) * i // n for i in range(n + 1)]
+    chunks = [bands[i:j] for i, j in zip(cuts, cuts[1:])]
+    scratch = [alloc(chunk) for chunk in chunks]
+    # each task runs in a copy of this thread's context: its errstate
+    futures = [pool.submit(copy_context().run, run, chunk, *arrays)
+               for chunk, arrays in zip(chunks[1:], scratch[1:])]
+    try:
+        run(chunks[0], *scratch[0])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
 def _fill(dst: np.ndarray, x: np.ndarray, q0: int, pt: int, pl: int) -> None:
     """dst[k] = padded rows q0.. of x[k], where padded row q holds
     x[k, q - pt] at columns pl:pl + w, or zeros in the pad.  The pad
@@ -489,52 +552,56 @@ def _gather(x: np.ndarray, kern: np.ndarray, stride: int,
     bands = _bands(b, oh, max(_BAND_ROWS // wp, 2 * kh) if s == 1 else _BAND_ROWS // ow)
     direct = s > 1 or kh * kw == 1
     thin = not direct and kh * kw * co <= ci
-    reads = [(n1 - n0, (r1 - r0 - 1) * s + kh) for n0, n1, r0, r1 in bands]
-    most_in = max(k * q for k, q in reads)
-    most_out = max((n1 - n0) * (r1 - r0) for n0, n1, r0, r1 in bands)
-    if padded:
-        buf = np.zeros((most_in, wp, ci), dtype=np.float32)
-    if s > 1:
-        patch = np.empty((most_out * ow, ci), dtype=np.float32)
     if thin:
         # transposed like each kern[i, j], so sgemm reads it the same way
         stacked = np.stack([kern[i, j].T for i, j in taps]).reshape(-1, ci).T
-    tmp = np.empty((most_out * ow if direct else most_in * wp,
-                    co * len(taps) if thin else co), dtype=np.float32)
-    scratch = None if direct else np.empty((most_in * wp, co), dtype=np.float32)
-    for (n0, n1, r0, r1), (k, q) in zip(bands, reads):
-        if padded:
-            src = buf[:k * q].reshape(k, q, wp, ci)
-            _fill(src, x[n0:n1], r0 * s, pt, pl)
-        else:
-            src = x[n0:n1, r0 * s:r0 * s + q]
-        if s == 1:
-            m = (k * q - kh) * wp + ow
-            flat = src.reshape(-1, ci)
-            operands = (flat[i * wp + j:i * wp + j + m] for i, j in taps)
-        else:
-            m = k * (r1 - r0) * ow
-            rows = patch[:m].reshape(k, r1 - r0, ow, ci)
-            operands = (_strided(rows, src, i, j, s) for i, j in taps)
-        # out[n0:n1, r0:r1] is whole images or rows of one image: a view
-        acc = out[n0:n1, r0:r1].reshape(m, co) if direct else scratch[:m]
-        if thin:
-            prod = np.matmul(flat, stacked, out=tmp[:len(flat)])
-            parts = [prod[i * wp + j:i * wp + j + m, t * co:(t + 1) * co]
-                     for t, (i, j) in enumerate(taps)]
-            np.copyto(acc, parts[0])
-            for part in parts[1:]:
-                acc += part
-        else:
-            for tap, ((i, j), a) in enumerate(zip(taps, operands)):
-                if tap == 0:
-                    np.matmul(a, kern[i, j], out=acc)
-                else:
-                    np.matmul(a, kern[i, j], out=tmp[:m])
-                    acc += tmp[:m]
-        if not direct:
-            out[n0:n1, r0:r1] = \
-                scratch[:k * q * wp].reshape(k, q, wp, co)[:, :r1 - r0, :ow]
+
+    def alloc(chunk):
+        most_in = max((n1 - n0) * ((r1 - r0 - 1) * s + kh) for n0, n1, r0, r1 in chunk)
+        most_out = max((n1 - n0) * (r1 - r0) for n0, n1, r0, r1 in chunk)
+        return (np.zeros((most_in, wp, ci), dtype=np.float32) if padded else None,
+                np.empty((most_out * ow, ci), dtype=np.float32) if s > 1 else None,
+                np.empty((most_out * ow if direct else most_in * wp,
+                          co * len(taps) if thin else co), dtype=np.float32),
+                None if direct else np.empty((most_in * wp, co), dtype=np.float32))
+
+    def run(chunk, buf, patch, tmp, scratch):
+        for n0, n1, r0, r1 in chunk:
+            k, q = n1 - n0, (r1 - r0 - 1) * s + kh
+            if padded:
+                src = buf[:k * q].reshape(k, q, wp, ci)
+                _fill(src, x[n0:n1], r0 * s, pt, pl)
+            else:
+                src = x[n0:n1, r0 * s:r0 * s + q]
+            if s == 1:
+                m = (k * q - kh) * wp + ow
+                flat = src.reshape(-1, ci)
+                operands = (flat[i * wp + j:i * wp + j + m] for i, j in taps)
+            else:
+                m = k * (r1 - r0) * ow
+                rows = patch[:m].reshape(k, r1 - r0, ow, ci)
+                operands = (_strided(rows, src, i, j, s) for i, j in taps)
+            # out[n0:n1, r0:r1] is whole images or rows of one image: a view
+            acc = out[n0:n1, r0:r1].reshape(m, co) if direct else scratch[:m]
+            if thin:
+                prod = np.matmul(flat, stacked, out=tmp[:len(flat)])
+                parts = [prod[i * wp + j:i * wp + j + m, t * co:(t + 1) * co]
+                         for t, (i, j) in enumerate(taps)]
+                np.copyto(acc, parts[0])
+                for part in parts[1:]:
+                    acc += part
+            else:
+                for tap, ((i, j), a) in enumerate(zip(taps, operands)):
+                    if tap == 0:
+                        np.matmul(a, kern[i, j], out=acc)
+                    else:
+                        np.matmul(a, kern[i, j], out=tmp[:m])
+                        acc += tmp[:m]
+            if not direct:
+                out[n0:n1, r0:r1] = \
+                    scratch[:k * q * wp].reshape(k, q, wp, co)[:, :r1 - r0, :ow]
+
+    _over_bands(bands, alloc, run)
     return out
 
 
@@ -750,8 +817,10 @@ def gdn_(x: Tensor, params: GdnParams, inverse: bool = False) -> Tensor:
     """gdn written into x.
 
     GDN mixes channels pixel by pixel, so it runs over bands of rows of
-    x's (pixels, c) view with band-sized scratch: gdn's ops in gdn's
-    order, each with its finiteness check and errstate.  The bands are cut
+    x's (pixels, c) view with band-sized scratch, over the engine's
+    workers: gdn's ops in gdn's order, each with its finiteness check and
+    errstate, and a non-finite value raises as in one thread, naming the
+    op of the first band that has one.  The bands are cut
     from x's shape alone, as _bands cuts them, so one shape always gives
     the same bits.  They equal gdn's single product only where sgemm rounds
     a row alike at both row counts (see the conv engine's note), as it
@@ -762,27 +831,32 @@ def gdn_(x: Tensor, params: GdnParams, inverse: bool = False) -> Tensor:
         raise ContractViolation(f"gdn params for {c} channels, input has {x.shape[3]}")
     flat = data.reshape(-1, c)
     beta, gamma_t = params.beta_values(), params.gamma_values().T
-    bands = [(r0, r1) for _, _, r0, r1 in _bands(1, len(flat), _BAND_ROWS)]
-    sq = np.empty((max(r1 - r0 for r0, r1 in bands), c), dtype=np.float32)
-    root = np.empty_like(sq)
-    for r0, r1 in bands:
-        xb, s, r = flat[r0:r1], sq[:r1 - r0], root[:r1 - r0]
-        with np.errstate(over="ignore"):
-            np.multiply(xb, xb, out=s)
-        _check_finite(s, "square")
-        np.matmul(s, gamma_t, out=r)
-        _check_finite(r, "cmatmul")
-        r += beta
-        _check_finite(r, "add")
-        with np.errstate(invalid="ignore"):
-            np.sqrt(r, out=r)
-        _check_finite(r, "sqrt")
-        if inverse:
-            xb *= r
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xb /= r
-        _check_finite(xb, "mul" if inverse else "div")
+
+    def alloc(chunk):
+        sq = np.empty((max(r1 - r0 for _, _, r0, r1 in chunk), c), dtype=np.float32)
+        return sq, np.empty_like(sq)
+
+    def run(chunk, sq, root):
+        for _, _, r0, r1 in chunk:
+            xb, s, r = flat[r0:r1], sq[:r1 - r0], root[:r1 - r0]
+            with np.errstate(over="ignore"):
+                np.multiply(xb, xb, out=s)
+            _check_finite(s, "square")
+            np.matmul(s, gamma_t, out=r)
+            _check_finite(r, "cmatmul")
+            r += beta
+            _check_finite(r, "add")
+            with np.errstate(invalid="ignore"):
+                np.sqrt(r, out=r)
+            _check_finite(r, "sqrt")
+            if inverse:
+                xb *= r
+            else:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    xb /= r
+            _check_finite(xb, "mul" if inverse else "div")
+
+    _over_bands(_bands(1, len(flat), _BAND_ROWS), alloc, run)
     return x
 
 

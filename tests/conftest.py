@@ -1,5 +1,6 @@
 import pytest
 
+import c2f.autodiff as ad
 from zoo import build_zoo, zoo_cache_dir
 
 
@@ -7,3 +8,20 @@ from zoo import build_zoo, zoo_cache_dir
 def toy_zoo():
     """The trained four-lambda model zoo (built once, cached on disk)."""
     return build_zoo(zoo_cache_dir())
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """use(n) runs the conv engine's and gdn_'s bands on n workers, over a
+    pool of the test's own, shut down when n changes and after the test."""
+    monkeypatch.setattr(ad, "_pool", None)
+
+    def use(n):
+        if ad._pool is not None:
+            ad._pool.shutdown()
+        monkeypatch.setattr(ad, "_WORKERS", n)
+        monkeypatch.setattr(ad, "_pool", None)
+
+    yield use
+    if ad._pool is not None:
+        ad._pool.shutdown()

@@ -1,6 +1,10 @@
 import hashlib
+import multiprocessing
+import os
 import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -343,6 +347,153 @@ def test_codec_width_deconvs_match_per_tap_scatter(k, stride, c_in, c_out, h, w)
     _, _, pads = _pads(h * stride, w * stride, k, stride, "same")
     assert np.array_equal(
         dec.data, _ref_scatter_crop(y, kern, stride, pads, h * stride, w * stride))
+
+
+# ---------------------------------------------------------------------------
+# bands over workers
+
+def _per_workers(workers, fn, counts=(1, 2, 3)):
+    """fn()'s arrays as bytes, run on each worker count in turn (3 is more
+    workers than a 2-core host has)."""
+    out = []
+    for n in counts:
+        workers(n)
+        out.append([a.tobytes() for a in fn()])
+    return out
+
+
+def _conv_arrays(stride, k, ci, co, seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=(2, 24, 20, ci)).astype(np.float32), True)
+    y = Tensor(rng.normal(size=(2, 24, 20, co)).astype(np.float32), True)
+    kern = Tensor((rng.normal(size=(k, k, ci, co)) * 0.1).astype(np.float32), True)
+    conv, dec = ad.conv2d(x, kern, stride), ad.deconv2d(y, kern, stride)
+    with ad.no_grad():
+        untaped = [ad.conv2d(x, kern, stride).data, ad.deconv2d(y, kern, stride).data]
+    return [conv.data, *conv._vjp(rng.normal(size=conv.shape).astype(np.float32)),
+            dec.data, *dec._vjp(rng.normal(size=dec.shape).astype(np.float32)), *untaped]
+
+
+@pytest.mark.parametrize("stride, k, ci, co", [
+    (1, 3, 8, 6), (2, 5, 8, 6), (1, 3, 32, 2), (2, 5, 3, 32)],
+    ids=["s1", "s2", "s1-thin-conv", "s2-thin-deconv"])
+def test_conv_engine_bits_do_not_depend_on_the_worker_count(
+        workers, monkeypatch, stride, k, ci, co):
+    # taped and untaped forward outputs of conv2d and deconv2d and both
+    # backward outputs of each; the thin cases take all taps in one product
+    # in conv2d's forward and deconv2d's dy, or in deconv2d's forward and
+    # conv2d's dx
+    monkeypatch.setattr(ad, "_BAND_ROWS", 64)
+    bands = []
+    real = ad._bands
+    monkeypatch.setattr(ad, "_bands", lambda *a: bands.append(real(*a)) or bands[-1])
+    serial, *rest = _per_workers(workers, lambda: _conv_arrays(stride, k, ci, co, 7 * k + ci))
+    assert all(r == serial for r in rest)
+    assert max(map(len, bands)) >= 4
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_gdn_in_place_bits_do_not_depend_on_the_worker_count(workers, monkeypatch, inverse):
+    monkeypatch.setattr(ad, "_BAND_ROWS", 64)  # 640 pixels: 10 bands
+    x = randt((2, 16, 20, 8), seed=70, requires_grad=False)
+    p = GdnParams.create(8, beta_init=0.7, gamma_init=0.2)
+
+    def run():
+        with ad.no_grad():
+            return [ad.gdn_(Tensor(x.data.copy()), p, inverse).data]
+
+    serial, *rest = _per_workers(workers, run)
+    assert all(r == serial for r in rest)
+
+
+def test_gdn_in_place_raises_what_the_serial_bands_raise(workers, monkeypatch):
+    # 10 bands of 64 pixels.  gamma 10 makes 1e19 overflow in the channel
+    # product ('cmatmul'), and an inf overflows 'square'.  With 2 workers
+    # the pool's chunk holds bands 5-9; with 3, bands 3-5 and 6-9
+    monkeypatch.setattr(ad, "_BAND_ROWS", 64)
+    p = GdnParams.create(8, gamma_init=10.0)
+    clean = randt((2, 16, 20, 8), seed=71, requires_grad=False).data
+
+    def gdn_with(*bad):
+        x = Tensor(clean.copy())
+        for pixel, value in bad:
+            x.data.reshape(-1, 8)[pixel, 0] = value
+        # the pool's chunks run under this thread's errstate, so the
+        # overflow warns nowhere, and a warning would fail the test
+        with ad.no_grad(), np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return ad.gdn_(x, p).data.tobytes()
+
+    workers(1)
+    serial = gdn_with()
+    for n in (1, 2, 3):
+        workers(n)
+        with pytest.raises(NumericError, match="op 'square'"):
+            gdn_with((639, np.inf))  # only the last band
+        with pytest.raises(NumericError, match="op 'cmatmul'"):
+            gdn_with((4 * 64, 1e19), (639, np.inf))
+        # the same pool serves the next call
+        assert gdn_with() == serial
+
+
+def test_bands_call_ends_every_chunk_before_it_raises(workers):
+    workers(2)
+    ended = []
+
+    def run(chunk):
+        if chunk == [0]:
+            raise NumericError("first band")
+        time.sleep(0.2)
+        ended.append(chunk)
+
+    with pytest.raises(NumericError, match="first band"):
+        ad._over_bands([0, 1], lambda chunk: (), run)
+    assert ended == [[1]]
+
+
+def test_one_band_call_submits_nothing_to_the_pool(workers, monkeypatch):
+    workers(2)
+    ad._over_bands([0, 1], lambda chunk: (), lambda chunk: None)
+    submitted = []
+    submit = ad._pool.submit
+    monkeypatch.setattr(ad._pool, "submit",
+                        lambda *a, **kw: submitted.append(a) or submit(*a, **kw))
+    rng = np.random.default_rng(72)
+    x = Tensor(rng.normal(size=(1, 8, 8, 4)).astype(np.float32), True)
+    kern = Tensor(rng.normal(size=(3, 3, 4, 4)).astype(np.float32), True)
+    for stride in (1, 2):
+        for out in (ad.conv2d(x, kern, stride), ad.deconv2d(x, kern, stride)):
+            out._vjp(np.ones(out.shape, np.float32))
+    with ad.no_grad():
+        ad.gdn_(Tensor(x.data.copy()), GdnParams.create(4))
+    assert submitted == []
+    monkeypatch.setattr(ad, "_BAND_ROWS", 16)
+    with ad.no_grad():
+        ad.gdn_(Tensor(x.data.copy()), GdnParams.create(4))
+    assert len(submitted) == 1
+
+
+def test_forked_child_runs_bands_on_a_pool_of_its_own(workers, monkeypatch):
+    # the child has none of the parent's pool threads; a pool it inherited
+    # would take its bands and never run them
+    monkeypatch.setattr(ad, "_BAND_ROWS", 64)
+    workers(2)
+    x = randt((2, 16, 20, 8), seed=73, requires_grad=False)
+    p = GdnParams.create(8)
+
+    def run():
+        with ad.no_grad():
+            return ad.gdn_(Tensor(x.data.copy()), p).data.tobytes()
+
+    expected = run()
+    child = multiprocessing.get_context("fork").Process(
+        target=lambda: os._exit(0 if run() == expected else 1))
+    child.start()
+    try:
+        child.join(timeout=60)
+        assert child.exitcode == 0
+    finally:
+        child.kill()
 
 
 # ---------------------------------------------------------------------------

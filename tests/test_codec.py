@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import c2f.autodiff as ad
 import c2f.codec as codec
 import c2f.weights as wts
 from c2f.container import HEADER_SIZE, MAX_SIDE, read_container
@@ -214,6 +216,43 @@ def test_decode_peak_is_bounded(wide_roundtrip):
     # into one buffer, the peak is fuse_in's input buffer, its output and
     # its band scratch: 51.4 MiB
     assert wide_roundtrip[3] < 58, f"decode peaked at {wide_roundtrip[3]:.1f} MiB"
+
+
+def test_two_threads_decoding_at_once_get_the_serial_pixels(toy_zoo, workers, monkeypatch):
+    # 512 flattened rows a band cut this 128x192 tile's maps into several
+    # bands, so both decodes hand bands to the one pool at the same time.
+    # The container is written under that band size too: cuts change bits
+    monkeypatch.setattr(ad, "_BAND_ROWS", 512)
+    bands = []
+    real = ad._bands
+    monkeypatch.setattr(ad, "_bands", lambda *a: bands.append(real(*a)) or bands[-1])
+    model = toy_zoo.load(0.03)
+    workers(1)
+    res = codec.encode_array(model, np.tile(heldout_images(1)[0], (2, 3, 1)))
+    serial = codec.decode_array(model, res.data).image.tobytes()
+    assert max(map(len, bands)) >= 4
+    workers(2)
+    images, errors = [], []
+
+    def decode():
+        try:
+            images.append(codec.decode_array(model, res.data).image.tobytes())
+        except Exception as exc:  # reported below, in the test thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=decode) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads), "a decode hung"
+    assert not errors, errors
+    assert images == [serial, serial]
 
 
 # ---------------------------------------------------------------------------
