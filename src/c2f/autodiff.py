@@ -10,8 +10,8 @@ conv (exact adjoints, one gather engine: a transposed conv is a gather
 per output phase), GDN / iGDN, space-to-depth and its inverse, a small
 elementwise suite and the discretized Gaussian rate term's pieces (exp,
 log, ndtr, clamp).  Non-finite values raise ``NumericError`` at once.
-The bands of a conv or a GDN map run on every CPU of the process's
-affinity mask, with the bits of one thread.
+The bands of a conv or a GDN map run on two threads where the process
+has two CPUs and a one-thread OpenBLAS, with the bits of one thread.
 
 Every op returns a fresh array, except the in-place inference epilogues
 ``add_``, ``relu_`` and ``gdn_``.  They write into their first argument
@@ -23,6 +23,7 @@ keeps that op's finiteness check.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import threading
@@ -31,6 +32,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from contextvars import ContextVar, copy_context
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy import special
@@ -449,17 +451,48 @@ def _bands(b: int, oh: int, rows: int) -> list[tuple[int, int, int, int]]:
     return [(n, n + 1, r0, r1) for n in range(b) for r0, r1 in split(oh, rows)]
 
 
-# Bands run on up to _WORKERS threads, one per CPU of the process's
-# affinity mask (of the machine where the OS keeps no mask): the calling
-# thread and a pool started at the first call with two bands or more.
+# Bands run on at most _MOST_WORKERS threads: the calling thread and a
+# pool started by the first call that uses it.  Each worker holds one
+# band's scratch, so the cap, not the host, bounds what a call adds to
+# the serial one's memory: the 1024x1024 test image's decode peaks at
+# 51.4 MiB on one worker and 53.6 MiB on two, and would at 83.5 MiB on
+# sixteen.  The pool runs only when the process's affinity mask has two
+# CPUs or more (all of the machine's where the OS keeps no mask) and the
+# OpenBLAS numpy loaded runs one thread: a threaded sgemm already spreads
+# each product over the cores, and band workers would contend with it.
 # Which thread runs a band changes no bit: the cuts and each band's
 # products are the same, and the threads share only arrays, each writing
-# its own bands of the output.  numpy lets go of the GIL inside matmul and
-# the large copies, which is where a band spends its time.
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
+# its own bands of the output.  numpy lets go of the GIL inside matmul
+# and the large copies, which is where a band spends its time.
+_MOST_WORKERS = 2
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
+
+
+def _find_openblas_threads():
+    """OpenBLAS's thread count query, from the library numpy loaded (its
+    Linux wheels bundle it in numpy.libs), or None for any other BLAS."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return fn
+    return None
+
+
+_openblas_threads = _find_openblas_threads()
+
+
+def _workers(bands: int) -> int:
+    """How many threads run a call's bands, for two bands or more."""
+    if _CPUS == 1 or _openblas_threads is None or _openblas_threads() != 1:
+        return 1
+    return min(_CPUS, _MOST_WORKERS, bands)
 
 
 def _forget_pool() -> None:
@@ -472,9 +505,9 @@ if hasattr(os, "register_at_fork"):  # no fork, and no such hook, on Windows
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _over_bands(bands: list, alloc, run) -> None:
-    """run(chunk, *alloc(chunk)) for contiguous chunks of bands, one chunk
-    per worker, the first in the calling thread.
+def _over_bands(bands: list, alloc, run, args: tuple) -> None:
+    """run(chunk, alloc(chunk, *args), *args) for contiguous chunks of
+    bands, one chunk per worker, the first in the calling thread.
 
     alloc runs in the calling thread: scratch made in a pool thread comes
     from another malloc arena, and the kodak-n128 benchmark's peak RSS
@@ -484,23 +517,23 @@ def _over_bands(bands: list, alloc, run) -> None:
     as one thread running the bands in order would.  A pool task never
     submits to the pool, so waiting on one cannot deadlock, however many
     threads call in at once."""
-    if len(bands) == 1 or _WORKERS == 1:
-        run(bands, *alloc(bands))
+    n = 1 if len(bands) == 1 else _workers(len(bands))
+    if n == 1:
+        run(bands, alloc(bands, *args), *args)
         return
     global _pool
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="c2f-bands")
+            _pool = ThreadPoolExecutor(_MOST_WORKERS - 1, thread_name_prefix="c2f-bands")
         pool = _pool
-    n = min(_WORKERS, len(bands))
     cuts = [len(bands) * i // n for i in range(n + 1)]
     chunks = [bands[i:j] for i, j in zip(cuts, cuts[1:])]
-    scratch = [alloc(chunk) for chunk in chunks]
+    scratch = [alloc(chunk, *args) for chunk in chunks]
     # each task runs in a copy of this thread's context: its errstate
-    futures = [pool.submit(copy_context().run, run, chunk, *arrays)
+    futures = [pool.submit(copy_context().run, run, chunk, arrays, *args)
                for chunk, arrays in zip(chunks[1:], scratch[1:])]
     try:
-        run(chunks[0], *scratch[0])
+        run(chunks[0], scratch[0], *args)
     finally:
         wait(futures)
     for future in futures:
@@ -536,8 +569,6 @@ def _gather(x: np.ndarray, kern: np.ndarray, stride: int,
     the taps in row-major order, or with `reverse` in the reverse order."""
     b, _, w, ci = x.shape
     kh, kw, _, co = kern.shape
-    pt, pb, pl, pr = pads
-    wp, s, padded = w + pl + pr, stride, any(pads)
     taps = [(i, j) for i in range(kh) for j in range(kw)][::-1 if reverse else 1]
     out = np.empty((b, oh, ow, co), dtype=np.float32)
     # Stride 1: a band's padded rows, stacked image after image, are one
@@ -549,60 +580,71 @@ def _gather(x: np.ndarray, kern: np.ndarray, stride: int,
     # product no wider than the rows it reads, then adds each tap's slice.
     # Stride 2: each tap copies its strided rows and columns of the band,
     # and the products go straight into the band's rows of out.
-    bands = _bands(b, oh, max(_BAND_ROWS // wp, 2 * kh) if s == 1 else _BAND_ROWS // ow)
-    direct = s > 1 or kh * kw == 1
-    thin = not direct and kh * kw * co <= ci
-    if thin:
-        # transposed like each kern[i, j], so sgemm reads it the same way
+    wp = w + pads[2] + pads[3]
+    bands = _bands(b, oh, max(_BAND_ROWS // wp, 2 * kh) if stride == 1 else _BAND_ROWS // ow)
+    stacked = None
+    if stride == 1 and kh * kw > 1 and kh * kw * co <= ci:
+        # thin: transposed like each kern[i, j], so sgemm reads it the same way
         stacked = np.stack([kern[i, j].T for i, j in taps]).reshape(-1, ci).T
-
-    def alloc(chunk):
-        most_in = max((n1 - n0) * ((r1 - r0 - 1) * s + kh) for n0, n1, r0, r1 in chunk)
-        most_out = max((n1 - n0) * (r1 - r0) for n0, n1, r0, r1 in chunk)
-        return (np.zeros((most_in, wp, ci), dtype=np.float32) if padded else None,
-                np.empty((most_out * ow, ci), dtype=np.float32) if s > 1 else None,
-                np.empty((most_out * ow if direct else most_in * wp,
-                          co * len(taps) if thin else co), dtype=np.float32),
-                None if direct else np.empty((most_in * wp, co), dtype=np.float32))
-
-    def run(chunk, buf, patch, tmp, scratch):
-        for n0, n1, r0, r1 in chunk:
-            k, q = n1 - n0, (r1 - r0 - 1) * s + kh
-            if padded:
-                src = buf[:k * q].reshape(k, q, wp, ci)
-                _fill(src, x[n0:n1], r0 * s, pt, pl)
-            else:
-                src = x[n0:n1, r0 * s:r0 * s + q]
-            if s == 1:
-                m = (k * q - kh) * wp + ow
-                flat = src.reshape(-1, ci)
-                operands = (flat[i * wp + j:i * wp + j + m] for i, j in taps)
-            else:
-                m = k * (r1 - r0) * ow
-                rows = patch[:m].reshape(k, r1 - r0, ow, ci)
-                operands = (_strided(rows, src, i, j, s) for i, j in taps)
-            # out[n0:n1, r0:r1] is whole images or rows of one image: a view
-            acc = out[n0:n1, r0:r1].reshape(m, co) if direct else scratch[:m]
-            if thin:
-                prod = np.matmul(flat, stacked, out=tmp[:len(flat)])
-                parts = [prod[i * wp + j:i * wp + j + m, t * co:(t + 1) * co]
-                         for t, (i, j) in enumerate(taps)]
-                np.copyto(acc, parts[0])
-                for part in parts[1:]:
-                    acc += part
-            else:
-                for tap, ((i, j), a) in enumerate(zip(taps, operands)):
-                    if tap == 0:
-                        np.matmul(a, kern[i, j], out=acc)
-                    else:
-                        np.matmul(a, kern[i, j], out=tmp[:m])
-                        acc += tmp[:m]
-            if not direct:
-                out[n0:n1, r0:r1] = \
-                    scratch[:k * q * wp].reshape(k, q, wp, co)[:, :r1 - r0, :ow]
-
-    _over_bands(bands, alloc, run)
+    _over_bands(bands, _gather_scratch, _gather_bands, (x, kern, out, stride, pads, taps, stacked))
     return out
+
+
+def _gather_scratch(bands, x, kern, out, s, pads, taps, stacked):
+    """_gather_bands' scratch (buf, patch, tmp, acc) for these bands."""
+    ci, wp = x.shape[3], x.shape[2] + pads[2] + pads[3]
+    kh, ow, co = kern.shape[0], out.shape[2], out.shape[3]
+    direct = s > 1 or len(taps) == 1
+    most_in = max((n1 - n0) * ((r1 - r0 - 1) * s + kh) for n0, n1, r0, r1 in bands)
+    most_out = max((n1 - n0) * (r1 - r0) for n0, n1, r0, r1 in bands)
+    return (np.zeros((most_in, wp, ci), dtype=np.float32) if any(pads) else None,
+            np.empty((most_out * ow, ci), dtype=np.float32) if s > 1 else None,
+            np.empty((most_out * ow if direct else most_in * wp,
+                      co * len(taps) if stacked is not None else co), dtype=np.float32),
+            None if direct else np.empty((most_in * wp, co), dtype=np.float32))
+
+
+def _gather_bands(bands, scratch, x, kern, out, s, pads, taps, stacked):
+    """_gather's products for these bands, written into their rows of out."""
+    buf, patch, tmp, acc_buf = scratch
+    ci, wp = x.shape[3], x.shape[2] + pads[2] + pads[3]
+    kh, ow, co = kern.shape[0], out.shape[2], out.shape[3]
+    pt, pl = pads[0], pads[2]
+    direct = s > 1 or len(taps) == 1
+    for n0, n1, r0, r1 in bands:
+        k, q = n1 - n0, (r1 - r0 - 1) * s + kh
+        if buf is not None:
+            src = buf[:k * q].reshape(k, q, wp, ci)
+            _fill(src, x[n0:n1], r0 * s, pt, pl)
+        else:
+            src = x[n0:n1, r0 * s:r0 * s + q]
+        if s == 1:
+            m = (k * q - kh) * wp + ow
+            flat = src.reshape(-1, ci)
+            operands = (flat[i * wp + j:i * wp + j + m] for i, j in taps)
+        else:
+            m = k * (r1 - r0) * ow
+            rows = patch[:m].reshape(k, r1 - r0, ow, ci)
+            operands = (_strided(rows, src, i, j, s) for i, j in taps)
+        # out[n0:n1, r0:r1] is whole images or rows of one image: a view
+        acc = out[n0:n1, r0:r1].reshape(m, co) if direct else acc_buf[:m]
+        if stacked is not None:
+            prod = np.matmul(flat, stacked, out=tmp[:len(flat)])
+            parts = [prod[i * wp + j:i * wp + j + m, t * co:(t + 1) * co]
+                     for t, (i, j) in enumerate(taps)]
+            np.copyto(acc, parts[0])
+            for part in parts[1:]:
+                acc += part
+        else:
+            for tap, ((i, j), a) in enumerate(zip(taps, operands)):
+                if tap == 0:
+                    np.matmul(a, kern[i, j], out=acc)
+                else:
+                    np.matmul(a, kern[i, j], out=tmp[:m])
+                    acc += tmp[:m]
+        if not direct:
+            out[n0:n1, r0:r1] = \
+                acc_buf[:k * q * wp].reshape(k, q, wp, co)[:, :r1 - r0, :ow]
 
 
 def _phase(a: int, k: int, s: int, pad: int, n: int, size: int):
@@ -831,33 +873,37 @@ def gdn_(x: Tensor, params: GdnParams, inverse: bool = False) -> Tensor:
         raise ContractViolation(f"gdn params for {c} channels, input has {x.shape[3]}")
     flat = data.reshape(-1, c)
     beta, gamma_t = params.beta_values(), params.gamma_values().T
-
-    def alloc(chunk):
-        sq = np.empty((max(r1 - r0 for _, _, r0, r1 in chunk), c), dtype=np.float32)
-        return sq, np.empty_like(sq)
-
-    def run(chunk, sq, root):
-        for _, _, r0, r1 in chunk:
-            xb, s, r = flat[r0:r1], sq[:r1 - r0], root[:r1 - r0]
-            with np.errstate(over="ignore"):
-                np.multiply(xb, xb, out=s)
-            _check_finite(s, "square")
-            np.matmul(s, gamma_t, out=r)
-            _check_finite(r, "cmatmul")
-            r += beta
-            _check_finite(r, "add")
-            with np.errstate(invalid="ignore"):
-                np.sqrt(r, out=r)
-            _check_finite(r, "sqrt")
-            if inverse:
-                xb *= r
-            else:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    xb /= r
-            _check_finite(xb, "mul" if inverse else "div")
-
-    _over_bands(_bands(1, len(flat), _BAND_ROWS), alloc, run)
+    _over_bands(_bands(1, len(flat), _BAND_ROWS), _gdn_scratch, _gdn_bands,
+                (flat, beta, gamma_t, inverse))
     return x
+
+
+def _gdn_scratch(bands, flat, beta, gamma_t, inverse):
+    sq = np.empty((max(r1 - r0 for _, _, r0, r1 in bands), flat.shape[1]), dtype=np.float32)
+    return sq, np.empty_like(sq)
+
+
+def _gdn_bands(bands, scratch, flat, beta, gamma_t, inverse):
+    """gdn_'s ops for these bands of flat's rows, each op checked."""
+    sq, root = scratch
+    for _, _, r0, r1 in bands:
+        xb, s, r = flat[r0:r1], sq[:r1 - r0], root[:r1 - r0]
+        with np.errstate(over="ignore"):
+            np.multiply(xb, xb, out=s)
+        _check_finite(s, "square")
+        np.matmul(s, gamma_t, out=r)
+        _check_finite(r, "cmatmul")
+        r += beta
+        _check_finite(r, "add")
+        with np.errstate(invalid="ignore"):
+            np.sqrt(r, out=r)
+        _check_finite(r, "sqrt")
+        if inverse:
+            xb *= r
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xb /= r
+        _check_finite(xb, "mul" if inverse else "div")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 import hashlib
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,9 +355,9 @@ def test_codec_width_deconvs_match_per_tap_scatter(k, stride, c_in, c_out, h, w)
 # ---------------------------------------------------------------------------
 # bands over workers
 
-def _per_workers(workers, fn, counts=(1, 2, 3)):
-    """fn()'s arrays as bytes, run on each worker count in turn (3 is more
-    workers than a 2-core host has)."""
+def _per_workers(workers, fn, counts=(1, 2, 16)):
+    """fn()'s arrays as bytes, run on each CPU count in turn (16 CPUs run
+    the engine's two workers, as 2 do)."""
     out = []
     for n in counts:
         workers(n)
@@ -408,8 +411,8 @@ def test_gdn_in_place_bits_do_not_depend_on_the_worker_count(workers, monkeypatc
 
 def test_gdn_in_place_raises_what_the_serial_bands_raise(workers, monkeypatch):
     # 10 bands of 64 pixels.  gamma 10 makes 1e19 overflow in the channel
-    # product ('cmatmul'), and an inf overflows 'square'.  With 2 workers
-    # the pool's chunk holds bands 5-9; with 3, bands 3-5 and 6-9
+    # product ('cmatmul'), and an inf overflows 'square'.  With two
+    # workers the pool's chunk holds bands 5-9
     monkeypatch.setattr(ad, "_BAND_ROWS", 64)
     p = GdnParams.create(8, gamma_init=10.0)
     clean = randt((2, 16, 20, 8), seed=71, requires_grad=False).data
@@ -426,7 +429,7 @@ def test_gdn_in_place_raises_what_the_serial_bands_raise(workers, monkeypatch):
 
     workers(1)
     serial = gdn_with()
-    for n in (1, 2, 3):
+    for n in (1, 2, 16):
         workers(n)
         with pytest.raises(NumericError, match="op 'square'"):
             gdn_with((639, np.inf))  # only the last band
@@ -440,20 +443,20 @@ def test_bands_call_ends_every_chunk_before_it_raises(workers):
     workers(2)
     ended = []
 
-    def run(chunk):
+    def run(chunk, scratch):
         if chunk == [0]:
             raise NumericError("first band")
         time.sleep(0.2)
         ended.append(chunk)
 
     with pytest.raises(NumericError, match="first band"):
-        ad._over_bands([0, 1], lambda chunk: (), run)
+        ad._over_bands([0, 1], lambda chunk: None, run, ())
     assert ended == [[1]]
 
 
 def test_one_band_call_submits_nothing_to_the_pool(workers, monkeypatch):
     workers(2)
-    ad._over_bands([0, 1], lambda chunk: (), lambda chunk: None)
+    ad._over_bands([0, 1], lambda chunk: None, lambda chunk, scratch: None, ())
     submitted = []
     submit = ad._pool.submit
     monkeypatch.setattr(ad._pool, "submit",
@@ -471,6 +474,41 @@ def test_one_band_call_submits_nothing_to_the_pool(workers, monkeypatch):
     with ad.no_grad():
         ad.gdn_(Tensor(x.data.copy()), GdnParams.create(4))
     assert len(submitted) == 1
+
+
+def test_threaded_blas_keeps_the_bands_in_the_calling_thread(workers, monkeypatch):
+    # a threaded sgemm already spreads each product over the cores
+    workers(2)
+    ad._over_bands([0, 1], lambda chunk: None, lambda chunk, scratch: None, ())
+    submitted = []
+    submit = ad._pool.submit
+    monkeypatch.setattr(ad._pool, "submit",
+                        lambda *a, **kw: submitted.append(a) or submit(*a, **kw))
+    monkeypatch.setattr(ad, "_BAND_ROWS", 16)
+    x = randt((1, 8, 8, 4), seed=74, requires_grad=False)
+    with ad.no_grad():
+        ad.gdn_(Tensor(x.data.copy()), GdnParams.create(4))
+    assert len(submitted) == 1
+    monkeypatch.setattr(ad, "_openblas_threads", lambda: 2)
+    with ad.no_grad():
+        ad.gdn_(Tensor(x.data.copy()), GdnParams.create(4))
+        ad.conv2d(x, randt((3, 3, 4, 4), seed=75, requires_grad=False))
+    assert len(submitted) == 1
+
+
+@pytest.mark.parametrize("blas_threads", [1, 2])
+def test_band_workers_follow_numpys_openblas_thread_count(blas_threads):
+    if "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    code = "import c2f.autodiff as ad; print(ad._openblas_threads(), ad._workers(8))"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=os.pathsep.join([str(Path(ad.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    workers = min(ad._CPUS, 2) if blas_threads == 1 else 1
+    assert child.stdout.split() == [str(blas_threads), str(workers)]
 
 
 def test_forked_child_runs_bands_on_a_pool_of_its_own(workers, monkeypatch):

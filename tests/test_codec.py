@@ -171,6 +171,12 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def wide_image():
+    rng = np.random.default_rng(1)
+    return np.concatenate([np.concatenate([synthetic_patch(rng, 64) for _ in range(16)],
+                                          axis=1) for _ in range(16)], axis=0)
+
+
 @pytest.fixture(scope="module")
 def wide_roundtrip():
     """A random-init n_main=16 model codes a 1024x1024 image of 256 seeded
@@ -181,9 +187,7 @@ def wide_roundtrip():
     into 32 bands of 8,192: unlike the 64x64 zoo, a band-edge error shows
     here."""
     model = CodecModel(ArchConfig(n_main=16), seed=0)
-    rng = np.random.default_rng(1)
-    img = np.concatenate([np.concatenate([synthetic_patch(rng, 64) for _ in range(16)],
-                                         axis=1) for _ in range(16)], axis=0)
+    img = wide_image()
     codec.encode_array(model, img[:64, :64])
     res, enc_peak = traced_peak(codec.encode_array, model, img)
     out, dec_peak = traced_peak(codec.decode_array, model, res.data)
@@ -216,6 +220,21 @@ def test_decode_peak_is_bounded(wide_roundtrip):
     # into one buffer, the peak is fuse_in's input buffer, its output and
     # its band scratch: 51.4 MiB
     assert wide_roundtrip[3] < 58, f"decode peaked at {wide_roundtrip[3]:.1f} MiB"
+
+
+def test_peaks_and_bits_do_not_grow_with_the_cpu_count(wide_roundtrip, workers):
+    # every band worker holds one band's scratch, and the engine runs two
+    # at most: as on a host of 16 CPUs, encode and decode make the
+    # fixture's bits under its bounds
+    res, out, _, _ = wide_roundtrip
+    workers(16)
+    model = CodecModel(ArchConfig(n_main=16), seed=0)
+    again, enc_peak = traced_peak(codec.encode_array, model, wide_image())
+    assert enc_peak < 48, f"encode peaked at {enc_peak:.1f} MiB"
+    assert again.data == res.data
+    dec, dec_peak = traced_peak(codec.decode_array, model, res.data)
+    assert dec_peak < 58, f"decode peaked at {dec_peak:.1f} MiB"
+    assert dec.image.tobytes() == out.image.tobytes()
 
 
 def test_two_threads_decoding_at_once_get_the_serial_pixels(toy_zoo, workers, monkeypatch):
