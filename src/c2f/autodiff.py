@@ -11,7 +11,9 @@ per output phase), GDN / iGDN, space-to-depth and its inverse, a small
 elementwise suite and the discretized Gaussian rate term's pieces (exp,
 log, ndtr, clamp).  Non-finite values raise ``NumericError`` at once.
 The bands of a conv or a GDN map run on two threads where the process
-has two CPUs and a one-thread OpenBLAS, with the bits of one thread.
+has two CPUs and a one-thread OpenBLAS, with the bits of one thread: the
+calling thread and a helper started for the call and joined before it
+returns.  No engine thread runs between calls.
 
 Every op returns a fresh array, except the in-place inference epilogues
 ``add_``, ``relu_`` and ``gdn_``.  They write into their first argument
@@ -28,7 +30,6 @@ import math
 import os
 import threading
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from contextvars import ContextVar, copy_context
 from dataclasses import dataclass
@@ -451,24 +452,22 @@ def _bands(b: int, oh: int, rows: int) -> list[tuple[int, int, int, int]]:
     return [(n, n + 1, r0, r1) for n in range(b) for r0, r1 in split(oh, rows)]
 
 
-# Bands run on at most _MOST_WORKERS threads: the calling thread and a
-# pool started by the first call that uses it.  Each worker holds one
-# band's scratch, so the cap, not the host, bounds what a call adds to
-# the serial one's memory: the 1024x1024 test image's decode peaks at
-# 51.4 MiB on one worker and 53.6 MiB on two, and would at 83.5 MiB on
-# sixteen.  The pool runs only when the process's affinity mask has two
-# CPUs or more (all of the machine's where the OS keeps no mask) and the
-# OpenBLAS numpy loaded runs one thread: a threaded sgemm already spreads
-# each product over the cores, and band workers would contend with it.
-# Which thread runs a band changes no bit: the cuts and each band's
+# A call of two bands or more runs its second half of the bands on a
+# helper thread of its own, started for the call and joined before it
+# returns, so no c2f thread runs between calls and no call uses more than
+# two threads.  Each thread holds the scratch of one band, so whatever the
+# host, a call adds at most one band's scratch to the serial one's memory:
+# the 1024x1024 test image's decode peaks at 51.4 MiB on one thread and
+# 53.6 MiB on two.  The helper runs only when the process's affinity mask
+# has two CPUs or more (all of the machine's where the OS keeps no mask)
+# and the OpenBLAS numpy loaded runs one thread: a threaded sgemm already
+# spreads each product over the cores, and the helper would contend with
+# it.  Which thread runs a band changes no bit: the cuts and each band's
 # products are the same, and the threads share only arrays, each writing
-# its own bands of the output.  numpy lets go of the GIL inside matmul
-# and the large copies, which is where a band spends its time.
-_MOST_WORKERS = 2
+# its own bands of the output.  numpy lets go of the GIL inside matmul and
+# the large copies, which is where a band spends its time.
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
 
 
 def _find_openblas_threads():
@@ -488,56 +487,40 @@ def _find_openblas_threads():
 _openblas_threads = _find_openblas_threads()
 
 
-def _workers(bands: int) -> int:
-    """How many threads run a call's bands, for two bands or more."""
-    if _CPUS == 1 or _openblas_threads is None or _openblas_threads() != 1:
-        return 1
-    return min(_CPUS, _MOST_WORKERS, bands)
-
-
-def _forget_pool() -> None:
-    # a forked child has none of the pool's threads
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # no fork, and no such hook, on Windows
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _over_bands(bands: list, alloc, run, args: tuple) -> None:
-    """run(chunk, alloc(chunk, *args), *args) for contiguous chunks of
-    bands, one chunk per worker, the first in the calling thread.
+    """run(half, alloc(half, *args), *args) for the first and second half
+    of bands, the second on a helper thread where the host allows one.
 
-    alloc runs in the calling thread: scratch made in a pool thread comes
+    alloc runs in the calling thread: scratch made in another thread comes
     from another malloc arena, and the kodak-n128 benchmark's peak RSS
     rose from 378 to 399 MB with it on a 2-core host.  The call returns or
-    raises only once every chunk has ended, so no pool thread writes into
+    raises only once the helper has ended, so no other thread writes into
     an array after it, and it raises what the first band to fail raised,
-    as one thread running the bands in order would.  A pool task never
-    submits to the pool, so waiting on one cannot deadlock, however many
-    threads call in at once."""
-    n = 1 if len(bands) == 1 else _workers(len(bands))
-    if n == 1:
+    as one thread running the bands in order would."""
+    if (len(bands) == 1 or _CPUS == 1 or _openblas_threads is None
+            or _openblas_threads() != 1):
         run(bands, alloc(bands, *args), *args)
         return
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_MOST_WORKERS - 1, thread_name_prefix="c2f-bands")
-        pool = _pool
-    cuts = [len(bands) * i // n for i in range(n + 1)]
-    chunks = [bands[i:j] for i, j in zip(cuts, cuts[1:])]
-    scratch = [alloc(chunk, *args) for chunk in chunks]
-    # each task runs in a copy of this thread's context: its errstate
-    futures = [pool.submit(copy_context().run, run, chunk, arrays, *args)
-               for chunk, arrays in zip(chunks[1:], scratch[1:])]
+    half = len(bands) // 2
+    first, second = bands[:half], bands[half:]
+    first_scratch, second_scratch = alloc(first, *args), alloc(second, *args)
+    raised = []
+
+    def helper():
+        try:
+            run(second, second_scratch, *args)
+        except BaseException as exc:  # re-raised in the calling thread below
+            raised.append(exc)
+
+    # the helper runs in a copy of this thread's context: its errstate
+    thread = threading.Thread(target=copy_context().run, args=(helper,))
+    thread.start()
     try:
-        run(chunks[0], scratch[0], *args)
+        run(first, first_scratch, *args)
     finally:
-        wait(futures)
-    for future in futures:
-        future.result()
+        thread.join()
+    if raised:
+        raise raised[0]
 
 
 def _fill(dst: np.ndarray, x: np.ndarray, q0: int, pt: int, pl: int) -> None:

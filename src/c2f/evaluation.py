@@ -266,27 +266,32 @@ def write_rd_csv(rows: list[RdRow], out) -> None:
 
 def read_rd_csv(path) -> list[RdRow]:
     """Read RD points; accepts the pinned schema plus an optional
-    'quality' column used to group multi-model codecs."""
+    'quality' column used to group multi-model codecs.  A file that does
+    not decode as text, or that the csv module cannot parse, raises
+    ConfigError."""
     rows: list[RdRow] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ConfigError(f"{path}: empty CSV")
-        missing = {"codec", "image", "bpp"} - set(reader.fieldnames)
-        if missing:
-            raise ConfigError(f"{path}: missing CSV columns {sorted(missing)}")
-        seen: dict[tuple[str, str], int] = {}
-        for rec in reader:
-            key = (rec["codec"], rec["image"])
-            idx = seen[key] = seen.get(key, -1) + 1
-            quality = rec.get("quality") or str(idx)
-            line = reader.line_num
-            rows.append(RdRow(
-                codec=rec["codec"], quality=quality, image=rec["image"],
-                bpp=_csv_float(path, line, "bpp", rec["bpp"]),
-                psnr_db=_csv_float(path, line, "psnr_db",
-                                   rec.get("psnr_db") or rec.get("psnr") or "nan"),
-                msssim=_csv_float(path, line, "msssim", rec.get("msssim") or "nan")))
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise ConfigError(f"{path}: empty CSV")
+            missing = {"codec", "image", "bpp"} - set(reader.fieldnames)
+            if missing:
+                raise ConfigError(f"{path}: missing CSV columns {sorted(missing)}")
+            seen: dict[tuple[str, str], int] = {}
+            for rec in reader:
+                key = (rec["codec"], rec["image"])
+                idx = seen[key] = seen.get(key, -1) + 1
+                quality = rec.get("quality") or str(idx)
+                line = reader.line_num
+                rows.append(RdRow(
+                    codec=rec["codec"], quality=quality, image=rec["image"],
+                    bpp=_csv_float(path, line, "bpp", rec["bpp"]),
+                    psnr_db=_csv_float(path, line, "psnr_db",
+                                       rec.get("psnr_db") or rec.get("psnr") or "nan"),
+                    msssim=_csv_float(path, line, "msssim", rec.get("msssim") or "nan")))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"{path}: not a readable CSV: {exc}") from None
     return rows
 
 

@@ -170,8 +170,25 @@ def save_checkpoint(model: CodecModel, opt: Adam, step: int, path) -> None:
 
 
 def load_checkpoint(path) -> tuple[CodecModel, dict[str, np.ndarray], int]:
+    """The model, Adam state records and step a checkpoint holds.
+
+    Every parameter of model.param_list(), in that order, must have its
+    opt.{i}.m and .v records in the parameter's shape and a one-value
+    opt.{i}.t, and meta.step must hold one value.  Every value must be
+    finite, each v >= 0, and each t and the step a whole number >= 0."""
     model, records = _load(Path(path).read_bytes())
-    if "meta.step" not in records:
-        raise FormatError("not a checkpoint: missing meta.step record")
+    wanted = {"meta.step": (1,)}
+    for i, param in enumerate(model.param_list()):
+        wanted.update({f"opt.{i}.m": param.shape, f"opt.{i}.v": param.shape,
+                       f"opt.{i}.t": (1,)})
+    for name, shape in wanted.items():
+        if name not in records:
+            raise FormatError(f"{path}: checkpoint missing record {name!r}")
+        arr = records[name]
+        if arr.shape != shape:
+            raise FormatError(f"{path}: record {name!r} has shape {arr.shape}, expected {shape}")
+        if (not np.isfinite(arr).all() or (not name.endswith(".m") and arr.min() < 0)
+                or (name.endswith((".t", ".step")) and not float(arr[0]).is_integer())):
+            raise FormatError(f"{path}: record {name!r} holds a value out of range")
     opt_arrays = {k: v for k, v in records.items() if k.startswith("opt.")}
     return model, opt_arrays, int(records["meta.step"][0])

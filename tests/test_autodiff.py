@@ -357,7 +357,7 @@ def test_codec_width_deconvs_match_per_tap_scatter(k, stride, c_in, c_out, h, w)
 
 def _per_workers(workers, fn, counts=(1, 2, 16)):
     """fn()'s arrays as bytes, run on each CPU count in turn (16 CPUs run
-    the engine's two workers, as 2 do)."""
+    the engine's two threads, as 2 do)."""
     out = []
     for n in counts:
         workers(n)
@@ -412,7 +412,7 @@ def test_gdn_in_place_bits_do_not_depend_on_the_worker_count(workers, monkeypatc
 def test_gdn_in_place_raises_what_the_serial_bands_raise(workers, monkeypatch):
     # 10 bands of 64 pixels.  gamma 10 makes 1e19 overflow in the channel
     # product ('cmatmul'), and an inf overflows 'square'.  With two
-    # workers the pool's chunk holds bands 5-9
+    # threads the helper's half holds bands 5-9
     monkeypatch.setattr(ad, "_BAND_ROWS", 64)
     p = GdnParams.create(8, gamma_init=10.0)
     clean = randt((2, 16, 20, 8), seed=71, requires_grad=False).data
@@ -421,8 +421,8 @@ def test_gdn_in_place_raises_what_the_serial_bands_raise(workers, monkeypatch):
         x = Tensor(clean.copy())
         for pixel, value in bad:
             x.data.reshape(-1, 8)[pixel, 0] = value
-        # the pool's chunks run under this thread's errstate, so the
-        # overflow warns nowhere, and a warning would fail the test
+        # the helper runs under this thread's errstate, so the overflow
+        # warns nowhere, and a warning would fail the test
         with ad.no_grad(), np.errstate(over="ignore"), warnings.catch_warnings():
             warnings.simplefilter("error")
             return ad.gdn_(x, p).data.tobytes()
@@ -435,7 +435,7 @@ def test_gdn_in_place_raises_what_the_serial_bands_raise(workers, monkeypatch):
             gdn_with((639, np.inf))  # only the last band
         with pytest.raises(NumericError, match="op 'cmatmul'"):
             gdn_with((4 * 64, 1e19), (639, np.inf))
-        # the same pool serves the next call
+        # the next call runs as if nothing had failed
         assert gdn_with() == serial
 
 
@@ -454,13 +454,18 @@ def test_bands_call_ends_every_chunk_before_it_raises(workers):
     assert ended == [[1]]
 
 
-def test_one_band_call_submits_nothing_to_the_pool(workers, monkeypatch):
+def _helper_starts(monkeypatch):
+    """The threads started from now on, in the order they start."""
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self) or start(self))
+    return started
+
+
+def test_one_band_call_starts_no_helper_thread(workers, monkeypatch):
     workers(2)
-    ad._over_bands([0, 1], lambda chunk: None, lambda chunk, scratch: None, ())
-    submitted = []
-    submit = ad._pool.submit
-    monkeypatch.setattr(ad._pool, "submit",
-                        lambda *a, **kw: submitted.append(a) or submit(*a, **kw))
+    started = _helper_starts(monkeypatch)
     rng = np.random.default_rng(72)
     x = Tensor(rng.normal(size=(1, 8, 8, 4)).astype(np.float32), True)
     kern = Tensor(rng.normal(size=(3, 3, 4, 4)).astype(np.float32), True)
@@ -469,63 +474,97 @@ def test_one_band_call_submits_nothing_to_the_pool(workers, monkeypatch):
             out._vjp(np.ones(out.shape, np.float32))
     with ad.no_grad():
         ad.gdn_(Tensor(x.data.copy()), GdnParams.create(4))
-    assert submitted == []
+    assert started == []
     monkeypatch.setattr(ad, "_BAND_ROWS", 16)
     with ad.no_grad():
         ad.gdn_(Tensor(x.data.copy()), GdnParams.create(4))
-    assert len(submitted) == 1
+    assert len(started) == 1
 
 
 def test_threaded_blas_keeps_the_bands_in_the_calling_thread(workers, monkeypatch):
     # a threaded sgemm already spreads each product over the cores
     workers(2)
-    ad._over_bands([0, 1], lambda chunk: None, lambda chunk, scratch: None, ())
-    submitted = []
-    submit = ad._pool.submit
-    monkeypatch.setattr(ad._pool, "submit",
-                        lambda *a, **kw: submitted.append(a) or submit(*a, **kw))
+    started = _helper_starts(monkeypatch)
     monkeypatch.setattr(ad, "_BAND_ROWS", 16)
     x = randt((1, 8, 8, 4), seed=74, requires_grad=False)
     with ad.no_grad():
         ad.gdn_(Tensor(x.data.copy()), GdnParams.create(4))
-    assert len(submitted) == 1
+    assert len(started) == 1
     monkeypatch.setattr(ad, "_openblas_threads", lambda: 2)
     with ad.no_grad():
         ad.gdn_(Tensor(x.data.copy()), GdnParams.create(4))
         ad.conv2d(x, randt((3, 3, 4, 4), seed=75, requires_grad=False))
-    assert len(submitted) == 1
+    assert len(started) == 1
+
+
+def test_no_thread_outlives_a_call(workers, monkeypatch):
+    # a multi-band conv (6 bands), a multi-band gdn_ (10 bands) and a gdn_
+    # that fails in its last band, on the helper's half
+    monkeypatch.setattr(ad, "_BAND_ROWS", 64)
+    workers(2)
+    x = randt((2, 16, 20, 8), seed=77, requires_grad=False)
+    kern = randt((3, 3, 8, 8), seed=78, requires_grad=False)
+    bad = Tensor(x.data.copy())
+    bad.data.reshape(-1, 8)[639, 0] = np.inf
+    before = threading.enumerate()
+    started = _helper_starts(monkeypatch)
+    with ad.no_grad():
+        ad.conv2d(x, kern)
+        assert threading.enumerate() == before
+        ad.gdn_(Tensor(x.data.copy()), GdnParams.create(8))
+        assert threading.enumerate() == before
+        with pytest.raises(NumericError, match="op 'square'"):
+            ad.gdn_(bad, GdnParams.create(8))
+        assert threading.enumerate() == before
+    assert len(started) == 3
+
+
+def _gdn_in_ten_bands():
+    # 10 bands of 64 pixels under _BAND_ROWS 64; the child process of the
+    # next test runs the same lines
+    x = np.random.default_rng(76).normal(size=(2, 16, 20, 8)).astype(np.float32)
+    with ad.no_grad():
+        return ad.gdn_(Tensor(x), GdnParams.create(8)).data.tobytes()
 
 
 @pytest.mark.parametrize("blas_threads", [1, 2])
-def test_band_workers_follow_numpys_openblas_thread_count(blas_threads):
+def test_band_workers_follow_numpys_openblas_thread_count(blas_threads, workers, monkeypatch):
+    # a child under OPENBLAS_NUM_THREADS runs a multi-band gdn_: a helper
+    # starts under one BLAS thread (where the host has two CPUs) and none
+    # under two, and either way the bytes are this process's serial ones
     if "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
         pytest.skip("numpy's BLAS is not OpenBLAS")
-    code = "import c2f.autodiff as ad; print(ad._openblas_threads(), ad._workers(8))"
+    code = "\n".join([
+        "import hashlib, threading, numpy as np, c2f.autodiff as ad",
+        "from c2f.autodiff import GdnParams, Tensor",
+        "started, start = [], threading.Thread.start",
+        "threading.Thread.start = lambda self: started.append(self) or start(self)",
+        "ad._BAND_ROWS = 64",
+        "x = np.random.default_rng(76).normal(size=(2, 16, 20, 8)).astype(np.float32)",
+        "with ad.no_grad():",
+        "    out = ad.gdn_(Tensor(x), GdnParams.create(8)).data.tobytes()",
+        "print(ad._openblas_threads(), len(started), hashlib.sha256(out).hexdigest())"])
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
                PYTHONPATH=os.pathsep.join([str(Path(ad.__file__).parents[1]),
                                            os.environ.get("PYTHONPATH", "")]))
     child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                            text=True, timeout=120)
     assert child.returncode == 0, child.stderr
-    workers = min(ad._CPUS, 2) if blas_threads == 1 else 1
-    assert child.stdout.split() == [str(blas_threads), str(workers)]
+    helpers = int(blas_threads == 1 and ad._CPUS > 1)
+    monkeypatch.setattr(ad, "_BAND_ROWS", 64)
+    workers(1)
+    serial = hashlib.sha256(_gdn_in_ten_bands()).hexdigest()
+    assert child.stdout.split() == [str(blas_threads), str(helpers), serial]
 
 
-def test_forked_child_runs_bands_on_a_pool_of_its_own(workers, monkeypatch):
-    # the child has none of the parent's pool threads; a pool it inherited
-    # would take its bands and never run them
+def test_forked_child_runs_multi_band_calls(workers, monkeypatch):
+    # a child forked after multi-band calls starts helpers of its own and
+    # gets the parent's bits
     monkeypatch.setattr(ad, "_BAND_ROWS", 64)
     workers(2)
-    x = randt((2, 16, 20, 8), seed=73, requires_grad=False)
-    p = GdnParams.create(8)
-
-    def run():
-        with ad.no_grad():
-            return ad.gdn_(Tensor(x.data.copy()), p).data.tobytes()
-
-    expected = run()
+    expected = _gdn_in_ten_bands()
     child = multiprocessing.get_context("fork").Process(
-        target=lambda: os._exit(0 if run() == expected else 1))
+        target=lambda: os._exit(0 if _gdn_in_ten_bands() == expected else 1))
     child.start()
     try:
         child.join(timeout=60)

@@ -10,6 +10,7 @@ import pytest
 import c2f.imageio as imageio
 import c2f.rangecoder as rangecoder
 import c2f.weights as wts
+from c2f.autodiff import Adam
 from c2f.cli import main
 from c2f.codec import decode_array, encode_array, latent_check, latent_digest
 from c2f.container import read_container, write_container
@@ -98,6 +99,25 @@ def test_malformed_weights_header_exits_3(workdir, tmp_path, capsys, offset, val
               "--input", workdir / "img0.png", "--output", tmp_path / "x.c2f"])
     assert rc == 3
     assert "bad.c2fw" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("opt_records", ["none", "short", "nan"])
+def test_malformed_checkpoint_exits_3(workdir, tmp_path, capsys, opt_records):
+    # a checkpoint with meta.step but no Adam records, or with opt.0.m one
+    # value long or NaN, is a malformed file, refused before training starts
+    model = CodecModel(TINY, lambda_tag=300, seed=0)
+    extra = {"meta.step": np.array([3], np.float32)}
+    if opt_records != "none":
+        extra |= Adam(model.param_list()).state_arrays()
+        extra["opt.0.m"] = (np.zeros(1, np.float32) if opt_records == "short"
+                            else np.full(extra["opt.0.m"].shape, np.nan, np.float32))
+    (tmp_path / "bad.c2fw").write_bytes(wts.model_bytes(model, extra))
+    rc = run(["train", "--data", workdir, "--out", tmp_path / "run", "--lambda", "0.01",
+              "--steps", "5", "--batch", "1", "--patch", "64", "--resume", tmp_path / "bad.c2fw"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "bad.c2fw" in err and "'opt.0.m'" in err
 
 
 @pytest.mark.parametrize("command", ["encode", "eval", "rdcurve"])
@@ -268,6 +288,18 @@ def test_bdrate_non_numeric_field_exits_5(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "a.csv line 3" in err and "bpp 'abc'" in err
+
+
+@pytest.mark.parametrize("row", [b"c2f,a\xff\xfe.png,0.3,30",
+                                 b"c2f," + b"x" * 140000 + b",0.3,30"],
+                         ids=["not-utf8", "field-past-csv-limit"])
+def test_bdrate_unreadable_csv_exits_5(tmp_path, capsys, row):
+    (tmp_path / "a.csv").write_bytes(b"codec,image,bpp,psnr_db\n" + row + b"\n")
+    rc = run(["bdrate", "--anchor", tmp_path / "a.csv", "--test", tmp_path / "a.csv"])
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "a.csv: not a readable CSV" in err
 
 
 def test_train_command_smoke(workdir, tmp_path, capsys):

@@ -239,7 +239,7 @@ def test_peaks_and_bits_do_not_grow_with_the_cpu_count(wide_roundtrip, workers):
 
 def test_two_threads_decoding_at_once_get_the_serial_pixels(toy_zoo, workers, monkeypatch):
     # 512 flattened rows a band cut this 128x192 tile's maps into several
-    # bands, so both decodes hand bands to the one pool at the same time.
+    # bands, so both decodes run helper threads at the same time.
     # The container is written under that band size too: cuts change bits
     monkeypatch.setattr(ad, "_BAND_ROWS", 512)
     bands = []
