@@ -10,6 +10,8 @@ conv (exact adjoints, one gather engine: a transposed conv is a gather
 per output phase), GDN / iGDN, space-to-depth and its inverse, a small
 elementwise suite and the discretized Gaussian rate term's pieces (exp,
 log, ndtr, clamp).  Non-finite values raise ``NumericError`` at once.
+``ndtr64``, the float64 normal CDF under the ``ndtr`` op, also gives the
+coder tables (``entropy``) their values.
 The bands of a conv or a GDN map run on two threads where the process
 has two CPUs and a one-thread OpenBLAS, with the bits of one thread: the
 calling thread and a helper started for the call and joined before it
@@ -36,7 +38,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from .errors import ContractViolation, NumericError
 
@@ -44,7 +45,7 @@ __all__ = [
     "Tensor", "GdnParams", "Adam", "adam_step",
     "ADAM_BETA1", "ADAM_BETA2", "ADAM_EPS", "no_grad",
     "add", "sub", "mul", "div", "neg", "add_const", "mul_const",
-    "relu", "exp", "log", "sqrt", "square", "powc", "ndtr", "clamp",
+    "relu", "exp", "log", "sqrt", "square", "powc", "ndtr", "ndtr64", "clamp",
     "sum_all", "mean_all", "mse", "l2_norm",
     "concat_channels", "channel_slice",
     "conv2d", "deconv2d", "space_to_depth", "depth_to_space",
@@ -280,9 +281,73 @@ def powc(a: Tensor, p: float) -> Tensor:
     return _make(out, "powc", (a,), lambda g: (g * np.float32(p) * a.data ** np.float32(p - 1),))
 
 
+# Cephes ndtr (S. L. Moshier), the algorithm of scipy.special.ndtr: rational
+# approximations of erf on |x| <= 1 (T / U) and of erfc on 1 <= x < 8 (P / Q)
+# and x >= 8 (R / S).  Each denominator's leading 1 is written out: 1.0 * x
+# is exact, so _polevl then does Cephes p1evl's arithmetic.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2  # erfc(x) underflows to 0 where x * x exceeds it
+_SQRT1_2 = 0.70710678118654752440
+
+
+def _polevl(x: np.ndarray, coefs: tuple) -> np.ndarray:
+    """Horner's rule from the leading coefficient, as Cephes polevl."""
+    out = np.full_like(x, coefs[0])
+    for c in coefs[1:]:
+        out = out * x + c
+    return out
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """Cephes erf for |x| <= 1."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+
+
+def ndtr64(a) -> np.ndarray:
+    """Standard normal CDF in float64, elementwise; NaN gives NaN.
+
+    Cephes ndtr, operation for operation, so its values equal
+    scipy.special.ndtr's.  Its exp is libm's (math.exp), not np.exp: the
+    coder tables are built from these values and must not depend on which
+    SIMD kernel numpy picks on this CPU.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    x = a * _SQRT1_2
+    z = np.abs(x)
+    # erfc(z) / 2 wherever z >= 1/sqrt2; it stays 0 where Cephes erfc underflows
+    half_erfc = np.zeros_like(z)
+    sel = (z >= _SQRT1_2) & (z < 1.0)  # Cephes erfc is 1 - erf below 1
+    half_erfc[sel] = 0.5 * (1.0 - _erf(z[sel]))
+    with np.errstate(over="ignore"):
+        no_underflow = z * z <= _MAXLOG
+    for sel, p, q in (((z >= 1.0) & (z < 8.0), _ERFC_P, _ERFC_Q),
+                      ((z >= 8.0) & no_underflow, _ERFC_R, _ERFC_S)):
+        zs = z[sel]
+        e = np.fromiter(map(math.exp, (-(zs * zs)).tolist()), np.float64, zs.size)
+        half_erfc[sel] = 0.5 * (e * _polevl(zs, p) / _polevl(zs, q))
+    out = np.where(x > 0, 1.0 - half_erfc, half_erfc)
+    near = ~(z >= _SQRT1_2)  # NaN is near too, and erf keeps it NaN
+    out[near] = 0.5 + 0.5 * _erf(x[near])
+    return out
+
+
 def ndtr(a: Tensor) -> Tensor:
     """Standard normal CDF, elementwise."""
-    out = special.ndtr(a.data.astype(np.float64))
+    out = ndtr64(a.data)
 
     def vjp(g):
         pdf = np.exp(-0.5 * a.data.astype(np.float64) ** 2) * _INV_SQRT_2PI

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -152,7 +151,7 @@ def gaussian_bin_prob(x, mu, sigma):
     x = np.asarray(x, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
-    return special.ndtr((x + 0.5 - mu) / sigma) - special.ndtr((x - 0.5 - mu) / sigma)
+    return ad.ndtr64((x + 0.5 - mu) / sigma) - ad.ndtr64((x - 0.5 - mu) / sigma)
 
 
 def _integerize_rows(p: np.ndarray) -> np.ndarray:
@@ -195,7 +194,7 @@ def build_cdf_tables(mu, sigma) -> np.ndarray:
         hi_idx = min(lo_idx + _BUILD_CHUNK, n)
         m = mu[lo_idx:hi_idx, None]
         s = sigma[lo_idx:hi_idx, None]
-        cdf_at_edges = special.ndtr((_EDGES[None, :] - m) / s)
+        cdf_at_edges = ad.ndtr64((_EDGES[None, :] - m) / s)
         p_sym = np.diff(cdf_at_edges, axis=1)
         p_esc = 1.0 - (cdf_at_edges[:, -1] - cdf_at_edges[:, 0])
         p = np.concatenate([p_sym, p_esc[:, None]], axis=1)

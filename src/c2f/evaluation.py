@@ -10,8 +10,7 @@ MS-SSIM constants (recorded here as the reference configuration):
 11x11 Gaussian window with sigma 1.5, K1 = 0.01, K2 = 0.03, five scale
 weights (0.0448, 0.2856, 0.3001, 0.2363, 0.1333), 2x2 mean-pool between
 scales, symmetric boundary handling, channel-averaged.  Images smaller
-than 160x160 drop the deepest scales (weights renormalized) unless a
-scale count is pinned by the caller.
+than 160x160 drop the deepest scales (weights renormalized).
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
-from scipy.interpolate import PchipInterpolator
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ContractViolation, EvaluationError
 
@@ -58,8 +56,11 @@ def gaussian_window() -> np.ndarray:
 
 
 def _filter2(plane: np.ndarray, window: np.ndarray) -> np.ndarray:
-    out = ndimage.correlate1d(plane, window, axis=0, mode="reflect")
-    return ndimage.correlate1d(out, window, axis=1, mode="reflect")
+    """Separable windowed mean, same size as `plane`: the edge sample is
+    repeated in the reflection (d c b a | a b c d | d c b a)."""
+    out = np.pad(plane, window.size // 2, mode="symmetric")
+    out = sliding_window_view(out, window.size, axis=0) @ window
+    return sliding_window_view(out, window.size, axis=1) @ window
 
 
 def _ssim_pass(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
@@ -97,8 +98,9 @@ def max_scales(h: int, w: int) -> int:
     return scales
 
 
-def ms_ssim(a: np.ndarray, b: np.ndarray, scales: int | None = None) -> float:
-    """Multi-scale structural similarity in [0, 1] of 8-bit images, channel-averaged."""
+def ms_ssim(a: np.ndarray, b: np.ndarray) -> float:
+    """Multi-scale structural similarity in [0, 1] of 8-bit images,
+    channel-averaged, over max_scales(h, w) scales."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
@@ -107,16 +109,9 @@ def ms_ssim(a: np.ndarray, b: np.ndarray, scales: int | None = None) -> float:
         a = a[:, :, None]
         b = b[:, :, None]
     h, w = a.shape[:2]
-    usable = max_scales(h, w)
-    if scales is None:
-        scales = usable
-        if scales < 1:
-            raise ContractViolation(
-                f"image {h}x{w} smaller than the {MSSSIM_WINDOW}-tap window")
-    elif scales > usable:
-        raise ContractViolation(
-            f"{scales}-scale pyramid needs min dim >= {MSSSIM_WINDOW * 2 ** (scales - 1)}, "
-            f"got {h}x{w}")
+    scales = max_scales(h, w)
+    if scales < 1:
+        raise ContractViolation(f"image {h}x{w} smaller than the {MSSSIM_WINDOW}-tap window")
     weights = np.asarray(MSSSIM_WEIGHTS[:scales])
     weights = weights / weights.sum()
 
@@ -183,18 +178,74 @@ class RdCurve:
                 np.array([p.distortion for p in pts]))
 
 
-def _log_rate_interp(curve: RdCurve) -> tuple[PchipInterpolator, PchipInterpolator,
-                                              float, float]:
+class _Pchip:
+    """Monotone piecewise-cubic Hermite interpolant through (x, y), x
+    strictly increasing, len(x) >= 3 (Fritsch & Carlson, SIAM J. Numer.
+    Anal. 1980), with the derivative rules of scipy's PchipInterpolator.
+
+    An interior point takes the weighted harmonic mean of its neighbouring
+    slopes, or 0 where they differ in sign or either is 0; an end takes
+    the three-point estimate, set to 0 where its sign differs from the end
+    slope and clamped to 3x the end slope where the slopes change sign.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        h = np.diff(x)
+        m = np.diff(y) / h
+        m0, m1 = m[:-1], m[1:]
+        w0, w1 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        inner = (np.sign(m0) == np.sign(m1)) & (m0 != 0) & (m1 != 0)
+        d = np.zeros_like(y)
+        with np.errstate(divide="ignore", invalid="ignore"):  # only where not inner
+            d[1:-1][inner] = (1.0 / ((w0 / m0 + w1 / m1) / (w0 + w1)))[inner]
+        d[0] = self._end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = self._end_slope(h[-1], h[-2], m[-1], m[-2])
+        bend = (d[:-1] + d[1:] - 2 * m) / h
+        self.x = x
+        self.h = h
+        # piece k is c[0] s^3 + c[1] s^2 + c[2] s + c[3] at offset s from x[k]
+        self.c = np.stack([bend / h, (m - d[:-1]) / h - bend, d[:-1], y[:-1]])
+
+    @staticmethod
+    def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+        d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(d) != np.sign(m0):
+            return 0.0
+        if np.sign(m0) != np.sign(m1) and abs(d) > 3 * abs(m0):
+            return 3 * m0
+        return d
+
+    def __call__(self, t: float) -> float:
+        k = min(max(int(np.searchsorted(self.x, t, side="right")) - 1, 0), self.h.size - 1)
+        s = t - self.x[k]
+        c3, c2, c1, c0 = self.c[:, k]
+        return float(((c3 * s + c2) * s + c1) * s + c0)
+
+    def integrate(self, lo: float, hi: float) -> float:
+        """Integral over [lo, hi] inside [x[0], x[-1]], piece by piece in closed form."""
+        c = self.c
+
+        def antiderivative(s):
+            return (((c[0] / 4 * s + c[1] / 3) * s + c[2] / 2) * s + c[3]) * s
+
+        s_lo = np.clip(lo - self.x[:-1], 0.0, self.h)
+        s_hi = np.clip(hi - self.x[:-1], 0.0, self.h)
+        return float(np.sum(antiderivative(s_hi) - antiderivative(s_lo)))
+
+
+def _log_rate_interp(curve: RdCurve) -> tuple[_Pchip, _Pchip, float, float]:
     rate, dist = curve.arrays()
     if len(rate) < 4:
         raise EvaluationError(
             f"BD-rate needs >= 4 points, curve {curve.codec!r} has {len(rate)}")
+    if not (np.all(np.isfinite(rate)) and np.all(np.isfinite(dist))):
+        raise EvaluationError(f"curve {curve.codec!r} has a non-finite bpp or distortion")
     if not np.all(np.diff(dist) > 0):
         raise EvaluationError(
             f"curve {curve.codec!r} distortion is not strictly increasing with bpp")
     log_rate = np.log2(rate)
-    return (PchipInterpolator(dist, log_rate),        # log2 bpp as f(distortion)
-            PchipInterpolator(log_rate, dist),        # distortion as f(log2 bpp)
+    return (_Pchip(dist, log_rate),        # log2 bpp as f(distortion)
+            _Pchip(log_rate, dist),        # distortion as f(log2 bpp)
             float(rate[0]), float(rate[-1]))
 
 

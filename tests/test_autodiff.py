@@ -1,4 +1,5 @@
 import hashlib
+import math
 import multiprocessing
 import os
 import subprocess
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 import c2f.autodiff as ad
 from c2f.autodiff import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam, GdnParams, Tensor
@@ -745,6 +747,29 @@ def test_elementwise_gradcheck(op, args, seed, scale):
         d[np.abs(np.abs(d) - 0.4) < 0.05] += 0.15
         x = Tensor(d, requires_grad=True)
     probe_gradcheck(lambda: op(x, *args), [x])
+
+
+def test_ndtr64_equals_scipy_ndtr_bit_for_bit():
+    rng = np.random.default_rng(40)
+    seeded = np.concatenate([rng.normal(0, 1, 100000), rng.normal(0, 10, 100000),
+                             rng.uniform(-40, 40, 100000)])
+    # each side of every branch edge: |a| = 1 (erf / erfc), sqrt2 (erfc's own
+    # 1 - erf below 1), 8 sqrt2 (the second rational form) and the underflow
+    edges = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * ad._MAXLOG)]
+    steps = np.arange(-16, 17)
+    near = np.concatenate([e + steps * np.spacing(e) for e in edges])
+    a = np.concatenate([seeded, near, -near, [0.0, -0.0, np.inf, -np.inf, 1e300, -1e300]])
+    np.testing.assert_array_equal(ad.ndtr64(a).view(np.int64), special.ndtr(a).view(np.int64))
+    below = ad.ndtr64(-near[-steps.size:])
+    assert (below == 0.0).any() and (below > 0.0).any()  # the underflow edge is straddled
+
+
+def test_ndtr64_nan_is_nan_and_the_op_refuses_it():
+    assert np.isnan(ad.ndtr64(np.array([0.5, np.nan]))).tolist() == [False, True]
+    x = Tensor(np.zeros((1, 1, 1, 2), np.float32))
+    x.data[0, 0, 0, 1] = np.nan
+    with pytest.raises(NumericError, match="op 'ndtr'"):
+        ad.ndtr(x)
 
 
 def test_binary_ops_gradcheck():

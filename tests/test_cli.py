@@ -290,6 +290,21 @@ def test_bdrate_non_numeric_field_exits_5(tmp_path, capsys):
     assert "a.csv line 3" in err and "bpp 'abc'" in err
 
 
+@pytest.mark.parametrize("last", [(1.6, "inf"), ("inf", 37.5)], ids=["psnr-inf", "bpp-inf"])
+def test_bdrate_non_finite_rd_point_exits_5(tmp_path, capsys, last):
+    # `c2f eval` and `c2f rdcurve` write inf for a lossless image's PSNR
+    with open(tmp_path / "a.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["codec", "image", "bpp", "psnr_db"])
+        for b, p in [(0.3, 30.0), (0.6, 33.0), (1.0, 35.5), last]:
+            w.writerow(["c2f", "a.png", b, p])
+    rc = run(["bdrate", "--anchor", tmp_path / "a.csv", "--test", tmp_path / "a.csv"])
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "curve 'c2f' has a non-finite bpp or distortion" in err
+
+
 @pytest.mark.parametrize("row", [b"c2f,a\xff\xfe.png,0.3,30",
                                  b"c2f," + b"x" * 140000 + b",0.3,30"],
                          ids=["not-utf8", "field-past-csv-limit"])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 import c2f.autodiff as ad
 import c2f.entropy as ent
@@ -11,6 +12,7 @@ from c2f.entropy import CODER_GRID, FactorizedZ, QuantizerMode
 from c2f.errors import ContractViolation, NumericError
 
 from gradcheck import assert_grads_close
+from zoo import ZOO_LAMBDAS
 
 
 def t4(values):
@@ -261,6 +263,18 @@ def test_grid_rows_are_build_cdf_tables_at_grid_points():
     want = ent.build_cdf_tables(CODER_GRID.offsets[j], CODER_GRID.sigmas[k])
     tables, _ = CODER_GRID.tables(mu, sigma)
     np.testing.assert_array_equal(tables.cum[tables.index], want)
+
+
+def test_grid_and_zoo_z_rows_equal_rows_built_with_scipy_ndtr(toy_zoo, monkeypatch):
+    grid, _ = CODER_GRID.tables([0.0], [1.0])
+    k, j = np.divmod(np.arange(ent.GRID_SIGMAS * ent.GRID_OFFSETS), ent.GRID_OFFSETS)
+    sigma_z = [toy_zoo.load(lam).fz.sigma_values() for lam in ZOO_LAMBDAS]
+    z_rows = [ent.build_cdf_tables(np.zeros(s.size), s) for s in sigma_z]
+    monkeypatch.setattr(ad, "ndtr64", special.ndtr)
+    np.testing.assert_array_equal(
+        grid.cum, ent.build_cdf_tables(CODER_GRID.offsets[j], CODER_GRID.sigmas[k]))
+    for s, rows in zip(sigma_z, z_rows):
+        np.testing.assert_array_equal(rows, ent.build_cdf_tables(np.zeros(s.size), s))
 
 
 def test_grid_is_built_whole_on_first_use_and_only_then(monkeypatch):

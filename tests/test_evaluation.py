@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 from scipy.interpolate import PchipInterpolator
 
 import c2f.evaluation as ev
@@ -128,10 +129,24 @@ def test_ms_ssim_small_image_reduces_scales():
     assert value == pytest.approx(ref, abs=1e-4)
 
 
-def test_ms_ssim_pinned_scales_rejected_when_too_small():
-    a, b = smooth_pair(9, h=64, w=64)
-    with pytest.raises(ContractViolation):
-        ev.ms_ssim(a, b, scales=5)
+def ndimage_filter2(plane, window):
+    """The MS-SSIM filter as scipy.ndimage computes it: 'reflect' there is
+    numpy's 'symmetric'."""
+    out = ndimage.correlate1d(plane, window, axis=0, mode="reflect")
+    return ndimage.correlate1d(out, window, axis=1, mode="reflect")
+
+
+@pytest.mark.parametrize("h, w", [(160, 160), (96, 48), (12, 12)])
+def test_ms_ssim_matches_ndimage_filtering(monkeypatch, h, w):
+    # 96x48 and 12x12 run down to the smallest plane max_scales allows, 6 px
+    a, b = smooth_pair(12, h=h, w=w, noise=20.0)
+    ours = ev.ms_ssim(a, b)
+    monkeypatch.setattr(ev, "_filter2", ndimage_filter2)
+    assert ours == pytest.approx(ev.ms_ssim(a, b), rel=1e-12, abs=0)
+    plane = np.random.default_rng(13).uniform(0, 255, (6, 13))
+    window = ev.gaussian_window()
+    np.testing.assert_allclose(ev._filter2(plane, window), ndimage_filter2(plane, window),
+                               rtol=1e-12, atol=0)
 
 
 def test_ms_ssim_tiny_image_rejected():
@@ -226,6 +241,21 @@ def test_bd_rate_quadrature_oracle():
         assert got == pytest.approx(expected, abs=0.1)
 
 
+def test_pchip_coefficients_equal_scipys():
+    # non-monotone data too, so that flat pieces, slope sign changes and
+    # both end rules all run
+    rng = np.random.default_rng(14)
+    for trial in range(300):
+        n = int(rng.integers(3, 9))
+        x = np.sort(rng.uniform(0, 10, n))
+        y = rng.normal(0, 3, n)
+        if trial % 3 == 0:
+            y[1] = y[2]
+        if trial % 4 == 0:
+            y = np.sort(y)
+        np.testing.assert_array_equal(ev._Pchip(x, y).c, PchipInterpolator(x, y).c)
+
+
 def test_bd_rate_too_few_points():
     short = curve("short", [0.5, 0.8, 1.2], [33, 35, 37])
     with pytest.raises(EvaluationError):
@@ -261,6 +291,31 @@ OURS_KODAK = curve("ours", [0.2275, 0.3654, 0.5592, 0.8420, 1.0898, 1.4122],
 def test_bd_rate_reproduces_published_kodak_figure():
     value = ev.bd_rate(BPG_KODAK, OURS_KODAK, (0.4, 1.15))
     assert value == pytest.approx(-9.38, abs=2.0)
+
+
+def test_bd_rate_matches_scipy_pchip(monkeypatch):
+    # the criterion-08 curves, the published-figure fixture and seeded
+    # monotone curves; run again with scipy's interpolant in place of ours
+    test_c = curve("t", [0.3, 0.55, 0.9, 1.3, 1.9], [30.5, 33.2, 35.4, 37.0, 38.6])
+    pairs = [(ANCHOR, test_c), (test_c, ANCHOR), (BPG_KODAK, OURS_KODAK)]
+    rng = np.random.default_rng(15)
+    for _ in range(60):
+        pairs.append(tuple(curve(name, np.sort(rng.uniform(0.15, 2.2, 6)),
+                                 np.sort(rng.uniform(29, 40, 6))) for name in "ab"))
+    ours = []
+    for a, b in pairs:
+        try:
+            ours.append(ev.bd_rate(a, b, (0.4, 1.15)))
+        except EvaluationError:
+            ours.append(None)
+    assert sum(v is not None for v in ours) >= 30
+    monkeypatch.setattr(ev, "_Pchip", PchipInterpolator)
+    for got, (a, b) in zip(ours, pairs):
+        if got is None:
+            with pytest.raises(EvaluationError):
+                ev.bd_rate(a, b, (0.4, 1.15))
+        else:
+            assert got == pytest.approx(ev.bd_rate(a, b, (0.4, 1.15)), rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
