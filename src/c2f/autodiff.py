@@ -634,7 +634,10 @@ def _gather(x: np.ndarray, kern: np.ndarray, stride: int,
     if stride == 1 and kh * kw > 1 and kh * kw * co <= ci:
         # thin: transposed like each kern[i, j], so sgemm reads it the same way
         stacked = np.stack([kern[i, j].T for i, j in taps]).reshape(-1, ci).T
-    _over_bands(bands, _gather_scratch, _gather_bands, (x, kern, out, stride, pads, taps, stacked))
+    # an overflow shows as a non-finite output, which the op refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        _over_bands(bands, _gather_scratch, _gather_bands,
+                    (x, kern, out, stride, pads, taps, stacked))
     return out
 
 
@@ -889,11 +892,14 @@ class GdnParams:
     def gamma(self) -> Tensor:
         return square(self.gamma_v)
 
+    # an overflow gives inf, which gdn_'s checks refuse
     def beta_values(self) -> np.ndarray:
-        return (self.beta_u.data ** 2 + self.BETA_FLOOR).reshape(-1)
+        with np.errstate(over="ignore"):
+            return (self.beta_u.data ** 2 + self.BETA_FLOOR).reshape(-1)
 
     def gamma_values(self) -> np.ndarray:
-        return (self.gamma_v.data ** 2)[0, 0]
+        with np.errstate(over="ignore"):
+            return (self.gamma_v.data ** 2)[0, 0]
 
 
 def gdn(x: Tensor, params: GdnParams, inverse: bool = False) -> Tensor:
@@ -908,21 +914,22 @@ def gdn_(x: Tensor, params: GdnParams, inverse: bool = False) -> Tensor:
 
     GDN mixes channels pixel by pixel, so it runs over bands of rows of
     x's (pixels, c) view with band-sized scratch, over the engine's
-    workers: gdn's ops in gdn's order, each with its finiteness check and
-    errstate, and a non-finite value raises as in one thread, naming the
-    op of the first band that has one.  The bands are cut
-    from x's shape alone, as _bands cuts them, so one shape always gives
-    the same bits.  They equal gdn's single product only where sgemm rounds
-    a row alike at both row counts (see the conv engine's note), as it
-    does at the layer shapes test_transforms pins."""
+    workers: gdn's ops in gdn's order, each with its finiteness check
+    (numpy's floating-point warnings are off), and a non-finite value
+    raises as in one thread, naming the op of the first band that has one.
+    The bands are cut from x's shape alone, as _bands cuts them, so one
+    shape always gives the same bits.  They equal gdn's single product
+    only where sgemm rounds a row alike at both row counts (see the conv
+    engine's note), as it does at the layer shapes test_transforms pins."""
     data = _writable(x, params.beta_u, params.gamma_v)
     c = params.channels
     if x.shape[3] != c:
         raise ContractViolation(f"gdn params for {c} channels, input has {x.shape[3]}")
     flat = data.reshape(-1, c)
     beta, gamma_t = params.beta_values(), params.gamma_values().T
-    _over_bands(_bands(1, len(flat), _BAND_ROWS), _gdn_scratch, _gdn_bands,
-                (flat, beta, gamma_t, inverse))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        _over_bands(_bands(1, len(flat), _BAND_ROWS), _gdn_scratch, _gdn_bands,
+                    (flat, beta, gamma_t, inverse))
     return x
 
 
@@ -936,21 +943,18 @@ def _gdn_bands(bands, scratch, flat, beta, gamma_t, inverse):
     sq, root = scratch
     for _, _, r0, r1 in bands:
         xb, s, r = flat[r0:r1], sq[:r1 - r0], root[:r1 - r0]
-        with np.errstate(over="ignore"):
-            np.multiply(xb, xb, out=s)
+        np.multiply(xb, xb, out=s)
         _check_finite(s, "square")
         np.matmul(s, gamma_t, out=r)
         _check_finite(r, "cmatmul")
         r += beta
         _check_finite(r, "add")
-        with np.errstate(invalid="ignore"):
-            np.sqrt(r, out=r)
+        np.sqrt(r, out=r)
         _check_finite(r, "sqrt")
         if inverse:
             xb *= r
         else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xb /= r
+            xb /= r
         _check_finite(xb, "mul" if inverse else "div")
 
 
@@ -969,9 +973,10 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: dict, lr: float) -> No
     m, v = state["m"], state["v"]
     m += (1.0 - ADAM_BETA1) * (grad - m)
     v += (1.0 - ADAM_BETA2) * (grad * grad - v)
-    mhat = m / (1.0 - ADAM_BETA1 ** t)
-    vhat = v / (1.0 - ADAM_BETA2 ** t)
-    update = (lr * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):  # the update is checked
+        mhat = m / (1.0 - ADAM_BETA1 ** t)
+        vhat = v / (1.0 - ADAM_BETA2 ** t)
+        update = (lr * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(np.float32)
     if not _finite(update):
         raise NumericError("non-finite adam update")
     param -= update

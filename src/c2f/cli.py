@@ -1,8 +1,10 @@
 """Command-line surface: train, encode, decode, eval, rdcurve, bdrate.
 
 stdout carries machine-readable payloads only (CSV or key=value lines);
-human progress goes to stderr.  Exit codes: 0 ok, 2 bad arguments,
-3 i/o failure, 4 model/stream mismatch, 5 evaluation/config error.
+human progress goes to stderr.  Exit codes (EXIT_CODES): 0 ok,
+1 non-finite values from the model, 2 bad arguments, 3 i/o failure or a
+malformed weights/checkpoint/image file, 4 model/stream mismatch or a
+malformed container, 5 evaluation/config error.
 """
 
 from __future__ import annotations
@@ -14,33 +16,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (BadMagicError, C2fError, ConfigError, ContractViolation,
-                     CorruptStreamError, EvaluationError, FormatError,
-                     ModelIdMismatchError, TruncatedFileError,
-                     VersionMismatchError)
+from .errors import (C2fError, ConfigError, ContractViolation, CorruptStreamError,
+                     EvaluationError, FormatError)
 
-EXIT_BAD_ARGS = 2
-EXIT_IO = 3
-EXIT_MISMATCH = 4
-EXIT_EVAL = 5
+# each error class, and so each of its subclasses, exits with one code
+EXIT_CODES = (((OSError, FormatError), 3), (CorruptStreamError, 4),
+              ((EvaluationError, ConfigError), 5), (ContractViolation, 2))
 
 IMAGE_SUFFIXES = (".png", ".ppm")
 
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-class _InputIoError(Exception):
-    """A weights or image file unreadable or malformed: an i/o failure, not
-    a stream error, even where the reader raises TruncatedFileError."""
-
-
-def _read_input(read, path):
-    try:
-        return read(path)
-    except FormatError as exc:
-        raise _InputIoError(f"{path}: {exc}") from exc
 
 
 def _list_images(path: str) -> list[Path]:
@@ -88,8 +75,8 @@ def cmd_encode(args) -> int:
     from .imageio import read_image
     from .weights import load_model
 
-    model = _read_input(load_model, args.model)
-    img = _read_input(read_image, args.input)
+    model = load_model(args.model)
+    img = read_image(args.input)
     t0 = time.monotonic()
     res = encode_array(model, img)
     ms = 1000.0 * (time.monotonic() - t0)
@@ -107,7 +94,7 @@ def cmd_decode(args) -> int:
     from .imageio import write_image
     from .weights import load_model
 
-    model = _read_input(load_model, args.model)
+    model = load_model(args.model)
     data = Path(args.input).read_bytes()
     t0 = time.monotonic()
     out = decode_array(model, data)
@@ -124,8 +111,8 @@ def cmd_eval(args) -> int:
     from .evaluation import RdRow, bpp, ms_ssim, psnr, write_rd_csv
     from .imageio import read_image
 
-    ref = _read_input(read_image, args.ref)
-    test = _read_input(read_image, args.test)
+    ref = read_image(args.ref)
+    test = read_image(args.test)
     rate = float("nan")
     if args.container:
         rate = bpp(Path(args.container).read_bytes(), ref.shape[1], ref.shape[0])
@@ -145,11 +132,11 @@ def cmd_rdcurve(args) -> int:
     from .imageio import read_image
     from .weights import load_model
 
-    images = [(p.name, _read_input(read_image, p)) for p in _list_images(args.images)]
+    images = [(p.name, read_image(p)) for p in _list_images(args.images)]
     model_paths = [m for part in args.models for m in part.split(",") if m]
     rows = []
     for mpath in model_paths:
-        new = model_rd_rows(_read_input(load_model, mpath), images, args.codec)
+        new = model_rd_rows(load_model(mpath), images, args.codec)
         rows.extend(new)
         _log(f"model {mpath}: "
              f"mean bpp {np.mean([r.bpp for r in new]):.4f}, "
@@ -260,26 +247,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError, PermissionError, OSError,
-            _InputIoError) as exc:
+    except (OSError, C2fError) as exc:
         _log(f"error: {exc}")
-        return EXIT_IO
-    except (ModelIdMismatchError, CorruptStreamError, BadMagicError,
-            VersionMismatchError, TruncatedFileError) as exc:
-        _log(f"error: {exc}")
-        return EXIT_MISMATCH
-    except (EvaluationError, ConfigError) as exc:
-        _log(f"error: {exc}")
-        return EXIT_EVAL
-    except FormatError as exc:
-        _log(f"error: {exc}")
-        return EXIT_IO
-    except ContractViolation as exc:
-        _log(f"error: {exc}")
-        return EXIT_BAD_ARGS
-    except C2fError as exc:
-        _log(f"error: {exc}")
-        return 1
+        # any other C2fError, a NumericError (the model overflowed), exits 1
+        return next((code for kinds, code in EXIT_CODES if isinstance(exc, kinds)), 1)
 
 
 if __name__ == "__main__":

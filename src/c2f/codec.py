@@ -57,7 +57,12 @@ class EncodeResult:
 
 
 def _symbols(t: Tensor) -> np.ndarray:
-    return t.data.reshape(-1).astype(np.int64)
+    """A quantized plane's coder symbols.  A latent beyond int32, which no
+    escape carries, comes from a model that overflows on its input."""
+    data = t.data.reshape(-1)
+    if data.size and not np.abs(data).max() < 2 ** 31:
+        raise NumericError("latent values beyond the coder's int32 range")
+    return data.astype(np.int64)
 
 
 def _z_tables(sigma_z: np.ndarray, n_symbols: int) -> tuple[rc.TableRows, int]:

@@ -28,7 +28,8 @@ Version 3 streams are rANS-coded (`rangecoder`), and Y and X code each
 element relative to its integer-rounded mean under a row of the shared
 scale x offset grid (`entropy.CoderGrid`).  Version 2 range-coded the
 same bins with no latent check, and version 1 used one exact table per
-element; both are refused with VersionMismatchError.
+element; both are refused with CorruptStreamError, as is every other
+malformed container.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .errors import (BadMagicError, ContractViolation, CorruptStreamError,
-                     TruncatedFileError, VersionMismatchError)
+from .errors import ContractViolation, CorruptStreamError
 
 MAGIC = b"C2F1"
 VERSION = 3
@@ -103,17 +103,17 @@ def write_container(header: ContainerHeader, zbytes: bytes, ybytes: bytes,
 
 def read_container(data: bytes) -> tuple[ContainerHeader, bytes, bytes, bytes]:
     if len(data) < HEADER_SIZE:
-        raise TruncatedFileError(
+        raise CorruptStreamError(
             f"container shorter than its {HEADER_SIZE}-byte header ({len(data)} bytes)")
     (magic, version, model_id, orig_w, orig_h, pad_w, pad_h,
      lambda_tag, z_len, y_len, x_len, latent_check) = struct.unpack_from(_FMT, data)
     if magic != MAGIC:
-        raise BadMagicError(f"bad container magic {magic!r}")
+        raise CorruptStreamError(f"bad container magic {magic!r}")
     if version != VERSION:
-        raise VersionMismatchError(f"container version {version}, expected {VERSION}")
+        raise CorruptStreamError(f"container version {version}, expected {VERSION}")
     end = HEADER_SIZE + z_len + y_len + x_len
     if len(data) != end:
-        raise TruncatedFileError(
+        raise CorruptStreamError(
             f"container payload is {len(data) - HEADER_SIZE} bytes, header says {end - HEADER_SIZE}")
     header = ContainerHeader(model_id, orig_w, orig_h, pad_w, pad_h,
                              lambda_tag, z_len, y_len, x_len, latent_check, version)

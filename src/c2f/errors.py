@@ -14,27 +14,16 @@ class NumericError(C2fError):
 
 
 class CorruptStreamError(C2fError):
-    """An entropy-coded stream ended early or does not match its tables."""
+    """A container is malformed, or its streams do not decode under the
+    supplied model's tables."""
+
+
+class ModelIdMismatchError(CorruptStreamError):
+    """A bitstream was produced by different weights than those supplied."""
 
 
 class FormatError(C2fError):
-    """A serialized file is malformed."""
-
-
-class BadMagicError(FormatError):
-    pass
-
-
-class VersionMismatchError(FormatError):
-    pass
-
-
-class TruncatedFileError(FormatError):
-    pass
-
-
-class ModelIdMismatchError(FormatError):
-    """A bitstream was produced by different weights than those supplied."""
+    """A weights, checkpoint or image file is malformed."""
 
 
 class ConfigError(C2fError):

@@ -15,20 +15,24 @@ from pathlib import Path
 import numpy as np
 
 from .container import MAX_SIDE
-from .errors import ContractViolation, FormatError, TruncatedFileError
+from .errors import ContractViolation, FormatError
 
 _PNG_SIG = b"\x89PNG\r\n\x1a\n"
 _CHANNELS = {0: 1, 2: 3, 4: 2, 6: 4}
 
 
 def read_image(path) -> np.ndarray:
-    """Load a PNG or PPM file into an (h, w, 3) uint8 array."""
+    """Load a PNG or PPM file into an (h, w, 3) uint8 array.  A
+    FormatError names the file."""
     data = Path(path).read_bytes()
-    if data[:8] == _PNG_SIG:
-        return decode_png(data)
-    if data[:2] == b"P6":
-        return decode_ppm(data)
-    raise FormatError(f"{path}: neither PNG nor PPM (P6)")
+    try:
+        if data[:8] == _PNG_SIG:
+            return decode_png(data)
+        if data[:2] == b"P6":
+            return decode_ppm(data)
+        raise FormatError("neither PNG nor PPM (P6)")
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def write_image(path, arr: np.ndarray) -> None:
@@ -53,7 +57,7 @@ def decode_png(data: bytes) -> np.ndarray:
         pos += 8
         chunk = data[pos:pos + length]
         if len(chunk) != length:
-            raise TruncatedFileError("PNG chunk truncated")
+            raise FormatError("PNG chunk truncated")
         pos += length + 4  # skip CRC
         if ctype == b"IHDR":
             if length != 13:
@@ -83,7 +87,7 @@ def decode_png(data: bytes) -> np.ndarray:
     except zlib.error as exc:
         raise FormatError(f"PNG deflate stream corrupt: {exc}") from exc
     if len(raw) != expected:
-        raise TruncatedFileError("PNG pixel data has wrong length")
+        raise FormatError("PNG pixel data has wrong length")
     if not inflater.eof:
         raise FormatError("PNG deflate stream corrupt: incomplete or truncated stream")
     img = _unfilter(np.frombuffer(raw, np.uint8).reshape(h, stride + 1), w, nch)
@@ -163,12 +167,12 @@ def decode_ppm(data: bytes) -> np.ndarray:
     pos = 2
     while len(fields) < 3:
         if pos >= len(data):
-            raise TruncatedFileError("PPM header truncated")
+            raise FormatError("PPM header truncated")
         c = data[pos:pos + 1]
         if c == b"#":
             pos = data.find(b"\n", pos) + 1
             if pos == 0:
-                raise TruncatedFileError("PPM header truncated")
+                raise FormatError("PPM header truncated")
         elif c.isspace():
             pos += 1
         else:
@@ -188,7 +192,7 @@ def decode_ppm(data: bytes) -> np.ndarray:
     need = w * h * 3
     pix = data[pos:pos + need]
     if len(pix) != need:
-        raise TruncatedFileError("PPM pixel data truncated")
+        raise FormatError("PPM pixel data truncated")
     return np.frombuffer(pix, np.uint8).reshape(h, w, 3).copy()
 
 
@@ -222,25 +226,13 @@ def _as_uint8_rgb(arr: np.ndarray) -> np.ndarray:
 def pad_to_multiple(arr: np.ndarray, multiple: int = 64) -> np.ndarray:
     """Reflect-pad an (h, w, c) image up to multiples of `multiple`.
 
-    Reflection is applied iteratively so images smaller than the padding
-    amount are handled (the pattern keeps mirroring back and forth).
+    np.pad keeps mirroring back and forth where the padding is wider than
+    the image; a 1-pixel side cannot reflect, so then both sides repeat
+    their edge.
     """
     h, w = arr.shape[:2]
-    ph = (-h) % multiple
-    pw = (-w) % multiple
-    out = arr
-    tail = ((0, 0),) * (arr.ndim - 2)
-    while ph > 0 or pw > 0:
-        if (out.shape[0] == 1 and ph > 0) or (out.shape[1] == 1 and pw > 0):
-            # a 1-pixel dimension cannot reflect; replicate the edge
-            out = np.pad(out, ((0, ph), (0, pw)) + tail, mode="edge")
-            break
-        step_h = min(ph, out.shape[0] - 1)
-        step_w = min(pw, out.shape[1] - 1)
-        out = np.pad(out, ((0, step_h), (0, step_w)) + tail, mode="reflect")
-        ph -= step_h
-        pw -= step_w
-    return out
+    pads = ((0, (-h) % multiple), (0, (-w) % multiple)) + ((0, 0),) * (arr.ndim - 2)
+    return np.pad(arr, pads, mode="edge" if min(h, w) == 1 else "reflect")
 
 
 def crop(arr: np.ndarray, h: int, w: int) -> np.ndarray:

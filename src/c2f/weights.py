@@ -10,17 +10,19 @@ Byte layout, little-endian throughout:
             raw little-endian float32 values
 
 main_depth is always MAIN_DEPTH (4) and every channel count is >= 1; a
-header with other values is refused as malformed.  Records are sorted by
-name, so serialization is canonical: the model id that binds bitstreams
-to weights is the sha-256 of this serialization, and for a file written
-by save_model it equals the digest of the file bytes.  Checkpoints reuse
-the same record format with extra "opt.*" and "meta.*" records appended;
-those are excluded from the model id.
+header with other values is refused as malformed, as is a record that
+holds a NaN or an infinity, or whose name appears twice.  Records are
+sorted by name, so serialization is canonical: the model id that binds
+bitstreams to weights is the sha-256 of this serialization, and for a
+file written by save_model it equals the digest of the file bytes.
+Checkpoints reuse the same record format with extra "opt.*" and "meta.*"
+records appended; those are excluded from the model id.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 import weakref
 from pathlib import Path
@@ -28,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Adam
-from .errors import BadMagicError, FormatError, TruncatedFileError, VersionMismatchError
+from .errors import FormatError
 from .transforms import MAIN_DEPTH, ArchConfig, CodecModel
 
 MAGIC = b"C2FW"
@@ -92,13 +94,13 @@ def save_model(model: CodecModel, path) -> bytes:
 def _parse(data: bytes):
     head_size = struct.calcsize(_HEAD_FMT)
     if len(data) < head_size:
-        raise TruncatedFileError("weights file shorter than its header")
+        raise FormatError("weights file shorter than its header")
     (magic, version, n_main, c_y, c_z, main_depth,
      lambda_tag, distortion, n_records) = struct.unpack_from(_HEAD_FMT, data)
     if magic != MAGIC:
-        raise BadMagicError(f"bad weights magic {magic!r}")
+        raise FormatError(f"bad weights magic {magic!r}")
     if version != VERSION:
-        raise VersionMismatchError(f"weights version {version}, expected {VERSION}")
+        raise FormatError(f"weights version {version}, expected {VERSION}")
     if distortion not in _DISTORTION_INV:
         raise FormatError(f"unknown distortion flag {distortion}")
     if main_depth != MAIN_DEPTH:
@@ -117,45 +119,64 @@ def _parse(data: bytes):
             pos += 1
             dims = struct.unpack_from(f"<{ndim}I", data, pos)
             pos += 4 * ndim
-            count = int(np.prod(dims, dtype=np.int64)) if ndim else 1
+            if 0 in dims:  # no parameter is empty
+                raise FormatError(f"record {name!r} has an empty dimension")
+            count = math.prod(dims)  # a Python int: no int64 wrap-around
             raw = data[pos:pos + 4 * count]
             if len(raw) != 4 * count:
-                raise TruncatedFileError(f"record {name!r} truncated")
+                raise FormatError(f"record {name!r} truncated")
             pos += 4 * count
         except struct.error as exc:
-            raise TruncatedFileError(f"weights records truncated: {exc}") from exc
+            raise FormatError(f"weights records truncated: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise FormatError(f"weights record name is not UTF-8: {exc}") from exc
-        records[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+        arr = np.frombuffer(raw, dtype="<f4")
+        if name in records:
+            raise FormatError(f"record {name!r} appears twice")
+        if not np.isfinite(arr).all():
+            raise FormatError(f"record {name!r} holds a non-finite value")
+        records[name] = arr.reshape(dims).copy()
     if pos != len(data):
         raise FormatError(f"{len(data) - pos} trailing bytes in weights file")
+    # a record sized by each channel count, checked before CodecModel
+    # allocates parameters for the header's counts, so that a header cannot
+    # make it allocate more than a bounded multiple of the file's size
+    for name, shape in (("analysis.1.kernel", (5, 5, n_main, n_main)),
+                        ("hyper_analysis_2.0.kernel", (3, 3, c_y, 2 * c_y)),
+                        ("hyper_analysis_2.4.kernel", (1, 1, 4 * c_y, c_z))):
+        if name not in records or records[name].shape != shape:
+            raise FormatError(f"channel counts {n_main}/{c_y}/{c_z} do not fit record {name!r}")
     arch = ArchConfig(n_main=n_main, c_y=c_y, c_z=c_z)
     return arch, lambda_tag, _DISTORTION_INV[distortion], records
 
 
-def _load(data: bytes) -> tuple[CodecModel, dict[str, np.ndarray]]:
+def _load(path) -> tuple[CodecModel, dict[str, np.ndarray]]:
     """The model a weights or checkpoint file holds, and all its records.
 
-    Every parameter must be present with its exact shape."""
-    arch, lambda_tag, distortion, records = _parse(data)
-    model = CodecModel(arch, lambda_tag=lambda_tag, distortion=distortion)
-    wanted = model.named_params()
-    missing = set(wanted) - set(records)
-    if missing:
-        raise FormatError(f"weights file missing parameters: {sorted(missing)[:4]}...")
-    for name, tensor in wanted.items():
-        arr = records[name]
-        if arr.shape != tensor.data.shape:
-            raise FormatError(
-                f"parameter {name!r} has shape {arr.shape}, expected {tensor.data.shape}")
-        tensor.data = np.ascontiguousarray(arr, dtype=np.float32)
+    Every parameter must be present with its exact shape.  A FormatError
+    names the file."""
+    try:
+        arch, lambda_tag, distortion, records = _parse(Path(path).read_bytes())
+        model = CodecModel(arch, lambda_tag=lambda_tag, distortion=distortion)
+        wanted = model.named_params()
+        missing = set(wanted) - set(records)
+        if missing:
+            raise FormatError(f"weights file missing parameters: {sorted(missing)[:4]}...")
+        for name, tensor in wanted.items():
+            arr = records[name]
+            if arr.shape != tensor.data.shape:
+                raise FormatError(
+                    f"parameter {name!r} has shape {arr.shape}, expected {tensor.data.shape}")
+            tensor.data = np.ascontiguousarray(arr, dtype=np.float32)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     return model, records
 
 
 def load_model(path) -> CodecModel:
     """The model a weights file holds.  Its parameter arrays are read-only,
     so an in-place write raises instead of going past model_digest."""
-    model = _load(Path(path).read_bytes())[0]
+    model = _load(path)[0]
     arrays = [t.data for t in model.named_params().values()]
     for arr in arrays:
         arr.flags.writeable = False
@@ -174,9 +195,9 @@ def load_checkpoint(path) -> tuple[CodecModel, dict[str, np.ndarray], int]:
 
     Every parameter of model.param_list(), in that order, must have its
     opt.{i}.m and .v records in the parameter's shape and a one-value
-    opt.{i}.t, and meta.step must hold one value.  Every value must be
-    finite, each v >= 0, and each t and the step a whole number >= 0."""
-    model, records = _load(Path(path).read_bytes())
+    opt.{i}.t, and meta.step must hold one value.  Each v must be >= 0,
+    and each t and the step a whole number >= 0."""
+    model, records = _load(path)
     wanted = {"meta.step": (1,)}
     for i, param in enumerate(model.param_list()):
         wanted.update({f"opt.{i}.m": param.shape, f"opt.{i}.v": param.shape,
@@ -187,8 +208,8 @@ def load_checkpoint(path) -> tuple[CodecModel, dict[str, np.ndarray], int]:
         arr = records[name]
         if arr.shape != shape:
             raise FormatError(f"{path}: record {name!r} has shape {arr.shape}, expected {shape}")
-        if (not np.isfinite(arr).all() or (not name.endswith(".m") and arr.min() < 0)
-                or (name.endswith((".t", ".step")) and not float(arr[0]).is_integer())):
+        if (not name.endswith(".m") and arr.min() < 0
+                or name.endswith((".t", ".step")) and not float(arr[0]).is_integer()):
             raise FormatError(f"{path}: record {name!r} holds a value out of range")
     opt_arrays = {k: v for k, v in records.items() if k.startswith("opt.")}
     return model, opt_arrays, int(records["meta.step"][0])

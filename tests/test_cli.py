@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import c2f.cli as cli
 import c2f.imageio as imageio
 import c2f.rangecoder as rangecoder
 import c2f.weights as wts
@@ -15,7 +16,8 @@ from c2f.cli import main
 from c2f.codec import decode_array, encode_array, latent_check, latent_digest
 from c2f.container import read_container, write_container
 from c2f.entropy import CODER_GRID
-from c2f.errors import CorruptStreamError, NumericError
+from c2f.errors import (ConfigError, ContractViolation, CorruptStreamError, EvaluationError,
+                        FormatError, ModelIdMismatchError, NumericError)
 from c2f.evaluation import RD_CSV_FIELDS, bpp as bpp_of
 from c2f.imageio import read_image, write_image
 from c2f.training import synthetic_patch
@@ -326,3 +328,102 @@ def test_train_command_smoke(workdir, tmp_path, capsys):
     assert (out / "model.c2fw").exists()
     stdout = capsys.readouterr().out
     assert "model=" in stdout
+
+
+def _bad_model(kind):
+    """TINY weights with a NaN or inf in analysis.0.kernel, or with
+    analysis.0.bias repeated as zeros after the sorted records."""
+    model = CodecModel(TINY, lambda_tag=300, seed=0)
+    params = model.named_params()
+    if kind == "duplicate":
+        return model, {"analysis.0.bias": np.zeros_like(params["analysis.0.bias"].data)}
+    params["analysis.0.kernel"].data[0, 0, 0, 0] = {"nan": np.nan, "inf": np.inf}[kind]
+    return model, {}
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf", "duplicate"])
+def test_non_finite_or_duplicated_weights_record_exits_3(workdir, tmp_path, capsys, kind):
+    model, extra = _bad_model(kind)
+    (tmp_path / "bad.c2fw").write_bytes(wts.model_bytes(model, extra))
+    checkpoint = extra | Adam(model.param_list()).state_arrays()
+    checkpoint["meta.step"] = np.array([3], np.float32)
+    (tmp_path / "ck.c2fw").write_bytes(wts.model_bytes(model, checkpoint))
+    commands = {
+        "encode": ["encode", "--model", tmp_path / "bad.c2fw", "--input", workdir / "img0.png",
+                   "--output", tmp_path / "x.c2f"],
+        "decode": ["decode", "--model", tmp_path / "bad.c2fw", "--input", workdir / "img0.c2f",
+                   "--output", tmp_path / "x.png"],
+        "rdcurve": ["rdcurve", "--models", tmp_path / "bad.c2fw", "--images", workdir],
+        "train": ["train", "--data", workdir, "--out", tmp_path / "run", "--lambda", "0.01",
+                  "--steps", "5", "--batch", "1", "--patch", "64",
+                  "--resume", tmp_path / "ck.c2fw"]}
+    record = "'analysis.0.bias' appears twice" if kind == "duplicate" else \
+        "'analysis.0.kernel' holds a non-finite value"
+    for name, args in commands.items():
+        assert run(args) == 3, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, name
+        assert ("ck.c2fw" if name == "train" else "bad.c2fw") in err and record in err
+
+
+@pytest.mark.parametrize("name, where, value", [("analysis.0.kernel", 0, 1e30),
+                                                ("analysis.0.kernel", ..., 3e37),
+                                                ("analysis.0.gdn.gamma_v", ..., 1e20),
+                                                ("analysis.0.gdn.beta_u", ..., 1e20)],
+                         ids=["one-weight-1e30", "kernel-3e37", "gamma-1e20", "beta-1e20"])
+def test_finite_weights_that_overflow_exit_1(workdir, tmp_path, capsys, name, where, value):
+    # a finite model that overflows on its input is no malformed file: exit
+    # 1, one error line, and numpy's warnings stay off stderr
+    model = CodecModel(TINY, lambda_tag=300, seed=0)
+    model.named_params()[name].data.reshape(-1)[where] = value
+    wts.save_model(model, tmp_path / "big.c2fw")
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # what would reach stderr outside pytest
+        rc = run(["encode", "--model", tmp_path / "big.c2fw", "--input", workdir / "img0.png",
+                  "--output", tmp_path / "x.c2f"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite values produced by op ") and err.count("\n") == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("exc, code", [
+    (FormatError("x"), 3), (OSError("x"), 3), (FileNotFoundError("x"), 3),
+    (CorruptStreamError("x"), 4), (ModelIdMismatchError("x"), 4),
+    (EvaluationError("x"), 5), (ConfigError("x"), 5),
+    (ContractViolation("x"), 2), (NumericError("x"), 1)],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+def test_each_error_class_exits_with_its_code(monkeypatch, capsys, exc, code):
+    def fail(args):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_bdrate", fail)
+    assert run(["bdrate", "--anchor", "a.csv", "--test", "b.csv"]) == code
+    assert capsys.readouterr().err == "error: x\n"
+
+
+@pytest.mark.parametrize("cut", ["truncated", "bad-magic"])
+def test_truncated_checkpoint_exits_3(workdir, tmp_path, capsys, cut):
+    model = CodecModel(TINY, lambda_tag=300, seed=0)
+    wts.save_checkpoint(model, Adam(model.param_list()), 3, tmp_path / "full.c2fw")
+    data = (tmp_path / "full.c2fw").read_bytes()
+    (tmp_path / "trunc.c2fw").write_bytes(data[:-5] if cut == "truncated" else b"C2FX" + data[4:])
+    rc = run(["train", "--data", workdir, "--out", tmp_path / "run", "--lambda", "0.01",
+              "--steps", "5", "--batch", "1", "--patch", "64", "--resume", tmp_path / "trunc.c2fw"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "trunc.c2fw" in err
+
+
+@pytest.mark.parametrize("offset", [6, 10, 14], ids=["n_main", "c_y", "c_z"])
+def test_weights_header_channels_beyond_the_records_exit_3(workdir, tmp_path, capsys, offset):
+    # a channel count of 2**31 would make CodecModel allocate terabytes;
+    # the records the file holds are checked first
+    data = bytearray((workdir / "model.c2fw").read_bytes())
+    struct.pack_into("<I", data, offset, 2 ** 31)
+    (tmp_path / "huge.c2fw").write_bytes(bytes(data))
+    rc = run(["encode", "--model", tmp_path / "huge.c2fw", "--input", workdir / "img0.png",
+              "--output", tmp_path / "x.c2f"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "huge.c2fw" in err and "channel counts" in err

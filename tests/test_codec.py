@@ -17,7 +17,7 @@ import c2f.codec as codec
 import c2f.weights as wts
 from c2f.container import HEADER_SIZE, MAX_SIDE, read_container
 from c2f.errors import (ContractViolation, CorruptStreamError, FormatError,
-                        ModelIdMismatchError, VersionMismatchError)
+                        ModelIdMismatchError, NumericError)
 from c2f.evaluation import bpp, psnr
 from c2f.training import synthetic_patch
 from c2f.transforms import ArchConfig, CodecModel
@@ -122,13 +122,24 @@ def test_saved_model_roundtrips_container(tmp_path, model):
     np.testing.assert_array_equal(out.image, reference.image)
 
 
+def test_latent_beyond_int32_is_a_numeric_error():
+    # no escape carries it: the model overflowed on its input (exit 1)
+    top = np.float32(2 ** 31 - 128)  # the largest float32 below 2**31
+    plane = np.array([-top, top], np.float32).reshape(1, 1, 2, 1)
+    assert codec._symbols(ad.Tensor(plane)).tolist() == [-top, top]
+    for value in (2.0 ** 31, -2.0 ** 31, 1e30):
+        plane = np.array([0.0, value], np.float32).reshape(1, 1, 2, 1)
+        with pytest.raises(NumericError, match="beyond the coder's int32 range"):
+            codec._symbols(ad.Tensor(plane))
+
+
 @pytest.mark.parametrize("version", [1, 2])
 def test_version_1_container_refused(model, version):
     # version 1 coded one exact table per element and version 2 range-coded
     # the grid's bins with no latent check; neither decodes as version 3
     data = bytearray(codec.encode_array(model, rand_img(64, 64, seed=9)).data)
     struct.pack_into("<H", data, 4, version)
-    with pytest.raises(VersionMismatchError):
+    with pytest.raises(CorruptStreamError):
         codec.decode_array(model, bytes(data))
 
 

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import c2f.container as cont
-from c2f.errors import (BadMagicError, ContractViolation, TruncatedFileError,
-                        VersionMismatchError)
+from c2f.errors import ContractViolation, CorruptStreamError
 
 
 def header(**kw):
@@ -37,24 +36,24 @@ def test_roundtrip_preserves_everything():
 def test_bad_magic_detected():
     data = bytearray(cont.write_container(header(), b"", b"", b""))
     data[0] ^= 0xFF
-    with pytest.raises(BadMagicError):
+    with pytest.raises(CorruptStreamError):
         cont.read_container(bytes(data))
 
 
 def test_version_mismatch_detected():
     data = bytearray(cont.write_container(header(), b"", b"", b""))
     data[4] = 0xEE
-    with pytest.raises(VersionMismatchError):
+    with pytest.raises(CorruptStreamError):
         cont.read_container(bytes(data))
 
 
 def test_truncation_detected():
     data = cont.write_container(header(), b"abc", b"de", b"fgh")
-    with pytest.raises(TruncatedFileError):
+    with pytest.raises(CorruptStreamError):
         cont.read_container(data[:-1])
-    with pytest.raises(TruncatedFileError):
+    with pytest.raises(CorruptStreamError):
         cont.read_container(data[:40])
-    with pytest.raises(TruncatedFileError):
+    with pytest.raises(CorruptStreamError):
         cont.read_container(data + b"extra")
 
 
