@@ -474,9 +474,11 @@ def depth_to_space(a: Tensor) -> Tensor:
 #
 # A gather runs over bands of output rows, so its scratch is O(band), not
 # O(image), and the padded input is never built: each band copies the
-# padded input rows it reads into one reused buffer, or reads x in place
-# when there is no pad.  Every output sums the same ci-length sgemm dot
-# products over the taps, in the row-major order of the kernel.  sgemm
+# padded input rows it reads into reused buffers, one per phase of the
+# stride (Shi et al., arXiv 1609.05158), or at stride 1 reads x in place
+# when there is no pad.  Every tap's operand is then one contiguous slice
+# of one buffer, at any stride.  Every output sums the same ci-length sgemm
+# dot products over the taps, in the row-major order of the kernel.  sgemm
 # may round a row differently depending on the product's shape: OpenBLAS
 # 0.3.31 runs a one-row product as sgemv and, on SkylakeX, a product of
 # at most 1200 outputs with a transposed right operand through its
@@ -588,25 +590,22 @@ def _over_bands(bands: list, alloc, run, args: tuple) -> None:
         raise raised[0]
 
 
-def _fill(dst: np.ndarray, x: np.ndarray, q0: int, pt: int, pl: int) -> None:
-    """dst[k] = padded rows q0.. of x[k], where padded row q holds
+def _fill(dst: np.ndarray, x: np.ndarray, q0: int, pt: int, pl: int,
+          s: int, a: int, c: int) -> None:
+    """dst[k] = phase (a, c) of padded rows q0.. of x[k]: dst[k, u, v] is
+    padded row q0 + s*u + a, column s*v + c, where padded row q holds
     x[k, q - pt] at columns pl:pl + w, or zeros in the pad.  The pad
     columns of dst are never written, so they keep the zeros of the
     buffer dst views."""
     h, w = x.shape[1:3]
-    q1 = q0 + dst.shape[1]
-    lo, hi = min(max(pt, q0), q1), min(max(pt + h, q0), q1)
-    dst[:, :lo - q0] = 0
-    dst[:, lo - q0:hi - q0, pl:pl + w] = x[:, lo - pt:hi - pt]
-    dst[:, hi - q0:] = 0
-
-
-def _strided(rows: np.ndarray, src: np.ndarray, i: int, j: int, s: int) -> np.ndarray:
-    """Copy tap (i, j)'s stride-s rows and columns of src into rows, and
-    return them as one (rows, cin) matrix."""
-    r, c = rows.shape[1:3]
-    rows[...] = src[:, i:i + (r - 1) * s + 1:s, j:j + (c - 1) * s + 1:s]
-    return rows.reshape(-1, rows.shape[3])
+    n = dst.shape[1]
+    # phase rows lo..hi-1 and columns v0..v1-1 hold x; the rest is pad
+    lo, hi = (min(max(-((q0 + a - e) // s), 0), n) for e in (pt, pt + h))
+    v0, v1 = (-((c - e) // s) for e in (pl, pl + w))
+    r = q0 + s * lo + a - pt
+    dst[:, :lo] = 0
+    dst[:, lo:hi, v0:v1] = x[:, r:r + s * (hi - lo):s, s * v0 + c - pl::s]
+    dst[:, hi:] = 0
 
 
 def _gather(x: np.ndarray, kern: np.ndarray, stride: int,
@@ -619,15 +618,16 @@ def _gather(x: np.ndarray, kern: np.ndarray, stride: int,
     kh, kw, _, co = kern.shape
     taps = [(i, j) for i in range(kh) for j in range(kw)][::-1 if reverse else 1]
     out = np.empty((b, oh, ow, co), dtype=np.float32)
-    # Stride 1: a band's padded rows, stacked image after image, are one
-    # flat array, and tap (i, j) is its contiguous view from row i, column
-    # j.  The band computes wp columns per row and keeps ow, and computes
-    # and drops the kh - 1 rows per image that straddle two images; a 1x1
-    # kernel has neither, so it writes into out directly.  A thin output
-    # (kh * kw * co <= ci, as in final_up's phases) takes all taps in one
-    # product no wider than the rows it reads, then adds each tap's slice.
-    # Stride 2: each tap copies its strided rows and columns of the band,
-    # and the products go straight into the band's rows of out.
+    # A band's padded rows, split into the s*s phases of stride s and
+    # stacked image after image, are s*s flat arrays (at stride 1 with no
+    # pad, the one array is x itself, read in place).  Tap (i, j) is the
+    # contiguous view of phase (i % s, j % s) from row i // s, column
+    # j // s.  The band computes ceil(wp / s) columns per row and keeps ow,
+    # and computes and drops the rows per image that straddle two images; a
+    # 1x1 stride-1 kernel has neither, so it writes into out directly.  A thin
+    # output (kh * kw * co <= ci at stride 1, as in final_up's phases)
+    # takes all taps in one product no wider than the rows it reads, then
+    # adds each tap's slice.
     wp = w + pads[2] + pads[3]
     bands = _bands(b, oh, max(_BAND_ROWS // wp, 2 * kh) if stride == 1 else _BAND_ROWS // ow)
     stacked = None
@@ -642,60 +642,53 @@ def _gather(x: np.ndarray, kern: np.ndarray, stride: int,
 
 
 def _gather_scratch(bands, x, kern, out, s, pads, taps, stacked):
-    """_gather_bands' scratch (buf, patch, tmp, acc) for these bands."""
-    ci, wp = x.shape[3], x.shape[2] + pads[2] + pads[3]
-    kh, ow, co = kern.shape[0], out.shape[2], out.shape[3]
-    direct = s > 1 or len(taps) == 1
-    most_in = max((n1 - n0) * ((r1 - r0 - 1) * s + kh) for n0, n1, r0, r1 in bands)
-    most_out = max((n1 - n0) * (r1 - r0) for n0, n1, r0, r1 in bands)
-    return (np.zeros((most_in, wp, ci), dtype=np.float32) if any(pads) else None,
-            np.empty((most_out * ow, ci), dtype=np.float32) if s > 1 else None,
-            np.empty((most_out * ow if direct else most_in * wp,
-                      co * len(taps) if stacked is not None else co), dtype=np.float32),
-            None if direct else np.empty((most_in * wp, co), dtype=np.float32))
+    """_gather_bands' scratch (phases, tmp, acc) for these bands."""
+    ci, wps = x.shape[3], -(-(x.shape[2] + pads[2] + pads[3]) // s)
+    khs, co = -(-kern.shape[0] // s), out.shape[3]
+    most_in = max((n1 - n0) * (r1 - r0 - 1 + khs) * wps for n0, n1, r0, r1 in bands)
+    phases = np.zeros((s * s, most_in, ci), dtype=np.float32) if s > 1 or any(pads) else None
+    if len(taps) == 1 and s == 1:
+        return phases, None, None
+    return (phases,
+            np.empty((most_in, co * len(taps) if stacked is not None else co), dtype=np.float32),
+            np.empty((most_in, co), dtype=np.float32))
 
 
 def _gather_bands(bands, scratch, x, kern, out, s, pads, taps, stacked):
     """_gather's products for these bands, written into their rows of out."""
-    buf, patch, tmp, acc_buf = scratch
-    ci, wp = x.shape[3], x.shape[2] + pads[2] + pads[3]
-    kh, ow, co = kern.shape[0], out.shape[2], out.shape[3]
-    pt, pl = pads[0], pads[2]
-    direct = s > 1 or len(taps) == 1
+    phases, tmp, acc_buf = scratch
+    ci, wps = x.shape[3], -(-(x.shape[2] + pads[2] + pads[3]) // s)
+    khs, ow, co = -(-kern.shape[0] // s), out.shape[2], out.shape[3]
     for n0, n1, r0, r1 in bands:
-        k, q = n1 - n0, (r1 - r0 - 1) * s + kh
-        if buf is not None:
-            src = buf[:k * q].reshape(k, q, wp, ci)
-            _fill(src, x[n0:n1], r0 * s, pt, pl)
+        k, q = n1 - n0, r1 - r0 - 1 + khs
+        if phases is None:
+            flats = [x[n0:n1, r0:r0 + q].reshape(-1, ci)]
         else:
-            src = x[n0:n1, r0 * s:r0 * s + q]
-        if s == 1:
-            m = (k * q - kh) * wp + ow
-            flat = src.reshape(-1, ci)
-            operands = (flat[i * wp + j:i * wp + j + m] for i, j in taps)
-        else:
-            m = k * (r1 - r0) * ow
-            rows = patch[:m].reshape(k, r1 - r0, ow, ci)
-            operands = (_strided(rows, src, i, j, s) for i, j in taps)
+            flats = phases[:, :k * q * wps]
+            for p, flat in enumerate(flats):
+                _fill(flat.reshape(k, q, wps, ci), x[n0:n1], r0 * s, pads[0], pads[2],
+                      s, p // s, p % s)
+        m = (k * q - khs) * wps + ow
         # out[n0:n1, r0:r1] is whole images or rows of one image: a view
-        acc = out[n0:n1, r0:r1].reshape(m, co) if direct else acc_buf[:m]
+        acc = out[n0:n1, r0:r1].reshape(m, co) if acc_buf is None else acc_buf[:m]
         if stacked is not None:
-            prod = np.matmul(flat, stacked, out=tmp[:len(flat)])
-            parts = [prod[i * wp + j:i * wp + j + m, t * co:(t + 1) * co]
+            prod = np.matmul(flats[0], stacked, out=tmp[:len(flats[0])])
+            parts = [prod[i * wps + j:i * wps + j + m, t * co:(t + 1) * co]
                      for t, (i, j) in enumerate(taps)]
             np.copyto(acc, parts[0])
             for part in parts[1:]:
                 acc += part
         else:
-            for tap, ((i, j), a) in enumerate(zip(taps, operands)):
+            for tap, (i, j) in enumerate(taps):
+                start = i // s * wps + j // s
+                a = flats[i % s * s + j % s][start:start + m]
                 if tap == 0:
                     np.matmul(a, kern[i, j], out=acc)
                 else:
                     np.matmul(a, kern[i, j], out=tmp[:m])
                     acc += tmp[:m]
-        if not direct:
-            out[n0:n1, r0:r1] = \
-                acc_buf[:k * q * wp].reshape(k, q, wp, co)[:, :r1 - r0, :ow]
+        if acc_buf is not None:
+            out[n0:n1, r0:r1] = acc_buf[:k * q * wps].reshape(k, q, wps, co)[:, :r1 - r0, :ow]
 
 
 def _phase(a: int, k: int, s: int, pad: int, n: int, size: int):
@@ -750,16 +743,14 @@ def _kernel_grad(xp: np.ndarray, gy: np.ndarray, kh: int, kw: int, stride: int) 
     return dk
 
 
-def _check_conv_args(x: Tensor, kernel: Tensor, stride: int) -> None:
+def _check_stride(stride: int) -> None:
     if stride not in (1, 2):
         raise ContractViolation(f"stride must be 1 or 2, got {stride}")
-    if kernel.data.ndim != 4:
-        raise ContractViolation("kernel must be (kh, kw, cin, cout)")
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: str = "same") -> Tensor:
     """2-D convolution over (b,h,w,c) with kernel (kh,kw,cin,cout)."""
-    _check_conv_args(x, kernel, stride)
+    _check_stride(stride)
     b, h, w, ci = x.shape
     kh, kw, kci, co = kernel.shape
     if ci != kci:
@@ -788,7 +779,7 @@ def deconv2d(y: Tensor, kernel: Tensor, stride: int = 1, padding: str = "same") 
     matching forward conv2d from cout channels back to cin channels, so
     <conv2d(a, k), b> == <a, deconv2d(b, k)> holds for all a, b.
     """
-    _check_conv_args(y, kernel, stride)
+    _check_stride(stride)
     b, h, w, c = y.shape
     kh, kw, cm, kc = kernel.shape
     if c != kc:

@@ -335,9 +335,12 @@ def read_rd_csv(path) -> list[RdRow]:
                 idx = seen[key] = seen.get(key, -1) + 1
                 quality = rec.get("quality") or str(idx)
                 line = reader.line_num
+                bpp = _csv_float(path, line, "bpp", rec["bpp"])
+                if not bpp > 0:
+                    raise ConfigError(
+                        f"{path} line {line}: bpp {rec['bpp']!r} is not a positive number")
                 rows.append(RdRow(
-                    codec=rec["codec"], quality=quality, image=rec["image"],
-                    bpp=_csv_float(path, line, "bpp", rec["bpp"]),
+                    codec=rec["codec"], quality=quality, image=rec["image"], bpp=bpp,
                     psnr_db=_csv_float(path, line, "psnr_db",
                                        rec.get("psnr_db") or rec.get("psnr") or "nan"),
                     msssim=_csv_float(path, line, "msssim", rec.get("msssim") or "nan")))

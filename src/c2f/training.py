@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Adam, Tensor
 from .entropy import QuantizerMode, gaussian_likelihood, rate_bits, z_likelihood
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError, ContractViolation, FormatError
 from .evaluation import MSSSIM_WEIGHTS, MSSSIM_WINDOW, gaussian_window
 from .imageio import read_image
 from .transforms import DOWNSAMPLE, ArchConfig, CodecModel
@@ -95,7 +95,7 @@ class PatchLoader:
         for path in paths:
             try:
                 img = read_image(path)
-            except Exception as exc:
+            except (OSError, FormatError) as exc:
                 warnings.warn(f"skipping undecodable image {path}: {exc}")
                 continue
             if img.shape[0] < patch or img.shape[1] < patch:
@@ -273,11 +273,8 @@ def train(config: TrainConfig, dataset_paths: list, out_dir=None,
             batch = loader.batch(step)
             noise_rng = np.random.default_rng([config.seed, step, 1])
             w_if = config.lif_at(step)
-            try:
-                out = rd_loss(model, batch, config.lambda_, noise_rng,
-                              lif_weight=w_if, distortion=config.distortion)
-            except Exception as exc:
-                raise ConfigError(f"training aborted at step {step}: {exc}") from exc
+            out = rd_loss(model, batch, config.lambda_, noise_rng,
+                          lif_weight=w_if, distortion=config.distortion)
             opt.zero_grad()
             out.loss.backward()
             opt.step()

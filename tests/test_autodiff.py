@@ -223,7 +223,7 @@ def _pads(h, w, k, stride, padding):
 
 @pytest.mark.parametrize("band", [None, 16, 64])
 @pytest.mark.parametrize("padding", ["same", "valid"])
-@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
 @pytest.mark.parametrize("stride", [1, 2])
 def test_banded_conv_engine_is_bit_exact(monkeypatch, stride, k, padding, band):
     bands = []
@@ -352,6 +352,26 @@ def test_codec_width_deconvs_match_per_tap_scatter(k, stride, c_in, c_out, h, w)
     _, _, pads = _pads(h * stride, w * stride, k, stride, "same")
     assert np.array_equal(
         dec.data, _ref_scatter_crop(y, kern, stride, pads, h * stride, w * stride))
+
+
+@pytest.mark.parametrize("b, h, w, c_in, c_out, k", [
+    (1, 64, 96, 3, 128, 5), (1, 32, 48, 128, 128, 5), (4, 64, 64, 3, 32, 5),
+    (4, 32, 32, 32, 32, 5), (1, 16, 24, 128, 128, 2)],
+    ids=["5x5s2-3-128", "5x5s2-128", "5x5s2-3-32-batch4", "5x5s2-32-batch4", "2x2s2-128"])
+def test_codec_width_convs_match_per_tap_gather(b, h, w, c_in, c_out, k):
+    # stride-2 gathers at the widths of an n_main=128 codec's analysis and
+    # the zoo recipe's training batch: conv2d's forward pass, and deconv2d's
+    # dy (final_up's at 3 -> 128), from a (b, h, w, c_in) plane.  Equal on
+    # OpenBLAS's SkylakeX kernels
+    rng = np.random.default_rng(k * 1000 + c_in + b)
+    x = rng.normal(size=(b, h, w, c_in)).astype(np.float32)
+    kern = (rng.normal(size=(k, k, c_in, c_out)) * 0.05).astype(np.float32)
+    oh, ow, pads = _pads(h, w, k, 2, "same")
+    xp = np.pad(x, ((0, 0), pads[:2], pads[2:], (0, 0)))
+    ref = _ref_gather(xp, kern, 2, oh, ow)
+    assert np.array_equal(ad.conv2d(Tensor(x), Tensor(kern), 2).data, ref)
+    dec = ad.deconv2d(Tensor(np.zeros((b, oh, ow, c_out), np.float32), True), Tensor(kern), 2)
+    assert np.array_equal(dec._vjp(x)[0], ref)
 
 
 # ---------------------------------------------------------------------------

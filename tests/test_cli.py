@@ -307,6 +307,20 @@ def test_bdrate_non_finite_rd_point_exits_5(tmp_path, capsys, last):
     assert "curve 'c2f' has a non-finite bpp or distortion" in err
 
 
+@pytest.mark.parametrize("bpp", ["0", "-0.6", "nan"], ids=["bpp-zero", "bpp-negative", "bpp-nan"])
+def test_bdrate_bpp_not_positive_exits_5(tmp_path, capsys, bpp):
+    with open(tmp_path / "a.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["codec", "image", "bpp", "psnr_db"])
+        for b, p in [(0.3, 30.0), (bpp, 33.0), (1.0, 35.5), (1.6, 37.5)]:
+            w.writerow(["c2f", "a.png", b, p])
+    rc = run(["bdrate", "--anchor", tmp_path / "a.csv", "--test", tmp_path / "a.csv"])
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"a.csv line 3: bpp '{bpp}' is not a positive number" in err
+
+
 @pytest.mark.parametrize("row", [b"c2f,a\xff\xfe.png,0.3,30",
                                  b"c2f," + b"x" * 140000 + b",0.3,30"],
                          ids=["not-utf8", "field-past-csv-limit"])
@@ -386,6 +400,21 @@ def test_finite_weights_that_overflow_exit_1(workdir, tmp_path, capsys, name, wh
     err = capsys.readouterr().err
     assert err.startswith("error: non-finite values produced by op ") and err.count("\n") == 1
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_training_step_that_overflows_exits_1(workdir, tmp_path, capsys):
+    # a finite checkpoint whose forward pass overflows fails as the backward
+    # pass and Adam do: a numeric error, exit 1, one line
+    model = CodecModel(TINY, lambda_tag=300, seed=0)
+    model.named_params()["analysis.0.kernel"].data[...] = 3e37
+    checkpoint = Adam(model.param_list()).state_arrays()
+    checkpoint["meta.step"] = np.array([3], np.float32)
+    (tmp_path / "ck.c2fw").write_bytes(wts.model_bytes(model, checkpoint))
+    rc = run(["train", "--data", workdir, "--out", tmp_path / "run", "--lambda", "0.01",
+              "--steps", "5", "--batch", "1", "--patch", "64", "--resume", tmp_path / "ck.c2fw"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite values produced by op ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("exc, code", [
