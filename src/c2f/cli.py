@@ -155,7 +155,7 @@ def cmd_rdcurve(args) -> int:
 
 
 def cmd_bdrate(args) -> int:
-    from .evaluation import average_rows, bd_rate, read_rd_csv
+    from .evaluation import average_rows, bd_rate, log_rate_interp, read_rd_csv
 
     def single_curve(path, which):
         rows = read_rd_csv(path)
@@ -163,7 +163,12 @@ def cmd_bdrate(args) -> int:
         if len(curves) != 1:
             raise ConfigError(
                 f"{which} file {path} holds codecs {sorted(curves)}; supply exactly one")
-        return next(iter(curves.values()))
+        curve = next(iter(curves.values()))
+        try:  # a curve that cannot be interpolated is refused naming its file
+            log_rate_interp(curve)
+        except EvaluationError as exc:
+            raise EvaluationError(f"{which} file {path}: {exc}") from None
+        return curve
 
     anchor = single_curve(args.anchor, "anchor")
     test = single_curve(args.test, "test")

@@ -233,7 +233,9 @@ class _Pchip:
         return float(np.sum(antiderivative(s_hi) - antiderivative(s_lo)))
 
 
-def _log_rate_interp(curve: RdCurve) -> tuple[_Pchip, _Pchip, float, float]:
+def log_rate_interp(curve: RdCurve) -> tuple[_Pchip, _Pchip, float, float]:
+    """log2 bpp as f(distortion), distortion as f(log2 bpp), and the bpp
+    range; EvaluationError for a curve that BD-rate cannot use."""
     rate, dist = curve.arrays()
     if len(rate) < 4:
         raise EvaluationError(
@@ -264,7 +266,7 @@ def bd_rate(anchor: RdCurve, test: RdCurve, bpp_range: tuple[float, float]) -> f
     d_hi = math.inf
     interps = []
     for curve in (anchor, test):
-        rate_of_d, d_of_lograte, rate_min, rate_max = _log_rate_interp(curve)
+        rate_of_d, d_of_lograte, rate_min, rate_max = log_rate_interp(curve)
         lo_eff = max(lo, rate_min)
         hi_eff = min(hi, rate_max)
         if not lo_eff < hi_eff:

@@ -69,13 +69,15 @@ class LatentTriple:
 # ---------------------------------------------------------------------------
 # layers
 
-def _kernel_init(rng: np.random.Generator, kh: int, kw: int, cin_eff: float,
+def _kernel_init(rng: np.random.Generator | None, kh: int, kw: int, cin_eff: float,
                  shape: tuple[int, ...]) -> np.ndarray:
+    if rng is None:
+        return np.zeros(shape, np.float32)
     std = float(np.sqrt(1.0 / (kh * kw * cin_eff)))
     return rng.normal(0.0, std, size=shape).astype(np.float32)
 
 
-def _smooth_upsample_init(rng: np.random.Generator, k: int, out_ch: int,
+def _smooth_upsample_init(rng: np.random.Generator | None, k: int, out_ch: int,
                           in_ch: int) -> np.ndarray:
     """Deconv kernel that starts as a channelwise smooth 2x upsampler.
 
@@ -83,6 +85,8 @@ def _smooth_upsample_init(rng: np.random.Generator, k: int, out_ch: int,
     only the final color mapping has to be learned from scratch; this
     cuts hundreds of steps off desk-scale training runs.
     """
+    if rng is None:
+        return np.zeros((k, k, out_ch, in_ch), np.float32)
     taps = np.array([0.125, 0.5, 0.75, 0.5, 0.125], dtype=np.float64)[:k]
     w = np.outer(taps, taps)
     kern = rng.normal(0.0, 0.01, (k, k, out_ch, in_ch)).astype(np.float32)
@@ -247,16 +251,17 @@ class PredictorHead:
 
 
 class CodecModel:
-    """All trainable parameters plus the architecture hyperparameters."""
+    """All trainable parameters plus the architecture hyperparameters.
+    seed=None draws nothing: random kernels start at zero, to be rebound."""
 
     def __init__(self, arch: ArchConfig, lambda_tag: int = 0,
-                 distortion: str = "mse", seed: int = 0):
+                 distortion: str = "mse", seed: int | None = 0):
         if distortion not in ("mse", "msssim"):
             raise ContractViolation(f"unknown distortion kind {distortion!r}")
         self.arch = arch
         self.lambda_tag = int(lambda_tag)
         self.distortion = distortion
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         n, c_y, c_z = arch.n_main, arch.c_y, arch.c_z
 
         # the last analysis GDN starts as a pure x10 gain (beta = 0.01,

@@ -40,27 +40,35 @@ _DISTORTION = {"mse": 0, "msssim": 1}
 _DISTORTION_INV = {v: k for k, v in _DISTORTION.items()}
 
 
-def _pack_records(records: list[tuple[str, np.ndarray]]) -> bytes:
-    out = bytearray()
-    for name, arr in records:
-        raw = name.encode("utf-8")
-        arr = np.ascontiguousarray(arr, dtype="<f4")
-        out += struct.pack("<H", len(raw)) + raw
-        out += struct.pack("<B", arr.ndim)
-        out += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        out += arr.tobytes()
-    return bytes(out)
-
-
-def model_bytes(model: CodecModel, extra: dict[str, np.ndarray] | None = None) -> bytes:
+def model_chunks(model: CodecModel, extra: dict[str, np.ndarray] | None = None):
+    """The serialization, piece by piece: the header, then each record's
+    header bytes and a view of its little-endian float32 values."""
     params = sorted((name, t.data) for name, t in model.named_params().items())
     if extra:
         params += sorted(extra.items())
-    head = struct.pack(
+    yield struct.pack(
         _HEAD_FMT, MAGIC, VERSION,
         model.arch.n_main, model.arch.c_y, model.arch.c_z, MAIN_DEPTH,
         model.lambda_tag, _DISTORTION[model.distortion], len(params))
-    return head + _pack_records(params)
+    for name, arr in params:
+        raw = name.encode("utf-8")
+        arr = np.ascontiguousarray(arr, dtype="<f4")
+        yield struct.pack(f"<H{len(raw)}sB{arr.ndim}I", len(raw), raw, arr.ndim, *arr.shape)
+        yield memoryview(arr).cast("B")
+
+
+def model_bytes(model: CodecModel, extra: dict[str, np.ndarray] | None = None) -> bytes:
+    return b"".join(model_chunks(model, extra))
+
+
+def _sha256(chunks, fh=None) -> bytes:
+    """The sha-256 of the chunks, each also written to fh if one is given."""
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+        if fh is not None:
+            fh.write(chunk)
+    return digest.digest()
 
 
 # each model load_model returned -> [its read-only parameter arrays, their
@@ -79,16 +87,15 @@ def model_digest(model: CodecModel) -> bytes:
     live = [t.data for t in model.named_params().values()]
     if entry is None or not all(
             a is b and not a.flags.writeable for a, b in zip(live, entry[0])):
-        return hashlib.sha256(model_bytes(model)).digest()
+        return _sha256(model_chunks(model))
     if entry[1] is None:
-        entry[1] = hashlib.sha256(model_bytes(model)).digest()
+        entry[1] = _sha256(model_chunks(model))
     return entry[1]
 
 
 def save_model(model: CodecModel, path) -> bytes:
-    data = model_bytes(model)
-    Path(path).write_bytes(data)
-    return hashlib.sha256(data).digest()
+    with open(path, "wb") as fh:
+        return _sha256(model_chunks(model), fh)
 
 
 def _parse(data: bytes):
@@ -157,7 +164,8 @@ def _load(path) -> tuple[CodecModel, dict[str, np.ndarray]]:
     names the file."""
     try:
         arch, lambda_tag, distortion, records = _parse(Path(path).read_bytes())
-        model = CodecModel(arch, lambda_tag=lambda_tag, distortion=distortion)
+        # drawn from nothing: every parameter is rebound to its record below
+        model = CodecModel(arch, lambda_tag=lambda_tag, distortion=distortion, seed=None)
         wanted = model.named_params()
         missing = set(wanted) - set(records)
         if missing:
@@ -187,7 +195,8 @@ def load_model(path) -> CodecModel:
 def save_checkpoint(model: CodecModel, opt: Adam, step: int, path) -> None:
     extra = opt.state_arrays()
     extra["meta.step"] = np.array([step], dtype=np.float32)
-    Path(path).write_bytes(model_bytes(model, extra))
+    with open(path, "wb") as fh:
+        fh.writelines(model_chunks(model, extra))
 
 
 def load_checkpoint(path) -> tuple[CodecModel, dict[str, np.ndarray], int]:

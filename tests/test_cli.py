@@ -304,7 +304,21 @@ def test_bdrate_non_finite_rd_point_exits_5(tmp_path, capsys, last):
     assert rc == 5
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "curve 'c2f' has a non-finite bpp or distortion" in err
+    assert f"anchor file {tmp_path / 'a.csv'}: curve 'c2f' has a non-finite bpp or distortion" in err
+
+
+def test_bdrate_curve_too_short_names_its_file(tmp_path, capsys):
+    for name, points in (("a.csv", [(0.3, 30.0), (0.6, 33.0), (1.0, 35.5), (1.6, 37.5)]),
+                         ("b.csv", [(0.3, 30.0), (0.6, 33.0), (1.0, 35.5)])):
+        with open(tmp_path / name, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["codec", "image", "bpp", "psnr_db"])
+            w.writerows(["c2f", "a.png", b, p] for b, p in points)
+    rc = run(["bdrate", "--anchor", tmp_path / "a.csv", "--test", tmp_path / "b.csv"])
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"test file {tmp_path / 'b.csv'}: BD-rate needs >= 4 points" in err
 
 
 @pytest.mark.parametrize("bpp", ["0", "-0.6", "nan"], ids=["bpp-zero", "bpp-negative", "bpp-nan"])

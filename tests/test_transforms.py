@@ -1,6 +1,7 @@
 import hashlib
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -341,13 +342,13 @@ def test_loaded_model_digest_is_cached_and_tracks_rebinding(tmp_path, model, mon
     path = tmp_path / "m.c2fw"
     wts.save_model(model, path)
     serialized = []
-    real = wts.model_bytes
-    monkeypatch.setattr(wts, "model_bytes",
+    real = wts.model_chunks
+    monkeypatch.setattr(wts, "model_chunks",
                         lambda m, *a: serialized.append(m) or real(m, *a))
     loaded = wts.load_model(path)
     assert serialized == []  # hashed lazily, not at load
     d0 = wts.model_digest(loaded)
-    assert d0 == wts.model_digest(loaded) == hashlib.sha256(real(loaded)).digest()
+    assert d0 == wts.model_digest(loaded) == hashlib.sha256(b"".join(real(loaded))).digest()
     assert len(serialized) == 1
     # the weights are read-only, so the cache cannot go stale in place
     k = loaded.analysis_t.layers[0].kernel
@@ -356,11 +357,90 @@ def test_loaded_model_digest_is_cached_and_tracks_rebinding(tmp_path, model, mon
     # a rebound array is seen, and the live weights are hashed
     k.data = k.data + np.float32(1e-3)
     d1 = wts.model_digest(loaded)
-    assert d1 != d0 and d1 == hashlib.sha256(real(loaded)).digest()
+    assert d1 != d0 and d1 == hashlib.sha256(b"".join(real(loaded))).digest()
     # a fresh model is hashed on every call
     wts.model_digest(model)
     wts.model_digest(model)
     assert serialized.count(model) == 2
+
+
+TOY_MODELS = sorted((Path(__file__).resolve().parent / "_toy_models").glob("model_*.c2fw"))
+
+
+@pytest.mark.parametrize("path", TOY_MODELS, ids=lambda p: p.stem)
+def test_serialization_reproduces_committed_weights_files(path):
+    data = path.read_bytes()
+    loaded = wts.load_model(path)
+    assert wts.model_bytes(loaded) == data
+    assert wts.model_digest(loaded) == hashlib.sha256(data).digest()
+
+
+def test_committed_weights_files_are_the_four_zoo_models():
+    assert len(TOY_MODELS) == 4
+
+
+def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
+    model = CodecModel(ARCH, lambda_tag=300, seed=4)
+    opt = ad.Adam(model.param_list(), lr=1e-3)
+    opt.zero_grad()
+    ad.sum_all(model.analysis(image(64, 64, seed=16))).backward()
+    opt.step()
+    first, second = tmp_path / "a.c2fw", tmp_path / "b.c2fw"
+    wts.save_checkpoint(model, opt, step=5, path=first)
+    model2, opt_arrays, step = wts.load_checkpoint(first)
+    opt2 = ad.Adam(model2.param_list(), lr=1e-3)
+    opt2.load_state_arrays(opt_arrays)
+    wts.save_checkpoint(model2, opt2, step=step, path=second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def _records(path):
+    """Every record of a weights or checkpoint file, by name, parsed
+    here from the byte layout alone."""
+    data = path.read_bytes()
+    pos, out = struct.calcsize(wts._HEAD_FMT), {}
+    for _ in range(struct.unpack_from("<I", data, pos - 4)[0]):
+        (n,) = struct.unpack_from("<H", data, pos)
+        name = data[pos + 2:pos + 2 + n].decode()
+        pos += 2 + n
+        ndim = data[pos]
+        dims = struct.unpack_from(f"<{ndim}I", data, pos + 1)
+        pos += 1 + 4 * ndim
+        count = int(np.prod(dims))
+        out[name] = np.frombuffer(data, "<f4", count, pos).reshape(dims)
+        pos += 4 * count
+    assert pos == len(data)
+    return out
+
+
+def test_loading_draws_no_random_init(tmp_path, model, monkeypatch):
+    weights_path, ck_path = tmp_path / "m.c2fw", tmp_path / "ck.c2fw"
+    wts.save_model(model, weights_path)
+    wts.save_checkpoint(model, ad.Adam(model.param_list()), 2, ck_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("loading drew a random init")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    loaded = wts.load_model(weights_path)
+    resumed = wts.load_checkpoint(ck_path)[0]
+    for path, got in ((weights_path, loaded), (ck_path, resumed)):
+        records = _records(path)
+        params = got.named_params()
+        assert params and set(params) <= set(records)
+        for name, tensor in params.items():
+            assert tensor.data.dtype == np.float32
+            assert tensor.data.tobytes() == records[name].tobytes(), name
+    # a file missing one parameter still fails, naming the file
+    chunks = list(wts.model_chunks(model))
+    kept = [b"".join(rec) for rec in zip(chunks[1::2], chunks[2::2])
+            if b"res_a.kernel" not in rec[0]]
+    head = bytearray(chunks[0])
+    struct.pack_into("<I", head, len(head) - 4, len(kept))
+    short = tmp_path / "short.c2fw"
+    short.write_bytes(bytes(head) + b"".join(kept))
+    with pytest.raises(FormatError, match=r"short\.c2fw: .*missing parameters.*res_a\.kernel"):
+        wts.load_model(short)
 
 
 def test_load_rejects_wrong_shape(tmp_path, model):
