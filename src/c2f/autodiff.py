@@ -23,6 +23,12 @@ and record no tape, so they serve only a map that no tape records and
 that the caller itself created (a layer's own conv output); where the op
 would be recorded they refuse.  Each gives the bits of its taped op and
 keeps that op's finiteness check.
+
+Where no tape is recorded, ``conv2d`` and ``deconv2d`` also compute a
+window of output rows (``Rows``) from a window of input rows, into an
+array the caller gives, with the bits of the whole map's rows: a map can
+then be computed band by band while only the input rows the next band
+reads are kept (``transforms.CodecModel.synthesize``).
 """
 
 from __future__ import annotations
@@ -31,11 +37,11 @@ import ctypes
 import math
 import os
 import threading
-from collections.abc import Iterable
 from contextlib import contextmanager
 from contextvars import ContextVar, copy_context
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,12 +49,12 @@ from .errors import ContractViolation, NumericError
 
 __all__ = [
     "Tensor", "GdnParams", "Adam", "adam_step",
-    "ADAM_BETA1", "ADAM_BETA2", "ADAM_EPS", "no_grad",
+    "ADAM_BETA1", "ADAM_BETA2", "ADAM_EPS", "no_grad", "recording",
     "add", "sub", "mul", "div", "neg", "add_const", "mul_const",
     "relu", "exp", "log", "sqrt", "square", "powc", "ndtr", "ndtr64", "clamp",
     "sum_all", "mean_all", "mse", "l2_norm",
     "concat_channels", "channel_slice",
-    "conv2d", "deconv2d", "space_to_depth", "depth_to_space",
+    "conv2d", "deconv2d", "Rows", "input_rows", "space_to_depth", "depth_to_space",
     "cmatmul", "avg_pool2", "gdn", "add_", "relu_", "gdn_",
 ]
 
@@ -160,6 +166,11 @@ def no_grad():
 
 def _records(parents: tuple[Tensor, ...]) -> bool:
     return _grad_enabled.get() and any(p.requires_grad for p in parents)
+
+
+def recording(*tensors: Tensor) -> bool:
+    """True if an op on these tensors would record a tape entry."""
+    return _records(tensors)
 
 
 def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp) -> Tensor:
@@ -388,36 +399,19 @@ def l2_norm(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # shape ops
 
-def concat_channels(tensors: Iterable[Tensor], channels: int | None = None) -> Tensor:
-    """Join maps along channels, `channels` in all (by default, the sum).
-
-    Each map is copied into its slice of the output as it arrives and is
-    kept only if the tape needs it, so an iterator that computes the maps
-    one by one holds at most one of them beside the output."""
-    if channels is None:
-        tensors = list(tensors)
-        channels = sum(t.shape[3] for t in tensors)
-    out, parents, spans, hi = None, [], [], 0
+def concat_channels(tensors: list[Tensor]) -> Tensor:
+    """Join maps of one (b, h, w) along channels."""
+    shape = tensors[0].shape[:3]
     for t in tensors:
-        if out is None:
-            out = np.empty((*t.shape[:3], channels), dtype=np.float32)
-        lo, hi = hi, hi + t.shape[3]
-        if t.shape[:3] != out.shape[:3] or hi > channels:
-            raise ContractViolation(
-                f"concat of {channels} channels over (b,h,w) {out.shape[:3]} "
-                f"got {t.shape} at channel {lo}")
-        out[..., lo:hi] = t.data
-        if _records((t,)):
-            parents.append(t)
-            spans.append((lo, hi))
-        del t  # before the iterator computes the next map
-    if out is None or hi != channels:
-        raise ContractViolation(f"concat of {channels} channels got {hi}")
+        if t.shape[:3] != shape:
+            raise ContractViolation(f"concat over (b,h,w) {shape} got {t.shape}")
+    bounds = np.cumsum([0] + [t.shape[3] for t in tensors]).tolist()
 
     def vjp(g):
-        return tuple(g[..., lo:hi] for lo, hi in spans)
+        return tuple(g[..., lo:hi] for lo, hi in zip(bounds, bounds[1:]))
 
-    return _make(out, "concat", tuple(parents), vjp)
+    return _make(np.concatenate([t.data for t in tensors], axis=3), "concat",
+                 tuple(tensors), vjp)
 
 
 def channel_slice(a: Tensor, start: int, stop: int) -> Tensor:
@@ -486,9 +480,17 @@ def depth_to_space(a: Tensor) -> Tensor:
 # call, so the encoder and the decoder run the same products.  Bands are
 # balanced, so none is a short leftover, and a stride-1 band may take
 # 2 * kh rows or more: it keeps at least kh, more than its kh - 1 halo.
+#
+# A window of a streamed map (Rows) is cut into two bands instead, one
+# per thread, by its shape alone, each of at least kh rows at stride 1.
+# It stays one band where a half would be smaller or would have fewer
+# than _HALF_ROWS flattened rows: products that small may go to the
+# small-matrix sgemm, whose rows round unlike the whole map's.
 
 # flattened matmul rows per band
 _BAND_ROWS = 8192
+# flattened matmul rows a window's band keeps at least
+_HALF_ROWS = 512
 
 
 def _out_and_pad(in_dim: int, k: int, stride: int, padding: str) -> tuple[int, int, int]:
@@ -517,6 +519,14 @@ def _bands(b: int, oh: int, rows: int) -> list[tuple[int, int, int, int]]:
     if oh <= rows:
         return [(n0, n1, 0, oh) for n0, n1 in split(b, rows // oh)]
     return [(n, n + 1, r0, r1) for n in range(b) for r0, r1 in split(oh, rows)]
+
+
+def _halves(b: int, oh: int, row_len: int, least: int = 1) -> list[tuple[int, int, int, int]]:
+    """A window's bands: each image's oh rows cut in two, or whole where a
+    half would hold fewer than `least` rows or _HALF_ROWS flattened rows
+    of row_len each."""
+    half = oh // 2
+    return _bands(b, oh, oh if half < least or half * row_len < _HALF_ROWS else oh - half)
 
 
 # A call of two bands or more runs its second half of the bands on a
@@ -610,14 +620,18 @@ def _fill(dst: np.ndarray, x: np.ndarray, q0: int, pt: int, pl: int,
 
 def _gather(x: np.ndarray, kern: np.ndarray, stride: int,
             pads: tuple[int, int, int, int], oh: int, ow: int,
-            reverse: bool = False) -> np.ndarray:
+            reverse: bool = False, out: np.ndarray | None = None,
+            window: bool = False) -> np.ndarray:
     """out[n, r, c] = sum over taps (i, j) of xp[n, s*r + i, s*c + j] @ kern[i, j],
     where xp is x zero-padded by pads = (top, bottom, left, right), adding
-    the taps in row-major order, or with `reverse` in the reverse order."""
+    the taps in row-major order, or with `reverse` in the reverse order.
+    out, if given, may be any view of the result's shape; a `window` is
+    cut into halves (_halves) instead of bands of _BAND_ROWS."""
     b, _, w, ci = x.shape
     kh, kw, _, co = kern.shape
     taps = [(i, j) for i in range(kh) for j in range(kw)][::-1 if reverse else 1]
-    out = np.empty((b, oh, ow, co), dtype=np.float32)
+    if out is None:
+        out = np.empty((b, oh, ow, co), dtype=np.float32)
     # A band's padded rows, split into the s*s phases of stride s and
     # stacked image after image, are s*s flat arrays (at stride 1 with no
     # pad, the one array is x itself, read in place).  Tap (i, j) is the
@@ -629,7 +643,10 @@ def _gather(x: np.ndarray, kern: np.ndarray, stride: int,
     # takes all taps in one product no wider than the rows it reads, then
     # adds each tap's slice.
     wp = w + pads[2] + pads[3]
-    bands = _bands(b, oh, max(_BAND_ROWS // wp, 2 * kh) if stride == 1 else _BAND_ROWS // ow)
+    if window:
+        bands = _halves(b, oh, wp, kh) if stride == 1 else _halves(b, oh, ow)
+    else:
+        bands = _bands(b, oh, max(_BAND_ROWS // wp, 2 * kh) if stride == 1 else _BAND_ROWS // ow)
     stacked = None
     if stride == 1 and kh * kw > 1 and kh * kw * co <= ci:
         # thin: transposed like each kern[i, j], so sgemm reads it the same way
@@ -647,7 +664,7 @@ def _gather_scratch(bands, x, kern, out, s, pads, taps, stacked):
     khs, co = -(-kern.shape[0] // s), out.shape[3]
     most_in = max((n1 - n0) * (r1 - r0 - 1 + khs) * wps for n0, n1, r0, r1 in bands)
     phases = np.zeros((s * s, most_in, ci), dtype=np.float32) if s > 1 or any(pads) else None
-    if len(taps) == 1 and s == 1:
+    if len(taps) == 1 and s == 1 and out.flags.c_contiguous:
         return phases, None, None
     return (phases,
             np.empty((most_in, co * len(taps) if stacked is not None else co), dtype=np.float32),
@@ -669,7 +686,8 @@ def _gather_bands(bands, scratch, x, kern, out, s, pads, taps, stacked):
                 _fill(flat.reshape(k, q, wps, ci), x[n0:n1], r0 * s, pads[0], pads[2],
                       s, p // s, p % s)
         m = (k * q - khs) * wps + ow
-        # out[n0:n1, r0:r1] is whole images or rows of one image: a view
+        # out[n0:n1, r0:r1] is whole images or rows of one image of a
+        # contiguous out: a view
         acc = out[n0:n1, r0:r1].reshape(m, co) if acc_buf is None else acc_buf[:m]
         if stacked is not None:
             prod = np.matmul(flats[0], stacked, out=tmp[:len(flats[0])])
@@ -707,26 +725,32 @@ def _phase(a: int, k: int, s: int, pad: int, n: int, size: int):
 
 
 def _scatter(y: np.ndarray, kern: np.ndarray, stride: int, pt: int, pl: int,
-             out_h: int, out_w: int) -> np.ndarray:
+             out_h: int, out_w: int, out: np.ndarray | None = None,
+             window: bool = False) -> np.ndarray:
     """The adjoint of _gather, cropped to rows pt..pt+out_h-1 and columns
-    pl..pl+out_w-1 of the padded plane.  Output phase (a, c), at padded
-    positions (a, c) mod s, takes only the taps kern[a::s, c::s]: one
-    stride-1 gather over y with them flipped and channel-transposed and
-    added in reverse, so each output sums its taps in kern's row-major order."""
+    pl..pl+out_w-1 of the padded plane, written into out if given.
+    Output phase (a, c), at padded positions (a, c) mod s, takes only the
+    taps kern[a::s, c::s]: one stride-1 gather over y, written straight
+    into the phase's positions of out, with them flipped and
+    channel-transposed and added in reverse, so each output sums its taps
+    in kern's row-major order.  A `window`'s gathers are cut into halves."""
     b, h, w, _ = y.shape
     kh, kw, ci, _ = kern.shape
     s = stride
-    out = np.zeros((b, out_h, out_w, ci), dtype=np.float32)
+    if out is None:
+        out = np.empty((b, out_h, out_w, ci), dtype=np.float32)
+    rows = [_phase(a, kh, s, pt, h, out_h) for a in range(s)]
     cols = [_phase(c, kw, s, pl, w, out_w) for c in range(s)]
-    for a in range(s):
-        rows = _phase(a, kh, s, pt, h, out_h)
+    if None in rows or None in cols:
+        out[...] = 0  # a phase that no tap of kern reaches from y
+    for a, row in enumerate(rows):
         for c, col in enumerate(cols):
-            if rows is None or col is None:
-                continue  # no tap of the phase reaches y: zeros
-            (r0, oh, q0, q1, top, bottom), (c0, ow, p0, p1, left, right) = rows, col
+            if row is None or col is None:
+                continue
+            (r0, oh, q0, q1, top, bottom), (c0, ow, p0, p1, left, right) = row, col
             taps = kern[a::s, c::s][::-1, ::-1].transpose(0, 1, 3, 2)
-            out[:, r0::s, c0::s] = _gather(y[:, q0:q1, p0:p1], taps, 1, (top, bottom, left, right),
-                                           oh, ow, reverse=True)
+            _gather(y[:, q0:q1, p0:p1], taps, 1, (top, bottom, left, right), oh, ow,
+                    reverse=True, out=out[:, r0::s, c0::s], window=window)
     return out
 
 
@@ -748,16 +772,86 @@ def _check_stride(stride: int) -> None:
         raise ContractViolation(f"stride must be 1 or 2, got {stride}")
 
 
-def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: str = "same") -> Tensor:
-    """2-D convolution over (b,h,w,c) with kernel (kh,kw,cin,cout)."""
+class Rows(NamedTuple):
+    """A window of a conv or deconv: output rows start..stop-1 of the op on
+    an input of `height` rows, of which the op's input array holds the
+    rows from `top` on, at least every row those outputs read."""
+
+    start: int
+    stop: int
+    top: int
+    height: int
+
+
+def _rows_read(height: int, k: int, stride: int, pt: int, start: int, stop: int,
+               transpose: bool) -> tuple[int, int]:
+    """The input rows [a, b) that output rows start..stop-1 read, where pt
+    is a conv's top pad or a deconv's crop of its padded plane."""
+    if transpose:
+        a, b = -((k - 1 - start - pt) // stride), (stop - 1 + pt) // stride + 1
+    else:
+        a, b = stride * start - pt, stride * (stop - 1) - pt + k
+    return max(a, 0), min(b, height)
+
+
+def input_rows(height: int, k: int, stride: int, start: int, stop: int,
+               transpose: bool = False) -> tuple[int, int]:
+    """The input rows [a, b) that output rows start..stop-1 of a 'same'
+    conv2d with k kernel rows (with `transpose`, a deconv2d) read from an
+    input of `height` rows."""
+    pt = _out_and_pad(height * stride if transpose else height, k, stride, "same")[1]
+    return _rows_read(height, k, stride, pt, start, stop, transpose)
+
+
+def _window(x: Tensor, kernel: Tensor, rows: Rows, out_rows: int, k: int, stride: int,
+            pt: int, transpose: bool) -> tuple[np.ndarray, int]:
+    """The rows of x that the window reads, and the index a of the first."""
+    if _records((x, kernel)):
+        raise ContractViolation("a row window is computed only where no tape is recorded")
+    start, stop, top, height = rows
+    a, b = _rows_read(height, k, stride, pt, start, stop, transpose)
+    if not (0 <= start < stop <= out_rows and top <= a < b <= top + x.shape[1]):
+        raise ContractViolation(
+            f"output rows {start}..{stop - 1} of {out_rows} read input rows {a}..{b - 1} "
+            f"of {height}; the window holds {x.shape[1]} rows from row {top}")
+    return x.data[:, a - top:b - top], a
+
+
+def _window_out(out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
+    if out is None:
+        return np.empty(shape, dtype=np.float32)
+    if out.shape != shape or out.dtype != np.float32 or not out.flags.c_contiguous:
+        raise ContractViolation(f"a window of shape {shape} needs a C-contiguous float32 out, "
+                                f"got {out.shape} {out.dtype}")
+    return out
+
+
+def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: str = "same",
+           rows: Rows | None = None, out: np.ndarray | None = None) -> Tensor:
+    """2-D convolution over (b,h,w,c) with kernel (kh,kw,cin,cout).
+
+    With `rows`, only output rows rows.start..rows.stop-1 of the conv of
+    an input of rows.height rows are computed, from x holding its rows
+    rows.top.., into out if given (a C-contiguous array of their shape),
+    with the bits of those rows of the whole map.  A window records no tape."""
     _check_stride(stride)
     b, h, w, ci = x.shape
     kh, kw, kci, co = kernel.shape
     if ci != kci:
         raise ContractViolation(f"conv2d channels {ci} != kernel cin {kci}")
+    if rows is not None:
+        h = rows.height
     oh, pt, pb = _out_and_pad(h, kh, stride, padding)
     ow, pl, pr = _out_and_pad(w, kw, stride, padding)
     kern = kernel.data
+    if rows is not None:
+        xw, a = _window(x, kernel, rows, oh, kh, stride, pt, False)
+        n = rows.stop - rows.start
+        top = pt + a - stride * rows.start  # the window's own pads
+        bottom = max(stride * (n - 1) + kh - top - xw.shape[1], 0)
+        data = _gather(xw, kern, stride, (top, bottom, pl, pr), n, ow,
+                       out=_window_out(out, (b, n, ow, co)), window=True)
+        return Tensor(data, op="conv2d")
 
     def vjp(g):
         dx = dk = None
@@ -772,18 +866,22 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: str = "same") ->
     return _make(out, "conv2d", (x, kernel), vjp)
 
 
-def deconv2d(y: Tensor, kernel: Tensor, stride: int = 1, padding: str = "same") -> Tensor:
+def deconv2d(y: Tensor, kernel: Tensor, stride: int = 1, padding: str = "same",
+             rows: Rows | None = None, out: np.ndarray | None = None) -> Tensor:
     """Transposed convolution: the exact adjoint of conv2d for this kernel.
 
     kernel is laid out (kh, kw, cout, cin) exactly as it would be for the
     matching forward conv2d from cout channels back to cin channels, so
-    <conv2d(a, k), b> == <a, deconv2d(b, k)> holds for all a, b.
+    <conv2d(a, k), b> == <a, deconv2d(b, k)> holds for all a, b.  `rows`
+    and out window the output rows as in conv2d.
     """
     _check_stride(stride)
     b, h, w, c = y.shape
     kh, kw, cm, kc = kernel.shape
     if c != kc:
         raise ContractViolation(f"deconv2d channels {c} != kernel cout {kc}")
+    if rows is not None:
+        h = rows.height
     if padding == "same":
         big_h, big_w = h * stride, w * stride
     elif padding == "valid":
@@ -795,6 +893,13 @@ def deconv2d(y: Tensor, kernel: Tensor, stride: int = 1, padding: str = "same") 
     if (oh, ow) != (h, w):
         raise ContractViolation(f"deconv2d inconsistent dims {(h, w)} for stride {stride}")
     kern = kernel.data
+    if rows is not None:
+        yw, a = _window(y, kernel, rows, big_h, kh, stride, pt, True)
+        n = rows.stop - rows.start
+        # the window's crop: output row start sits at padded row start + pt
+        data = _scatter(yw, kern, stride, rows.start + pt - stride * a, pl, n, big_w,
+                        out=_window_out(out, (b, n, big_w, cm)), window=True)
+        return Tensor(data, op="deconv2d")
 
     def vjp(g):
         dy = dk = None
@@ -900,7 +1005,8 @@ def gdn(x: Tensor, params: GdnParams, inverse: bool = False) -> Tensor:
     return mul(x, root) if inverse else div(x, root)
 
 
-def gdn_(x: Tensor, params: GdnParams, inverse: bool = False) -> Tensor:
+def gdn_(x: Tensor, params: GdnParams, inverse: bool = False,
+         window: bool = False) -> Tensor:
     """gdn written into x.
 
     GDN mixes channels pixel by pixel, so it runs over bands of rows of
@@ -908,8 +1014,9 @@ def gdn_(x: Tensor, params: GdnParams, inverse: bool = False) -> Tensor:
     workers: gdn's ops in gdn's order, each with its finiteness check
     (numpy's floating-point warnings are off), and a non-finite value
     raises as in one thread, naming the op of the first band that has one.
-    The bands are cut from x's shape alone, as _bands cuts them, so one
-    shape always gives the same bits.  They equal gdn's single product
+    The bands are cut from x's shape alone, as _bands cuts them (for a
+    `window` of a streamed map, as _halves does), so one shape always
+    gives the same bits.  They equal gdn's single product
     only where sgemm rounds a row alike at both row counts (see the conv
     engine's note), as it does at the layer shapes test_transforms pins."""
     data = _writable(x, params.beta_u, params.gamma_v)
@@ -919,8 +1026,8 @@ def gdn_(x: Tensor, params: GdnParams, inverse: bool = False) -> Tensor:
     flat = data.reshape(-1, c)
     beta, gamma_t = params.beta_values(), params.gamma_values().T
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        _over_bands(_bands(1, len(flat), _BAND_ROWS), _gdn_scratch, _gdn_bands,
-                    (flat, beta, gamma_t, inverse))
+        bands = _halves(1, len(flat), 1) if window else _bands(1, len(flat), _BAND_ROWS)
+        _over_bands(bands, _gdn_scratch, _gdn_bands, (flat, beta, gamma_t, inverse))
     return x
 
 

@@ -19,6 +19,10 @@ The latents, their digest and `modeled_bits` (the float model's
 cross-entropy) do not depend on the grid; only the Y and X stream bytes
 do.
 
+A stream shorter than its symbol count allows (`rangecoder.shortest_stream`)
+is refused before the decoder builds any array per symbol, so a hostile
+header cannot make it allocate for a plane its streams could not hold.
+
 The header carries the first 4 bytes of the latent digest.  The decoder
 compares them once X is decoded and before synthesis, so a stream that
 decodes to other latents (a flipped bit, or side-path floats that pick
@@ -29,6 +33,7 @@ giving a wrong image.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +43,11 @@ from . import rangecoder as rc
 from .autodiff import Tensor
 from .container import (ContainerHeader, check_image_size, read_container,
                         write_container)
-from .entropy import (CODER_GRID, LIKELIHOOD_FLOOR, QuantizerMode,
+from .entropy import (CODER_GRID, LIKELIHOOD_FLOOR, ROW_FREQ_MAX, QuantizerMode,
                       alphabet_rows, build_cdf_tables, gaussian_bin_prob)
 from .errors import (ContractViolation, CorruptStreamError,
                      ModelIdMismatchError, NumericError)
-from .imageio import crop, pad_to_multiple
+from .imageio import pad_to_multiple
 from .transforms import DOWNSAMPLE, CodecModel, LatentTriple
 from .weights import model_digest
 
@@ -65,10 +70,14 @@ def _symbols(t: Tensor) -> np.ndarray:
     return data.astype(np.int64)
 
 
-def _z_tables(sigma_z: np.ndarray, n_symbols: int) -> tuple[rc.TableRows, int]:
-    # one exact zero-mean row per channel, channel innermost
-    c = sigma_z.size
-    return alphabet_rows(build_cdf_tables(np.zeros(c), sigma_z), np.arange(n_symbols) % c), 0
+def _z_rows(sigma_z: np.ndarray) -> np.ndarray:
+    """One exact zero-mean row per channel of Z."""
+    return build_cdf_tables(np.zeros(sigma_z.size), sigma_z)
+
+
+def _z_tables(rows: np.ndarray, n_symbols: int) -> tuple[rc.TableRows, int]:
+    # channel innermost
+    return alphabet_rows(rows, np.arange(n_symbols) % len(rows)), 0
 
 
 def _encode(values: np.ndarray, tables: rc.TableRows, center) -> bytes:
@@ -76,7 +85,7 @@ def _encode(values: np.ndarray, tables: rc.TableRows, center) -> bytes:
 
 
 def _decode(data: bytes, tables: rc.TableRows, center, shape) -> Tensor:
-    rel = rc.decode(data, tables, int(np.prod(shape)))
+    rel = rc.decode(data, tables, math.prod(shape))
     return Tensor((rel + center).astype(np.float32).reshape(shape))
 
 
@@ -115,7 +124,7 @@ def encode_array(model: CodecModel, img: np.ndarray) -> EncodeResult:
     y_syms = _symbols(lat.y)
     x_syms = _symbols(lat.x)
 
-    zbytes = _encode(z_syms, *_z_tables(sigma_z, z_syms.size))
+    zbytes = _encode(z_syms, *_z_tables(_z_rows(sigma_z), z_syms.size))
     ybytes = _encode(y_syms, *CODER_GRID.tables(lat.mu_y.data, lat.sigma_y.data))
     xbytes = _encode(x_syms, *CODER_GRID.tables(lat.mu_x.data, lat.sigma_x.data))
 
@@ -161,27 +170,41 @@ def decode_array(model: CodecModel, data: bytes) -> DecodeResult:
 
 def _decode_streams(model: CodecModel, header: ContainerHeader, zbytes: bytes,
                     ybytes: bytes, xbytes: bytes) -> DecodeResult:
-    x_shape, y_shape, z_shape = model.latent_shapes(header.pad_h, header.pad_w)
-
-    sigma_z = model.fz.sigma_values()
     with ad.no_grad():
-        zhat = _decode(zbytes, *_z_tables(sigma_z, int(np.prod(z_shape))), z_shape)
-        side2, mu_y, sigma_y = model.side_params(zhat, 2)
-        yhat = _decode(ybytes, *CODER_GRID.tables(mu_y.data, sigma_y.data), y_shape)
-        side1, mu_x, sigma_x = model.side_params(yhat, 1)
-        xhat = _decode(xbytes, *CODER_GRID.tables(mu_x.data, sigma_x.data), x_shape)
-        digest = latent_digest(xhat.data, yhat.data, zhat.data)
-        if latent_check(digest) != header.latent_check:
-            raise CorruptStreamError(
-                f"decoded latents fail the header's check ({digest[:8]} != "
-                f"{header.latent_check.hex()})")
-        recon = model.synthesize(xhat, side1, side2)
-    # the decoder's own map becomes the pixels in place
-    pixels = recon.data[0]
-    np.clip(pixels, 0.0, 1.0, out=pixels)
-    np.multiply(pixels, 255.0, out=pixels)
-    img = np.round(pixels, out=pixels).astype(np.uint8)
-    return DecodeResult(
-        image=crop(img, header.orig_h, header.orig_w),
-        header=header,
-        latent_digest=digest)
+        xhat, side1, side2, digest = _decode_latents(model, header, zbytes, ybytes, xbytes)
+        img = np.empty((header.orig_h, header.orig_w, 3), np.uint8)
+
+        def write_pixels(r0: int, band: np.ndarray) -> None:
+            # each finished band of the synthesis becomes pixels in place
+            rows = band[:max(header.orig_h - r0, 0), :header.orig_w]
+            np.clip(rows, 0.0, 1.0, out=rows)
+            np.multiply(rows, 255.0, out=rows)
+            img[r0:r0 + len(rows)] = np.round(rows, out=rows)
+
+        model.synthesize(xhat, side1, side2, sink=write_pixels)
+    return DecodeResult(image=img, header=header, latent_digest=digest)
+
+
+def _decode_latents(model: CodecModel, header: ContainerHeader, zbytes: bytes,
+                    ybytes: bytes, xbytes: bytes) -> tuple[Tensor, Tensor, Tensor, str]:
+    """X and the two side maps the synthesis reads, and the latent digest;
+    every other plane is dropped with this frame."""
+    x_shape, y_shape, z_shape = model.latent_shapes(header.pad_h, header.pad_w)
+    z_rows = _z_rows(model.fz.sigma_values())
+    for name, data, shape, f_max in (("Z", zbytes, z_shape, int(np.diff(z_rows).max())),
+                                     ("Y", ybytes, y_shape, ROW_FREQ_MAX),
+                                     ("X", xbytes, x_shape, ROW_FREQ_MAX)):
+        if len(data) < rc.shortest_stream(math.prod(shape), f_max):
+            raise CorruptStreamError(f"the {len(data)}-byte {name} stream is too short "
+                                     f"for its {math.prod(shape)} symbols")
+    zhat = _decode(zbytes, *_z_tables(z_rows, math.prod(z_shape)), z_shape)
+    side2, mu_y, sigma_y = model.side_params(zhat, 2)
+    yhat = _decode(ybytes, *CODER_GRID.tables(mu_y.data, sigma_y.data), y_shape)
+    side1, mu_x, sigma_x = model.side_params(yhat, 1)
+    xhat = _decode(xbytes, *CODER_GRID.tables(mu_x.data, sigma_x.data), x_shape)
+    digest = latent_digest(xhat.data, yhat.data, zhat.data)
+    if latent_check(digest) != header.latent_check:
+        raise CorruptStreamError(
+            f"decoded latents fail the header's check ({digest[:8]} != "
+            f"{header.latent_check.hex()})")
+    return xhat, side1, side2, digest

@@ -37,7 +37,7 @@ __all__ = [
     "quantize", "gaussian_likelihood", "z_likelihood", "rate_bits",
     "gaussian_bin_prob", "build_cdf_tables", "alphabet_rows",
     "SIGMA_MIN", "SIGMA_MAX", "LIKELIHOOD_FLOOR", "ALPHABET_MIN", "ALPHABET_MAX",
-    "GRID_SIGMAS", "GRID_OFFSETS",
+    "GRID_SIGMAS", "GRID_OFFSETS", "ROW_FREQ_MAX",
 ]
 
 SIGMA_MIN = 0.01
@@ -50,6 +50,10 @@ GRID_OFFSETS = 33   # mean offsets over [-0.5, 0.5], step 1/32; odd, so 0 is a g
 
 # bin edges of the alphabet's symbols; the escape bin takes the mass outside
 _EDGES = np.arange(ALPHABET_MIN, ALPHABET_MAX + 2, dtype=np.float64) - 0.5
+# the largest bin a build_cdf_tables row can hold: each of its other
+# _EDGES.size bins (the other symbols and the escape) holds one at least.
+# The grid's sharpest row, sigma SIGMA_MIN at offset 0, holds it.
+ROW_FREQ_MAX = CDF_TOTAL - (_EDGES.size - 1)
 _BUILD_CHUNK = 1 << 10  # rows per vectorised step of build_cdf_tables
 
 _LN2 = float(np.log(2.0))

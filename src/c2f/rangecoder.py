@@ -25,10 +25,15 @@ two's-complement int32 bytes, most significant first, each coded as bin
 
 A stream's tables reach the coder as one TableRows: an (R, W) array of
 cumulative rows and the row index of every symbol.
+
+A stream also has a least length for its symbol count (shortest_stream),
+so a decoder can refuse one that is too short before it builds anything
+per symbol.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from typing import Sequence
 
@@ -36,13 +41,14 @@ import numpy as np
 
 from .errors import ContractViolation, CorruptStreamError
 
-__all__ = ["TableRows", "encode", "decode", "CDF_TOTAL"]
+__all__ = ["TableRows", "encode", "decode", "shortest_stream", "CDF_TOTAL"]
 
 CDF_TOTAL = 1 << 16
 
 _STATE_LO = 1 << 16  # the state lives in [_STATE_LO, 2^32)
 _INT32_LO, _INT32_HI = -(1 << 31), (1 << 31) - 1
 _PAYLOAD_SHIFTS = np.array([24, 16, 8, 0], dtype=np.int64)
+_CHUNK = 1 << 14  # symbols decode() converts to Python ints at a time
 
 
 class TableRows:
@@ -75,6 +81,26 @@ class TableRows:
 
     def __len__(self) -> int:
         return self.index.size
+
+
+def shortest_stream(n: int, f_max: int) -> int:
+    """The fewest bytes of any stream that decodes n symbols whose bins
+    have frequencies of at most f_max.
+
+    A stream that decodes to the start state with every word read is what
+    encode() writes for the decoded symbols, so it suffices to bound
+    encode().  Let L = log2(x) + 16 * (words moved out); it starts at 16.
+    Coding a bin [lo, lo + f) maps x = q*f + r (q >= 1, r < f) to
+    q * 2^16 + r + lo >= x * (2^16 + f) / (2f), and moving a word out
+    first (x >= f * 2^16, so x >> 16 >= f) costs L at most log2((f + 1) / f).
+    So each symbol adds at least c = log2((2^16 + f) / (2(f + 1))) to L,
+    which falls as f grows: c at f_max bounds them all (an escape's
+    payload bins only add more).  The 4-byte final state holds less than
+    32 bits, so a stream of B bytes has 8 * B > 16 + n * c."""
+    c = math.log2((CDF_TOTAL + f_max) / (2 * (f_max + 1)))
+    # shaved by a part in 1e9, so that float rounding cannot refuse a stream
+    bits = 16 + n * max(c, 0.0) * (1 - 1e-9)
+    return max(math.floor(bits / 8) + 1, 4)
 
 
 def _bins(values: np.ndarray, t: TableRows) -> tuple[np.ndarray, np.ndarray]:
@@ -131,47 +157,55 @@ def encode(symbols: Sequence[int], t: TableRows) -> bytes:
 
 def decode(data: bytes, t: TableRows, n: int) -> np.ndarray:
     """Decode exactly n symbols into an int64 array; inverse of encode()
-    for identical tables."""
+    for identical tables.  The words are read lazily and the symbols'
+    table positions are made Python ints _CHUNK at a time, so the memory
+    beyond the output and the tables is one chunk's."""
     if n != len(t):
         raise ContractViolation(f"n={n} but {len(t)} tables supplied")
     size = len(data)
     if size < 4 or size % 2:
         raise CorruptStreamError(f"a {size}-byte stream is not a state and whole words")
-    words = iter(np.frombuffer(data, ">u2", offset=4).tolist())
+    words = iter(memoryview(np.frombuffer(data, ">u2", offset=4).astype(np.uint16)))
     read = words.__next__
     width = t.cum.shape[1]
     flat = memoryview(t.cum.reshape(-1))
-    start = t.index * width
     # a symbol's bin search ends at its row's escape position only for an escape
-    escape_at = start + np.where(t.has_escape, t.nsymbols + 1, width)[t.index]
-    found: list[int] = []     # each symbol's bisect position in flat
-    escaped: list[int] = []   # positions in found of the escapes ...
+    escape_col = np.where(t.has_escape, t.nsymbols + 1, width)
+    found = np.empty(n, dtype=np.int64)  # each symbol's bisect position in flat
+    escaped: list[int] = []   # indices of the escapes ...
     payloads: list[int] = []  # ... and their values
     x = int.from_bytes(data[:4], "big")
     try:
-        for base, esc in zip(start.tolist(), escape_at.tolist()):
-            slot = x & 0xFFFF
-            p = bisect_right(flat, slot, base, base + width)
-            lo = flat[p - 1]
-            x = (flat[p] - lo) * (x >> 16) + slot - lo
-            if x < _STATE_LO:
-                x = (x << 16) | read()
-            if p == esc:  # escape: four payload bins of 256 follow
-                payload = 0
-                for _ in range(4):
-                    slot = x & 0xFFFF
-                    payload = (payload << 8) | (slot >> 8)
-                    x = ((x >> 16) << 8) | (slot & 0xFF)
-                    if x < _STATE_LO:
-                        x = (x << 16) | read()
-                escaped.append(len(found))
-                payloads.append(payload - (1 << 32) if payload > _INT32_HI else payload)
-            found.append(p)
+        for lo in range(0, n, _CHUNK):
+            rows = t.index[lo:lo + _CHUNK]
+            start = rows * width
+            chunk: list[int] = []
+            for base, esc in zip(start.tolist(), (start + escape_col[rows]).tolist()):
+                slot = x & 0xFFFF
+                p = bisect_right(flat, slot, base, base + width)
+                lo_cum = flat[p - 1]
+                x = (flat[p] - lo_cum) * (x >> 16) + slot - lo_cum
+                if x < _STATE_LO:
+                    x = (x << 16) | read()
+                if p == esc:  # escape: four payload bins of 256 follow
+                    payload = 0
+                    for _ in range(4):
+                        slot = x & 0xFFFF
+                        payload = (payload << 8) | (slot >> 8)
+                        x = ((x >> 16) << 8) | (slot & 0xFF)
+                        if x < _STATE_LO:
+                            x = (x << 16) | read()
+                    escaped.append(lo + len(chunk))
+                    payloads.append(payload - (1 << 32) if payload > _INT32_HI else payload)
+                chunk.append(p)
+            found[lo:lo + len(chunk)] = chunk
     except StopIteration:
-        raise CorruptStreamError(f"stream of {size} bytes exhausted at symbol {len(found)}") from None
+        raise CorruptStreamError(
+            f"stream of {size} bytes exhausted at symbol {lo + len(chunk)}") from None
     if x != _STATE_LO or next(words, None) is not None:
         raise CorruptStreamError(f"stream of {size} bytes does not end in the start state "
                                  "with every word read")
-    values = np.asarray(found, dtype=np.int64) - start - 1 + t.smin[t.index]
-    values[escaped] = payloads
-    return values
+    found -= t.index * width + 1
+    found += t.smin[t.index]
+    found[escaped] = payloads
+    return found

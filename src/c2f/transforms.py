@@ -15,6 +15,7 @@ Latent shape ladder for a padded (b, 64m, 64n, 3) input:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,9 @@ DOWNSAMPLE = 64  # 16 (main) * 2 (hyper level 1) * 2 (hyper level 2)
 
 # scale on the output deconv's random kernel at init (see CodecModel)
 FINAL_UP_INIT_GAIN = 0.01
+
+# pixels (rows x columns) per window of a streamed synthesis map
+_WINDOW_PIXELS = 8192
 
 
 @dataclass(frozen=True)
@@ -104,7 +108,9 @@ class ConvLayer:
 
     When the conv output records no tape entry (inference), it is this
     call's own map: the bias, ReLU and GDN/iGDN are written into it in
-    place (autodiff's add_, relu_, gdn_), with the bits of the taped ops."""
+    place (autodiff's add_, relu_, gdn_), with the bits of the taped ops.
+    With `rows` (an autodiff.Rows) the call computes only those output
+    rows, into `out` if given, and its epilogue runs on them alone."""
 
     def __init__(self, rng, in_ch: int, out_ch: int, kernel: int, stride: int,
                  activation: str, bias: bool = True,
@@ -122,14 +128,15 @@ class ConvLayer:
         self.gdn = (GdnParams.create(out_ch, *gdn_init)
                     if activation in ("gdn", "igdn") else None)
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, rows: ad.Rows | None = None,
+                 out: np.ndarray | None = None) -> Tensor:
         # looked up per call, so a wrapper installed on the module sees it
         op = ad.deconv2d if self.transpose else ad.conv2d
-        out = op(x, self.kernel, self.stride, "same")
-        inplace = not out.requires_grad
+        y = op(x, self.kernel, self.stride, "same", rows=rows, out=out)
+        inplace = not y.requires_grad
         if self.bias is not None:
-            out = (ad.add_ if inplace else ad.add)(out, self.bias)
-        return _activate(out, self.activation, self.gdn, inplace)
+            y = (ad.add_ if inplace else ad.add)(y, self.bias)
+        return _activate(y, self.activation, self.gdn, inplace, rows is not None)
 
     def params(self, prefix: str):
         yield f"{prefix}.kernel", self.kernel
@@ -162,14 +169,17 @@ class SpaceToDepthLayer:
         return _describe(self)
 
 
-def _activate(out: Tensor, activation: str, gdn_params, inplace: bool) -> Tensor:
+def _activate(out: Tensor, activation: str, gdn_params, inplace: bool,
+              window: bool) -> Tensor:
     if activation == "linear":
         return out
     if activation == "relu":
         return (ad.relu_ if inplace else ad.relu)(out)
     if activation in ("gdn", "igdn"):
-        return (ad.gdn_ if inplace else ad.gdn)(out, gdn_params,
-                                                inverse=activation == "igdn")
+        inverse = activation == "igdn"
+        if inplace:
+            return ad.gdn_(out, gdn_params, inverse, window)
+        return ad.gdn(out, gdn_params, inverse)
     raise ContractViolation(f"unknown activation {activation!r}")
 
 
@@ -194,6 +204,163 @@ class Sequential:
 
     def describe(self) -> list[dict]:
         return [layer.describe() for layer in self.layers]
+
+
+# ---------------------------------------------------------------------------
+# streamed synthesis: every map is computed in windows of rows, top to
+# bottom, by pull.  A consumer asks its producer for the producer's next
+# window whenever its own next window reads rows not yet computed, so each
+# row is computed once, and keeps only the input rows that its later
+# windows read (a sliding window with storage folding: Ragan-Kelley et
+# al., "Halide", PLDI 2013; Alwani et al., "Fused-Layer CNN
+# Accelerators", MICRO 2016).  The windows are planned from the output
+# down: each layer's windows end where its consumer's windows stop
+# reading, merged until each has about _WINDOW_PIXELS pixels, so a
+# consumer holds its window's rows and at most one window of its
+# producer beyond them.  Every map class below has height, width,
+# channels, plan(stops), which sets the end rows of its windows, and
+# write(dest, r0, r1), which computes its window r0..r1-1 into dest.
+
+def _merge(stops: list[int], least: int) -> list[int]:
+    """Windows ending at some of stops: ceil(height / least) of them, as
+    even as the stops allow, so no window is a short leftover and none is
+    much longer than `least` rows."""
+    height = stops[-1]
+    n = -(-height // least)
+    out = []
+    for k in range(1, n):
+        stop = stops[bisect_left(stops, -(-height * k // n))]
+        if stop < height and (not out or stop > out[-1]):
+            out.append(stop)
+    return out + [height]
+
+
+class _Held:
+    """A map already in memory, handed out window by window."""
+
+    def __init__(self, t: Tensor):
+        self.data = t.data
+        _, self.height, self.width, self.channels = t.shape
+
+    def plan(self, stops: list[int]) -> None:
+        self.stops = stops
+
+    def write(self, dest: np.ndarray, r0: int, r1: int) -> None:
+        dest[...] = self.data[:, r0:r1]
+
+
+class _Streamed:
+    """A ConvLayer's output map over the map `src`, window by window.
+
+    `buf` holds rows lo..hi-1 of src: the rows that this and later windows
+    read, and none below `hold` is dropped while a second reader (the
+    residual) still needs it.  src writes its windows straight into buf."""
+
+    def __init__(self, layer: ConvLayer, src):
+        s = layer.stride
+        self.layer, self.src, self.channels = layer, src, layer.out_ch
+        if layer.transpose:
+            self.height, self.width = src.height * s, src.width * s
+        else:
+            self.height, self.width = -(-src.height // s), -(-src.width // s)
+        self.buf = np.empty((1, 0, src.width, src.channels), np.float32)
+        self.lo = self.hi = 0
+        self.hold: int | None = None
+
+    def _reads(self, r0: int, r1: int) -> tuple[int, int]:
+        layer = self.layer
+        return ad.input_rows(self.src.height, layer.kernel_size, layer.stride, r0, r1,
+                             layer.transpose)
+
+    def plan(self, stops: list[int], by_input: bool = False) -> None:
+        """Windows of about _WINDOW_PIXELS pixels of the output map (with
+        by_input, of the input map), in eighths of rows where the stops
+        allow, so that halves are even and the longest window does not
+        depend on the map's height."""
+        per_row = self.src.width * self.src.height / self.height if by_input else self.width
+        least = max(int(_WINDOW_PIXELS // per_row), 1)
+        self.stops = _merge(stops, least - least % 8 if least >= 8 else least)
+        ends = [self._reads(r0, r1)[1] for r0, r1 in zip([0] + self.stops, self.stops)]
+        self.src.plan(sorted(set(ends) | {self.src.height}))
+
+    def write(self, dest: np.ndarray, r0: int, r1: int) -> None:
+        a, b = self._reads(r0, r1)
+        self._drop(a if self.hold is None else min(a, self.hold))
+        self._pull(b)
+        # only the rows the window reads, so a tracer that sizes a call by
+        # its input sees no rows kept for later windows
+        self.layer(Tensor(self.buf[:, a - self.lo:b - self.lo]),
+                   ad.Rows(r0, r1, a, self.src.height), dest)
+
+    def held(self, r0: int, r1: int) -> np.ndarray:
+        """Rows r0..r1-1 of src, which `hold` has kept."""
+        return self.buf[:, r0 - self.lo:r1 - self.lo]
+
+    def _drop(self, a: int) -> None:
+        """Move rows a..hi-1 to the front of buf, in runs that do not overlap."""
+        a = min(a, self.hi)
+        if a <= self.lo:
+            return
+        shift, keep = a - self.lo, self.hi - a
+        for i in range(0, keep, shift):
+            n = min(shift, keep - i)
+            self.buf[:, i:i + n] = self.buf[:, i + shift:i + shift + n]
+        self.lo = a
+
+    def _pull(self, b: int) -> None:
+        """Have src write its next windows into buf until rows below b are in."""
+        while self.hi < b:
+            stop = self.src.stops[bisect_right(self.src.stops, self.hi)]
+            if stop - self.lo > self.buf.shape[1]:
+                grown = np.empty((1, stop - self.lo, *self.buf.shape[2:]), np.float32)
+                grown[:, :self.hi - self.lo] = self.buf[:, :self.hi - self.lo]
+                self.buf = grown
+            self.src.write(self.buf[:, self.hi - self.lo:stop - self.lo], self.hi, stop)
+            self.hi = stop
+
+
+class _Joined:
+    """Maps of one grid joined along channels, each window by each map in turn."""
+
+    def __init__(self, srcs: list):
+        self.srcs = srcs
+        self.height, self.width = srcs[0].height, srcs[0].width
+        if any((m.height, m.width) != (self.height, self.width) for m in srcs):
+            raise ContractViolation(
+                f"concat over (h,w) of {[(m.height, m.width) for m in srcs]}")
+        self.channels = sum(m.channels for m in srcs)
+
+    def plan(self, stops: list[int]) -> None:
+        self.stops = stops
+        for m in self.srcs:
+            m.plan(stops)
+
+    def write(self, dest: np.ndarray, r0: int, r1: int) -> None:
+        lo = 0
+        for m in self.srcs:
+            part = np.empty((1, r1 - r0, self.width, m.channels), np.float32)
+            m.write(part, r0, r1)
+            dest[..., lo:lo + m.channels] = part
+            lo += m.channels
+
+
+class _Residual:
+    """last's map plus first's input map, where last reads first's output:
+    res_b(res_a(fused)) + fused, with fused's rows kept in res_a's buf."""
+
+    def __init__(self, first: _Streamed, last: _Streamed):
+        self.first, self.last = first, last
+        self.height, self.width, self.channels = last.height, last.width, last.channels
+        first.hold = 0
+
+    def plan(self, stops: list[int]) -> None:
+        self.last.plan(stops)
+        self.stops = self.last.stops
+
+    def write(self, dest: np.ndarray, r0: int, r1: int) -> None:
+        self.last.write(dest, r0, r1)
+        ad.add_(Tensor(dest), Tensor(self.first.held(r0, r1)))
+        self.first.hold = r1
 
 
 def _hyper_analysis(rng, c: int, c_prime: int) -> Sequential:
@@ -380,21 +547,61 @@ class CodecModel:
                             sigma_z=self.fz.sigma_values(),
                             x_cont=x_cont, side1=side1, side2=side2)
 
-    def synthesize(self, xhat: Tensor, side1: Tensor, side2: Tensor) -> Tensor:
+    def synthesize(self, xhat: Tensor, side1: Tensor, side2: Tensor,
+                   sink=None) -> Tensor | None:
         """Reconstruct the image; output is unclipped (clip at inference).
 
-        The three paths meet in one (b, h/2, w/2, n + 2*cs) map.  Each path
-        is copied into its channel slice as soon as it is computed, and
-        where no tape holds it, freed; the residual is then added into
-        res_b's own output.  concat_channels refuses grids that disagree."""
-        paths = ((self.synthesis_main, xhat), (self.side1_up, side1),
-                 (self.side2_up, side2))
-        fused = self.fuse_in(ad.concat_channels(
-            (net(x) for net, x in paths), self.fuse_in.in_ch))
-        res = self.res_b(self.res_a(fused))
-        res = ad.add(fused, res) if res.requires_grad else ad.add_(res, fused)
-        del fused
-        return self.final_up(self.fuse_out(res))
+        The three paths meet in one (b, h/2, w/2, n + 2*cs) map, and the
+        concat refuses grids that disagree.  Where a tape records the call
+        (training), every layer computes its whole map.  Elsewhere the
+        synthesis streams, image by image: every layer, the concat and the
+        residual compute their output in windows of rows (at most
+        _WINDOW_PIXELS pixels each) and keep only the input rows their
+        next windows read, so memory follows the image's width, not its
+        area, with the bits of the whole maps.  Each finished band of
+        output rows then goes to sink(r0, band), band an (rows, w, 3)
+        array of the one image, or without a sink into one returned map."""
+        if ad.recording(xhat, side1, side2, *self.param_list()):
+            if sink is not None:
+                raise ContractViolation("a synthesis that records a tape has no sink")
+            paths = ((self.synthesis_main, xhat), (self.side1_up, side1),
+                     (self.side2_up, side2))
+            fused = self.fuse_in(ad.concat_channels([net(x) for net, x in paths]))
+            return self.final_up(self.fuse_out(ad.add(fused, self.res_b(self.res_a(fused)))))
+        batch = xhat.shape[0]
+        if sink is not None and batch != 1:
+            raise ContractViolation(f"a synthesis sink takes one image, got {batch}")
+        out = None
+        for i in range(batch):
+            final = self._streamed(*(Tensor(t.data[i:i + 1]) for t in (xhat, side1, side2)))
+            if sink is None and out is None:
+                out = np.empty((batch, final.height, final.width, final.channels), np.float32)
+            r0 = 0
+            for r1 in final.stops:
+                band = (out[i:i + 1, r0:r1] if sink is None else
+                        np.empty((1, r1 - r0, final.width, final.channels), np.float32))
+                final.write(band, r0, r1)
+                if sink is not None:
+                    sink(r0, band[0])
+                r0 = r1
+        return None if sink is not None else Tensor(out)
+
+    def _streamed(self, xhat: Tensor, side1: Tensor, side2: Tensor) -> _Streamed:
+        """The synthesis of one image as a chain of streamed maps."""
+        def path(net: Sequential, t: Tensor):
+            m = _Held(t)
+            for layer in net.layers:
+                m = _Streamed(layer, m)
+            return m
+
+        joined = _Joined([path(self.synthesis_main, xhat), path(self.side1_up, side1),
+                          path(self.side2_up, side2)])
+        res_a = _Streamed(self.res_a, _Streamed(self.fuse_in, joined))
+        res = _Residual(res_a, _Streamed(self.res_b, res_a))
+        final = _Streamed(self.final_up, _Streamed(self.fuse_out, res))
+        # the image has 3 channels: its windows are sized by final_up's input
+        final.plan(list(range(8, final.height, 8)) + [final.height], by_input=True)
+        return final
 
     # -- parameter access ---------------------------------------------------
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 import weakref
 from pathlib import Path
@@ -98,12 +99,16 @@ def save_model(model: CodecModel, path) -> bytes:
         return _sha256(model_chunks(model), fh)
 
 
-def _parse(data: bytes):
+def _parse(fh, size: int):
+    """The header of a weights file of `size` bytes open as fh, and the
+    (dims, offset) of each record's values by name.  Only the record
+    headers are read, so a record's size is checked against the file's
+    before anything is allocated for it."""
     head_size = struct.calcsize(_HEAD_FMT)
-    if len(data) < head_size:
+    if size < head_size:
         raise FormatError("weights file shorter than its header")
     (magic, version, n_main, c_y, c_z, main_depth,
-     lambda_tag, distortion, n_records) = struct.unpack_from(_HEAD_FMT, data)
+     lambda_tag, distortion, n_records) = struct.unpack(_HEAD_FMT, fh.read(head_size))
     if magic != MAGIC:
         raise FormatError(f"bad weights magic {magic!r}")
     if version != VERSION:
@@ -115,67 +120,79 @@ def _parse(data: bytes):
     if min(n_main, c_y, c_z) < 1:
         raise FormatError(f"channel counts must be >= 1, got {n_main}/{c_y}/{c_z}")
     pos = head_size
-    records: dict[str, np.ndarray] = {}
+    index: dict[str, tuple[tuple[int, ...], int]] = {}
     for _ in range(n_records):
         try:
-            (name_len,) = struct.unpack_from("<H", data, pos)
-            pos += 2
-            name = data[pos:pos + name_len].decode("utf-8")
-            pos += name_len
-            (ndim,) = struct.unpack_from("<B", data, pos)
-            pos += 1
-            dims = struct.unpack_from(f"<{ndim}I", data, pos)
-            pos += 4 * ndim
+            (name_len,) = struct.unpack("<H", fh.read(2))
+            name = fh.read(name_len).decode("utf-8")
+            (ndim,) = struct.unpack("<B", fh.read(1))
+            dims = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+            pos += 3 + name_len + 4 * ndim
             if 0 in dims:  # no parameter is empty
                 raise FormatError(f"record {name!r} has an empty dimension")
             count = math.prod(dims)  # a Python int: no int64 wrap-around
-            raw = data[pos:pos + 4 * count]
-            if len(raw) != 4 * count:
+            if 4 * count > size - pos:
                 raise FormatError(f"record {name!r} truncated")
-            pos += 4 * count
         except struct.error as exc:
             raise FormatError(f"weights records truncated: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise FormatError(f"weights record name is not UTF-8: {exc}") from exc
-        arr = np.frombuffer(raw, dtype="<f4")
-        if name in records:
+        if name in index:
             raise FormatError(f"record {name!r} appears twice")
-        if not np.isfinite(arr).all():
-            raise FormatError(f"record {name!r} holds a non-finite value")
-        records[name] = arr.reshape(dims).copy()
-    if pos != len(data):
-        raise FormatError(f"{len(data) - pos} trailing bytes in weights file")
+        index[name] = dims, pos
+        pos += 4 * count
+        fh.seek(pos)
+    if pos != size:
+        raise FormatError(f"{size - pos} trailing bytes in weights file")
     # a record sized by each channel count, checked before CodecModel
     # allocates parameters for the header's counts, so that a header cannot
     # make it allocate more than a bounded multiple of the file's size
     for name, shape in (("analysis.1.kernel", (5, 5, n_main, n_main)),
                         ("hyper_analysis_2.0.kernel", (3, 3, c_y, 2 * c_y)),
                         ("hyper_analysis_2.4.kernel", (1, 1, 4 * c_y, c_z))):
-        if name not in records or records[name].shape != shape:
+        if name not in index or index[name][0] != shape:
             raise FormatError(f"channel counts {n_main}/{c_y}/{c_z} do not fit record {name!r}")
     arch = ArchConfig(n_main=n_main, c_y=c_y, c_z=c_z)
-    return arch, lambda_tag, _DISTORTION_INV[distortion], records
+    return arch, lambda_tag, _DISTORTION_INV[distortion], index
+
+
+def _read(fh, name: str, dims: tuple[int, ...], offset: int) -> np.ndarray:
+    """A record's values, read straight into an array of their own."""
+    arr = np.empty(dims, dtype="<f4")
+    fh.seek(offset)
+    if fh.readinto(memoryview(arr).cast("B")) != arr.nbytes:
+        raise FormatError(f"record {name!r} truncated")
+    if not np.isfinite(arr).all():
+        raise FormatError(f"record {name!r} holds a non-finite value")
+    return arr
 
 
 def _load(path) -> tuple[CodecModel, dict[str, np.ndarray]]:
     """The model a weights or checkpoint file holds, and all its records.
 
-    Every parameter must be present with its exact shape.  A FormatError
+    Every parameter must be present with its exact shape.  Each record is
+    read into an array of its own, and a parameter is bound to it at once,
+    so a load holds the model and one record beyond it.  A FormatError
     names the file."""
     try:
-        arch, lambda_tag, distortion, records = _parse(Path(path).read_bytes())
-        # drawn from nothing: every parameter is rebound to its record below
-        model = CodecModel(arch, lambda_tag=lambda_tag, distortion=distortion, seed=None)
-        wanted = model.named_params()
-        missing = set(wanted) - set(records)
-        if missing:
-            raise FormatError(f"weights file missing parameters: {sorted(missing)[:4]}...")
-        for name, tensor in wanted.items():
-            arr = records[name]
-            if arr.shape != tensor.data.shape:
-                raise FormatError(
-                    f"parameter {name!r} has shape {arr.shape}, expected {tensor.data.shape}")
-            tensor.data = np.ascontiguousarray(arr, dtype=np.float32)
+        with open(path, "rb") as fh:
+            arch, lambda_tag, distortion, index = _parse(fh, os.fstat(fh.fileno()).st_size)
+            # drawn from nothing: every parameter is rebound to its record below
+            model = CodecModel(arch, lambda_tag=lambda_tag, distortion=distortion, seed=None)
+            wanted = model.named_params()
+            missing = set(wanted) - set(index)
+            if missing:
+                raise FormatError(f"weights file missing parameters: {sorted(missing)[:4]}...")
+            records = {}
+            for name, (dims, offset) in index.items():
+                arr = records[name] = _read(fh, name, dims, offset)
+                tensor = wanted.get(name)
+                if tensor is None:
+                    continue
+                if arr.shape != tensor.data.shape:
+                    raise FormatError(f"parameter {name!r} has shape {arr.shape}, "
+                                      f"expected {tensor.data.shape}")
+                tensor.data = np.ascontiguousarray(arr, dtype=np.float32)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     return model, records

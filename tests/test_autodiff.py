@@ -375,6 +375,54 @@ def test_codec_width_convs_match_per_tap_gather(b, h, w, c_in, c_out, k):
 
 
 # ---------------------------------------------------------------------------
+# row windows
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["conv", "deconv"])
+@pytest.mark.parametrize("k, stride", [(3, 1), (5, 2), (3, 2), (2, 2)])
+def test_row_windows_give_the_whole_maps_rows(transpose, k, stride):
+    # windows at the top, in the middle, at the bottom and over all rows,
+    # each from the input rows input_rows names plus a spare row on either
+    # side where the input has one
+    rng = np.random.default_rng(10 * k + stride + transpose)
+    h, w, ci, co = 24, 48, 8, 6
+    op = ad.deconv2d if transpose else ad.conv2d
+    x = rng.normal(size=(1, h, w, co if transpose else ci)).astype(np.float32)
+    kern = Tensor((rng.normal(size=(k, k, ci, co)) * 0.1).astype(np.float32))
+    whole = op(Tensor(x), kern, stride).data
+    out_h = whole.shape[1]
+    for r0, r1 in [(0, 5), (5, out_h - 6), (out_h - 6, out_h), (0, out_h)]:
+        a, b = ad.input_rows(h, k, stride, r0, r1, transpose)
+        top = max(a - 1, 0)
+        out = np.empty((1, r1 - r0, *whole.shape[2:]), np.float32)
+        rows = op(Tensor(x[:, top:b + 1]), kern, stride, rows=ad.Rows(r0, r1, top, h), out=out)
+        assert rows.data is out and not rows.requires_grad
+        assert out.tobytes() == whole[:, r0:r1].tobytes()
+        # the rows named are all the window reads
+        assert op(Tensor(x[:, a:b]), kern, stride,
+                  rows=ad.Rows(r0, r1, a, h)).data.tobytes() == out.tobytes()
+
+
+def test_row_window_refuses_a_tape_missing_rows_and_a_strided_out():
+    x = Tensor(np.ones((1, 8, 8, 2), np.float32), True)
+    kern = Tensor(np.ones((3, 3, 2, 2), np.float32))
+    with pytest.raises(ContractViolation, match="no tape"):
+        ad.conv2d(x, kern, rows=ad.Rows(0, 4, 0, 8))
+    with ad.no_grad():
+        with pytest.raises(ContractViolation, match="read input rows 0..4 of 8"):
+            ad.conv2d(Tensor(x.data[:, 2:6]), kern, rows=ad.Rows(0, 4, 2, 8))
+        with pytest.raises(ContractViolation, match="C-contiguous"):
+            ad.conv2d(x, kern, rows=ad.Rows(0, 4, 0, 8),
+                      out=np.empty((1, 4, 8, 4), np.float32)[..., :2])
+
+
+def test_window_bands_are_two_halves_or_one():
+    assert ad._halves(1, 21, 386, 3) == [(0, 1, 0, 10), (0, 1, 10, 21)]
+    assert ad._halves(2, 8, 200) == [(0, 1, 0, 4), (0, 1, 4, 8), (1, 2, 0, 4), (1, 2, 4, 8)]
+    assert ad._halves(1, 5, 386, 3) == [(0, 1, 0, 5)]   # a half under kh rows
+    assert ad._halves(1, 8, 100) == [(0, 1, 0, 8)]      # 400 < _HALF_ROWS flattened rows
+
+
+# ---------------------------------------------------------------------------
 # bands over workers
 
 def _per_workers(workers, fn, counts=(1, 2, 16)):
@@ -712,20 +760,6 @@ def test_in_place_ops_refuse_a_recorded_op():
         before = a.data.copy()
         assert ad.add_(a, b) is a
         assert np.array_equal(a.data, before + b.data)
-
-
-def test_concat_from_an_iterator_drops_untaped_maps():
-    a, b = randt((1, 2, 2, 3), 21), randt((1, 2, 2, 5), 22)
-    with ad.no_grad():
-        out = ad.concat_channels(iter([a, b]), 8)
-    assert not out.requires_grad and out._parents == ()
-    assert np.array_equal(out.data, np.concatenate([a.data, b.data], axis=3))
-    taped = ad.concat_channels(iter([a, b]), 8)
-    assert taped._parents == (a, b)
-    with pytest.raises(ContractViolation):
-        ad.concat_channels(iter([a, b]), 9)
-    with pytest.raises(ContractViolation):
-        ad.concat_channels(iter([a, b]), 7)
 
 
 def test_mse_zero_on_identical():

@@ -1,9 +1,11 @@
 import hashlib
+import math
 import os
 import struct
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -14,8 +16,13 @@ from hypothesis import strategies as st
 
 import c2f.autodiff as ad
 import c2f.codec as codec
+import c2f.rangecoder as rc
+import c2f.transforms as transforms
 import c2f.weights as wts
-from c2f.container import HEADER_SIZE, MAX_SIDE, read_container
+from c2f.cli import main as cli_main
+from c2f.container import (HEADER_SIZE, MAX_SIDE, ContainerHeader, read_container,
+                           write_container)
+from c2f.entropy import ROW_FREQ_MAX
 from c2f.errors import (ContractViolation, CorruptStreamError, FormatError,
                         ModelIdMismatchError, NumericError)
 from c2f.evaluation import bpp, psnr
@@ -225,12 +232,16 @@ def test_encode_peak_is_bounded(wide_roundtrip):
     assert wide_roundtrip[2] < 48, f"encode peaked at {wide_roundtrip[2]:.1f} MiB"
 
 
+# decode's peak on the wide fixture: with the three synthesis paths and
+# their concatenation alive at once (4 maps of 16 MiB) it was 65.3 MiB;
+# written path by path into one buffer, 51.4 MiB; streamed through windows
+# of rows, 11.7 MiB, the most of it the image, the decoded planes and the
+# coder tables of X
+DECODE_PEAK_MIB = 15
+
+
 def test_decode_peak_is_bounded(wide_roundtrip):
-    # with the three synthesis paths and their concatenation alive at once
-    # (4 maps of 16 MiB) decode peaked at 65.3 MiB; written path by path
-    # into one buffer, the peak is fuse_in's input buffer, its output and
-    # its band scratch: 51.4 MiB
-    assert wide_roundtrip[3] < 58, f"decode peaked at {wide_roundtrip[3]:.1f} MiB"
+    assert wide_roundtrip[3] < DECODE_PEAK_MIB, f"decode peaked at {wide_roundtrip[3]:.1f} MiB"
 
 
 def test_peaks_and_bits_do_not_grow_with_the_cpu_count(wide_roundtrip, workers):
@@ -244,8 +255,86 @@ def test_peaks_and_bits_do_not_grow_with_the_cpu_count(wide_roundtrip, workers):
     assert enc_peak < 48, f"encode peaked at {enc_peak:.1f} MiB"
     assert again.data == res.data
     dec, dec_peak = traced_peak(codec.decode_array, model, res.data)
-    assert dec_peak < 58, f"decode peaked at {dec_peak:.1f} MiB"
+    assert dec_peak < DECODE_PEAK_MIB, f"decode peaked at {dec_peak:.1f} MiB"
     assert dec.image.tobytes() == out.image.tobytes()
+
+
+def whole_map_pixels(model, res) -> bytes:
+    """The decoded image of an encode, from the synthesis of whole maps
+    (a tape records it), turned into pixels as decode does."""
+    lat = res.latents
+    recon = model.synthesize(lat.x, lat.side1, lat.side2)
+    assert recon.requires_grad
+    return np.round(np.clip(recon.data[0], 0.0, 1.0) * 255.0).astype(np.uint8).tobytes()
+
+
+def test_decodes_in_small_windows_give_the_whole_map_pixels(toy_zoo, wide_roundtrip,
+                                                            monkeypatch):
+    # windows of 1024 pixels cut the zoo tile's 64x96 half-resolution maps
+    # into 8 windows of 8 rows, and windows of 2048 the wide fixture's
+    # 512x512 ones into 128 of 4 rows; both give the pixels of whole maps
+    model = toy_zoo.load(0.03)
+    res = codec.encode_array(model, np.tile(heldout_images(1)[0], (2, 3, 1)))
+    windows = []
+    real = ad.conv2d
+    monkeypatch.setattr(ad, "conv2d", lambda *a, **k: windows.append(k["rows"]) or real(*a, **k))
+    monkeypatch.setattr(transforms, "_WINDOW_PIXELS", 1024)
+    assert codec.decode_array(model, res.data).image.tobytes() == whole_map_pixels(model, res)
+    # fuse_in, res_a, res_b and fuse_out; the predictor heads' and the
+    # whole maps' convs have no rows
+    assert sum(rows is not None for rows in windows) == 4 * 8
+    wide_res, wide_out, _, _ = wide_roundtrip
+    monkeypatch.setattr(transforms, "_WINDOW_PIXELS", 2048)
+    wide = codec.decode_array(CodecModel(ArchConfig(n_main=16), seed=0), wide_res.data)
+    assert wide.image.tobytes() == wide_out.image.tobytes()
+
+
+def test_streamed_tail_convs_run_two_bands(workers, monkeypatch):
+    # every window of the four convs at h/2 is cut into two bands, so each
+    # starts one helper thread: a 512x1024 image's 256x512 maps are 16
+    # windows of 16 rows
+    workers(2)
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    helpers = []
+    real = ad.conv2d
+
+    def conv(*args, **kwargs):
+        before = len(started)
+        out = real(*args, **kwargs)
+        if kwargs["rows"] is not None:  # not the predictor heads' 1x1 convs
+            helpers.append(len(started) - before)
+        return out
+
+    monkeypatch.setattr(ad, "conv2d", conv)
+    model = CodecModel(ArchConfig(n_main=16), seed=0)
+    res = codec.encode_array(model, wide_image()[:512])
+    helpers.clear()
+    codec.decode_array(model, res.data)
+    assert helpers == [1] * 4 * 16
+
+
+def test_synthesis_memory_does_not_grow_with_the_image_height(wide_roundtrip, monkeypatch):
+    # what a decode's synthesis allocates beyond its inputs, for the wide
+    # fixture and its top half (8.1 and 8.0 MiB): windows of rows follow
+    # the image's width, not its height.  Whole maps doubled it (the
+    # decode peaked at 51.4 MiB on the whole fixture)
+    model = CodecModel(ArchConfig(n_main=16), seed=0)
+    half = codec.encode_array(model, wide_image()[:512])
+    used = []
+    real = CodecModel.synthesize
+
+    def synthesize(self, *args, **kwargs):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        real(self, *args, **kwargs)
+        used.append((tracemalloc.get_traced_memory()[1] - base) / 2 ** 20)
+
+    monkeypatch.setattr(CodecModel, "synthesize", synthesize)
+    traced_peak(codec.decode_array, model, half.data)
+    traced_peak(codec.decode_array, model, wide_roundtrip[0].data)
+    assert used[1] < 1.1 * used[0], f"synthesis took {used[0]:.2f} then {used[1]:.2f} MiB"
 
 
 def test_two_threads_decoding_at_once_get_the_serial_pixels(toy_zoo, workers, monkeypatch):
@@ -384,6 +473,49 @@ def test_hostile_padded_size_refused_before_decoding(model, monkeypatch):
     monkeypatch.setattr(CodecModel, "latent_shapes", no_decode)
     with pytest.raises(CorruptStreamError):
         codec.decode_array(model, bytes(data))
+
+
+def test_hostile_stream_lengths_refused_before_any_plane(toy_zoo, tmp_path, capsys):
+    # a valid header for a 32768x32768 image and three 8-byte streams: 108
+    # bytes.  The Z stream alone would need 1.5 kB for its 4.2 million
+    # symbols, so decode exits 4 before building anything per symbol (it
+    # exited 4 after 0.59 s at 446 MB of RSS, running out of words)
+    model = toy_zoo.load(0.03)
+    header = ContainerHeader(model_id=wts.model_digest(model), orig_w=MAX_SIDE,
+                             orig_h=MAX_SIDE, pad_w=MAX_SIDE, pad_h=MAX_SIDE,
+                             lambda_tag=model.lambda_tag)
+    path = tmp_path / "hostile.c2f"
+    path.write_bytes(write_container(header, *[bytes([0, 1, 0, 0, 0, 0, 0, 0])] * 3))
+    assert path.stat().st_size == 108
+    args = ["decode", "--model", str(toy_zoo.model_path(0.03)), "--input", str(path),
+            "--output", str(tmp_path / "out.png")]
+    assert cli_main(args) == 4  # warm-up: imports
+    t0 = time.perf_counter()
+    code = cli_main(args)
+    elapsed = time.perf_counter() - t0
+    traced_code, peak = traced_peak(cli_main, args)
+    assert code == traced_code == 4
+    assert "Z stream is too short" in capsys.readouterr().err
+    assert elapsed < 0.1, f"refused after {elapsed:.3f} s"
+    assert peak < 10, f"refused at a {peak:.1f} MiB peak"
+
+
+def stream_margins(model, data: bytes) -> list[int]:
+    """Each stream's bytes beyond rangecoder.shortest_stream's bound."""
+    header, *streams = read_container(data)
+    x, y, z = model.latent_shapes(header.pad_h, header.pad_w)
+    f_z = int(np.diff(codec._z_rows(model.fz.sigma_values())).max())
+    return [len(s) - rc.shortest_stream(math.prod(shape), f_max)
+            for s, shape, f_max in zip(streams, (z, y, x), (f_z, ROW_FREQ_MAX, ROW_FREQ_MAX))]
+
+
+def test_pinned_and_zoo_streams_pass_the_length_bound(toy_zoo, wide_roundtrip):
+    margins = stream_margins(CodecModel(ArchConfig(n_main=16), seed=0), wide_roundtrip[0].data)
+    for lam in ZOO_LAMBDAS:
+        zoo_model = toy_zoo.load(lam)
+        for img in heldout_images(10):
+            margins += stream_margins(zoo_model, codec.encode_array(zoo_model, img).data)
+    assert len(margins) == 123 and min(margins) >= 0
 
 
 @pytest.mark.parametrize("field", [38, 42])  # orig_w, orig_h

@@ -193,11 +193,12 @@ def test_synthesize_grid_mismatch(model):
 
 def test_synthesize_scratch_is_bounded():
     # n_main=32 on a 512x512 padded input: the fused half-resolution plane
-    # (fuse_in's input) is 256 x 256 x 64 float32 = 16 MiB.  The banded
-    # conv engine peaks at 36 MiB inside synthesize; the unbanded one it
-    # replaced (a padded copy of each conv input, a strided copy and a
-    # full product per tap, every path alive until the fuse) peaked at
-    # 80 MiB.
+    # (fuse_in's input) is 256 x 256 x 64 float32 = 16 MiB.  Streamed
+    # through windows of rows, synthesize peaks at 18.1 MiB, 3 MiB of it
+    # the returned image; on whole maps the banded conv engine peaked at
+    # 36 MiB, and the unbanded one before it (a padded copy of each conv
+    # input, a strided copy and a full product per tap, every path alive
+    # until the fuse) at 80 MiB.
     model = CodecModel(ArchConfig(n_main=32), seed=0)
     rng = np.random.default_rng(0)
     xhat = Tensor(np.round(rng.normal(0, 2, (1, 32, 32, 32))).astype(np.float32))
@@ -211,7 +212,7 @@ def test_synthesize_scratch_is_bounded():
         finally:
             tracemalloc.stop()
     assert out.shape == (1, 512, 512, 3)
-    assert peak < 56 * 2 ** 20, f"synthesize peaked at {peak / 2 ** 20:.1f} MiB"
+    assert peak < 22 * 2 ** 20, f"synthesize peaked at {peak / 2 ** 20:.1f} MiB"
 
 
 @pytest.mark.parametrize("activation", ["linear", "relu", "gdn", "igdn"])
@@ -441,6 +442,25 @@ def test_loading_draws_no_random_init(tmp_path, model, monkeypatch):
     short.write_bytes(bytes(head) + b"".join(kept))
     with pytest.raises(FormatError, match=r"short\.c2fw: .*missing parameters.*res_a\.kernel"):
         wts.load_model(short)
+
+
+def test_load_holds_one_copy_of_the_records(tmp_path):
+    # each record is read into an array of its own, which the parameter
+    # then holds: an n_main=32 model of 1.96 MiB loads at a 2.20 MiB peak
+    # (reading the whole file and copying every record out of it peaked
+    # at 4.04 MiB)
+    model = CodecModel(ArchConfig(n_main=32), seed=0)
+    path = tmp_path / "m.c2fw"
+    wts.save_model(model, path)
+    nbytes = sum(t.data.nbytes for t in model.param_list())
+    del model
+    tracemalloc.start()
+    try:
+        wts.load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * nbytes, f"a load of {nbytes} parameter bytes peaked at {peak}"
 
 
 def test_load_rejects_wrong_shape(tmp_path, model):
