@@ -116,8 +116,8 @@ def encode_array(model: CodecModel, img: np.ndarray) -> EncodeResult:
     pad_h, pad_w = padded.shape[:2]
 
     with ad.no_grad():
-        x_in = Tensor((padded.astype(np.float32) / 255.0)[None])
-        lat = model.forward(x_in, QuantizerMode.INFERENCE_ROUND)
+        # the analysis streams, so it reads the pixels a few rows at a time
+        lat = model.forward(padded[None], QuantizerMode.INFERENCE_ROUND)
 
     sigma_z = lat.sigma_z
     z_syms = _symbols(lat.z)

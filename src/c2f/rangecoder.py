@@ -48,7 +48,7 @@ CDF_TOTAL = 1 << 16
 _STATE_LO = 1 << 16  # the state lives in [_STATE_LO, 2^32)
 _INT32_LO, _INT32_HI = -(1 << 31), (1 << 31) - 1
 _PAYLOAD_SHIFTS = np.array([24, 16, 8, 0], dtype=np.int64)
-_CHUNK = 1 << 14  # symbols decode() converts to Python ints at a time
+_CHUNK = 1 << 14  # bins encode() and symbols decode() convert to Python ints at a time
 
 
 class TableRows:
@@ -135,7 +135,9 @@ def _bins(values: np.ndarray, t: TableRows) -> tuple[np.ndarray, np.ndarray]:
 
 
 def encode(symbols: Sequence[int], t: TableRows) -> bytes:
-    """Encode one stream; symbols[i] is coded with row t.index[i]."""
+    """Encode one stream; symbols[i] is coded with row t.index[i].  The
+    bins are made Python ints _CHUNK at a time, last chunk first, and each
+    chunk's words packed into bytes, so the Python lists are one chunk's."""
     try:
         values = np.asarray(symbols, dtype=np.int64).reshape(-1)
     except OverflowError:
@@ -144,15 +146,20 @@ def encode(symbols: Sequence[int], t: TableRows) -> bytes:
         raise ContractViolation(f"{values.size} symbols but {len(t)} tables")
     cum_lo, freq = _bins(values, t)
     x = _STATE_LO
-    words: list[int] = []
-    emit = words.append
-    for lo, f in zip(reversed(cum_lo.tolist()), reversed(freq.tolist())):
-        if x >> 16 >= f:  # x >= f * 2^16: move one word out
-            emit(x & 0xFFFF)
-            x >>= 16
-        x = ((x // f) << 16) + x % f + lo
-    words.reverse()
-    return x.to_bytes(4, "big") + np.array(words, dtype=">u2").tobytes()
+    parts: list[bytes] = []  # each chunk's words, last chunk first
+    for stop in range(len(cum_lo), 0, -_CHUNK):
+        start = max(stop - _CHUNK, 0)
+        words: list[int] = []
+        emit = words.append
+        for lo, f in zip(cum_lo[start:stop][::-1].tolist(), freq[start:stop][::-1].tolist()):
+            if x >> 16 >= f:  # x >= f * 2^16: move one word out
+                emit(x & 0xFFFF)
+                x >>= 16
+            x = ((x // f) << 16) + x % f + lo
+        words.reverse()
+        parts.append(np.array(words, dtype=">u2").tobytes())
+    parts.reverse()
+    return x.to_bytes(4, "big") + b"".join(parts)
 
 
 def decode(data: bytes, t: TableRows, n: int) -> np.ndarray:

@@ -207,19 +207,22 @@ class Sequential:
 
 
 # ---------------------------------------------------------------------------
-# streamed synthesis: every map is computed in windows of rows, top to
-# bottom, by pull.  A consumer asks its producer for the producer's next
-# window whenever its own next window reads rows not yet computed, so each
-# row is computed once, and keeps only the input rows that its later
-# windows read (a sliding window with storage folding: Ragan-Kelley et
-# al., "Halide", PLDI 2013; Alwani et al., "Fused-Layer CNN
-# Accelerators", MICRO 2016).  The windows are planned from the output
-# down: each layer's windows end where its consumer's windows stop
-# reading, merged until each has about _WINDOW_PIXELS pixels, so a
-# consumer holds its window's rows and at most one window of its
-# producer beyond them.  Every map class below has height, width,
-# channels, plan(stops), which sets the end rows of its windows, and
-# write(dest, r0, r1), which computes its window r0..r1-1 into dest.
+# streamed maps: the untaped analysis and synthesis compute every map in
+# windows of rows, top to bottom, by pull.  A consumer asks its producer
+# for the producer's next window whenever its own next window reads rows
+# not yet computed, so each row is computed once, and keeps only the input
+# rows that its later windows read (a sliding window with storage
+# folding: Ragan-Kelley et al., "Halide", PLDI 2013; Alwani et al.,
+# "Fused-Layer CNN Accelerators", MICRO 2016).  The windows are planned
+# from the output down: each layer's windows end where its consumer's
+# windows stop reading, merged until each has about _WINDOW_PIXELS
+# pixels, so a consumer holds its window's rows and at most one window of
+# its producer beyond them.  A downsampling conv instead ends its windows
+# at any row: its consumer, downsampling too, is half as tall, and held to
+# that consumer's read ends it would get no more windows than it.  Every
+# map class below has height, width, channels, plan(stops), which sets
+# the end rows of its windows, and write(dest, r0, r1), which computes its
+# window r0..r1-1 into dest.
 
 def _merge(stops: list[int], least: int) -> list[int]:
     """Windows ending at some of stops: ceil(height / least) of them, as
@@ -235,18 +238,26 @@ def _merge(stops: list[int], least: int) -> list[int]:
     return out + [height]
 
 
-class _Held:
-    """A map already in memory, handed out window by window."""
+def _windows(m) -> zip:
+    """The (r0, r1) of each window of a planned map, top to bottom."""
+    return zip([0] + m.stops[:-1], m.stops)
 
-    def __init__(self, t: Tensor):
-        self.data = t.data
-        _, self.height, self.width, self.channels = t.shape
+
+class _Held:
+    """A map already in memory, handed out window by window; uint8 pixels
+    are handed out as float32 / 255, the bits of the whole image's."""
+
+    def __init__(self, data: np.ndarray):
+        self.data = data
+        _, self.height, self.width, self.channels = data.shape
 
     def plan(self, stops: list[int]) -> None:
         self.stops = stops
 
     def write(self, dest: np.ndarray, r0: int, r1: int) -> None:
         dest[...] = self.data[:, r0:r1]
+        if self.data.dtype == np.uint8:
+            dest /= 255.0
 
 
 class _Streamed:
@@ -274,14 +285,19 @@ class _Streamed:
 
     def plan(self, stops: list[int], by_input: bool = False) -> None:
         """Windows of about _WINDOW_PIXELS pixels of the output map (with
-        by_input, of the input map), in eighths of rows where the stops
-        allow, so that halves are even and the longest window does not
-        depend on the map's height."""
-        per_row = self.src.width * self.src.height / self.height if by_input else self.width
+        by_input, or for a downsampling conv, of the input map), in eighths
+        of rows where the stops allow, so that halves are even and the
+        longest window does not depend on the map's height.  A downsampling
+        conv may end a window at any row."""
+        down = self.layer.stride > 1 and not self.layer.transpose
+        per_row = (self.src.width * self.src.height / self.height if by_input or down
+                   else self.width)
         least = max(int(_WINDOW_PIXELS // per_row), 1)
+        if down:
+            stops = list(range(1, self.height + 1))
         self.stops = _merge(stops, least - least % 8 if least >= 8 else least)
-        ends = [self._reads(r0, r1)[1] for r0, r1 in zip([0] + self.stops, self.stops)]
-        self.src.plan(sorted(set(ends) | {self.src.height}))
+        ends = {self._reads(r0, r1)[1] for r0, r1 in _windows(self)}
+        self.src.plan(sorted(ends | {self.src.height}))
 
     def write(self, dest: np.ndarray, r0: int, r1: int) -> None:
         a, b = self._reads(r0, r1)
@@ -361,6 +377,15 @@ class _Residual:
         self.last.write(dest, r0, r1)
         ad.add_(Tensor(dest), Tensor(self.first.held(r0, r1)))
         self.first.hold = r1
+
+
+def _chain(net: Sequential, data: np.ndarray) -> _Streamed:
+    """net's layers as streamed maps, the first over the map `data` held
+    in memory."""
+    m = _Held(data)
+    for layer in net.layers:
+        m = _Streamed(layer, m)
+    return m
 
 
 def _hyper_analysis(rng, c: int, c_prime: int) -> Sequential:
@@ -498,12 +523,40 @@ class CodecModel:
     # A stage input with the wrong channel count is refused by the stage's
     # first conv or deconv; only the padding is checked here.
 
-    def analysis(self, image: Tensor) -> Tensor:
+    def analysis(self, image: Tensor | np.ndarray) -> Tensor:
+        """The main latent of a padded (b, h, w, 3) image: a Tensor, or
+        uint8 pixels, read as float32 / 255.
+
+        Where a tape records the call (training), every layer computes its
+        whole map, and pixels are refused.  Elsewhere the analysis streams,
+        image by image, as the synthesis does: each layer computes its
+        output in windows of rows and keeps only the input rows its next
+        windows read, and the pixels become floats a few rows at a time,
+        so memory follows the image's width, not its area, with the bits
+        of the whole maps."""
+        pixels = isinstance(image, np.ndarray)
+        if pixels and (image.ndim != 4 or image.dtype != np.uint8):
+            raise ContractViolation(
+                f"analysis pixels must be (b, h, w, 3) uint8, got {image.shape} {image.dtype}")
         h, w = image.shape[1:3]
         if h % DOWNSAMPLE or w % DOWNSAMPLE:
             raise ContractViolation(
                 f"input must be padded to multiples of {DOWNSAMPLE}, got {h}x{w}")
-        return self.analysis_t(image)
+        if ad.recording(*([] if pixels else [image]), *self.param_list()):
+            if pixels:
+                raise ContractViolation("an analysis that records a tape takes a Tensor")
+            return self.analysis_t(image)
+        data = image if pixels else image.data
+        out = None
+        for i in range(len(data)):
+            x_cont = _chain(self.analysis_t, data[i:i + 1])
+            x_cont.plan([x_cont.height])  # downsampling convs pick their own stops
+            if out is None:
+                out = np.empty((len(data), x_cont.height, x_cont.width, x_cont.channels),
+                               np.float32)
+            for r0, r1 in _windows(x_cont):
+                x_cont.write(out[i:i + 1, r0:r1], r0, r1)
+        return Tensor(out)
 
     def hyper_analysis(self, level_input: Tensor, level: int) -> Tensor:
         return {1: self.hyper_analysis_1, 2: self.hyper_analysis_2}[level](level_input)
@@ -522,9 +575,10 @@ class CodecModel:
         mu, sigma = self.predict_params(side, {1: "x", 2: "y"}[level])
         return side, mu, sigma
 
-    def forward(self, image: Tensor, mode: QuantizerMode,
+    def forward(self, image: Tensor | np.ndarray, mode: QuantizerMode,
                 rng: np.random.Generator | None = None) -> LatentTriple:
-        """The one encoder chain, shared by coding and training.
+        """The one encoder chain, shared by coding and training, over an
+        image as `analysis` takes it.
 
         Analysis, hyper analysis L1 and L2, quantization of Z, Y, X (in
         that order, so noise draws consume `rng` in a fixed order), then
@@ -573,29 +627,21 @@ class CodecModel:
             raise ContractViolation(f"a synthesis sink takes one image, got {batch}")
         out = None
         for i in range(batch):
-            final = self._streamed(*(Tensor(t.data[i:i + 1]) for t in (xhat, side1, side2)))
+            final = self._streamed(*(t.data[i:i + 1] for t in (xhat, side1, side2)))
             if sink is None and out is None:
                 out = np.empty((batch, final.height, final.width, final.channels), np.float32)
-            r0 = 0
-            for r1 in final.stops:
+            for r0, r1 in _windows(final):
                 band = (out[i:i + 1, r0:r1] if sink is None else
                         np.empty((1, r1 - r0, final.width, final.channels), np.float32))
                 final.write(band, r0, r1)
                 if sink is not None:
                     sink(r0, band[0])
-                r0 = r1
         return None if sink is not None else Tensor(out)
 
-    def _streamed(self, xhat: Tensor, side1: Tensor, side2: Tensor) -> _Streamed:
+    def _streamed(self, xhat: np.ndarray, side1: np.ndarray, side2: np.ndarray) -> _Streamed:
         """The synthesis of one image as a chain of streamed maps."""
-        def path(net: Sequential, t: Tensor):
-            m = _Held(t)
-            for layer in net.layers:
-                m = _Streamed(layer, m)
-            return m
-
-        joined = _Joined([path(self.synthesis_main, xhat), path(self.side1_up, side1),
-                          path(self.side2_up, side2)])
+        joined = _Joined([_chain(self.synthesis_main, xhat), _chain(self.side1_up, side1),
+                          _chain(self.side2_up, side2)])
         res_a = _Streamed(self.res_a, _Streamed(self.fuse_in, joined))
         res = _Residual(res_a, _Streamed(self.res_b, res_a))
         final = _Streamed(self.final_up, _Streamed(self.fuse_out, res))

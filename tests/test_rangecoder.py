@@ -144,14 +144,26 @@ def escape_stream():
     return values.tolist(), ent.alphabet_rows(ent.build_cdf_tables(mu, sigma), np.arange(n))
 
 
+ESCAPE_STREAM_SHA = "dbb976a9e65584d3d6be2ce0175ee4694280de6053f38ede956398c845b945d3"
+
+
 def test_escape_stream_bytes_are_pinned():
     symbols, tables = escape_stream()
     assert escapes(symbols, tables) == 25
     data, back = roundtrip(symbols, tables)
     assert back == symbols
     assert len(data) == 312
-    assert hashlib.sha256(data).hexdigest() == (
-        "dbb976a9e65584d3d6be2ce0175ee4694280de6053f38ede956398c845b945d3")
+    assert hashlib.sha256(data).hexdigest() == ESCAPE_STREAM_SHA
+
+
+def test_chunks_of_bins_give_the_pinned_bytes(monkeypatch):
+    # chunks of 7 bins cut escapes from their payload bytes and the
+    # stream's words across chunks; encode and decode both walk them
+    monkeypatch.setattr(rc, "_CHUNK", 7)
+    symbols, tables = escape_stream()
+    data, back = roundtrip(symbols, tables)
+    assert back == symbols
+    assert hashlib.sha256(data).hexdigest() == ESCAPE_STREAM_SHA
 
 
 def test_every_cut_of_escape_stream_errors():

@@ -41,6 +41,20 @@ def test_analysis_rejects_unpadded(model):
         model.analysis(image(60, 64))
 
 
+def test_analysis_pixels_contract(model):
+    # uint8 pixels are read as float32 / 255, and only where no tape records
+    pixels = np.random.default_rng(1).integers(0, 256, (1, 64, 128, 3), dtype=np.uint8)
+    with ad.no_grad():
+        out = model.analysis(pixels)
+        assert out.data.tobytes() == \
+            model.analysis(Tensor(pixels.astype(np.float32) / 255.0)).data.tobytes()
+        for bad in (pixels.astype(np.float32), pixels[0], pixels[:, :60]):
+            with pytest.raises(ContractViolation):
+                model.analysis(bad)
+    with pytest.raises(ContractViolation, match="tape"):
+        model.analysis(pixels)
+
+
 def test_zero_image_finite(model):
     out = model.analysis(Tensor(np.zeros((1, 64, 64, 3), np.float32)))
     assert np.all(np.isfinite(out.data))
