@@ -8,8 +8,9 @@ Stream order is Z, then Y (tables predicted from the decoded Z), then X
 channel axis innermost.
 
 Every stream reaches the rANS coder (`rangecoder`) as one
-`rangecoder.TableRows` (an array of cumulative rows and the row of every
-symbol) and an integer centre subtracted from each value.  Y and X code
+`rangecoder.TableRows` (an array of cumulative rows, each over the
+coder's fixed alphabet plus escape, and the row of every symbol) and an
+integer centre subtracted from each value.  Y and X code
 through the shared `entropy.CODER_GRID`: each element is coded as
 value - c under the grid row nearest its (mu - c, sigma), where c is its
 mean rounded to an integer in the alphabet.  Z is zero-mean with one
@@ -44,7 +45,7 @@ from .autodiff import Tensor
 from .container import (ContainerHeader, check_image_size, read_container,
                         write_container)
 from .entropy import (CODER_GRID, LIKELIHOOD_FLOOR, ROW_FREQ_MAX, QuantizerMode,
-                      alphabet_rows, build_cdf_tables, gaussian_bin_prob)
+                      build_cdf_tables, gaussian_bin_prob)
 from .errors import (ContractViolation, CorruptStreamError,
                      ModelIdMismatchError, NumericError)
 from .imageio import pad_to_multiple
@@ -77,7 +78,7 @@ def _z_rows(sigma_z: np.ndarray) -> np.ndarray:
 
 def _z_tables(rows: np.ndarray, n_symbols: int) -> tuple[rc.TableRows, int]:
     # channel innermost
-    return alphabet_rows(rows, np.arange(n_symbols) % len(rows)), 0
+    return rc.TableRows(rows, np.arange(n_symbols) % len(rows)), 0
 
 
 def _encode(values: np.ndarray, tables: rc.TableRows, center) -> bytes:

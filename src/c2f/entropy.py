@@ -7,10 +7,11 @@ exact discretized CDFs, integerized with largest-remainder apportionment
 to a total of 65536 with every bin kept >= 1.
 
 Every stream reaches the coder the same way: one
-`rangecoder.TableRows` (an array of cumulative rows over the alphabet
-and the row of every symbol) and an integer centre subtracted from each
-value.  The rows are not built per latent element.  `CoderGrid` holds one
-shared set on a (sigma, mean-offset) grid: sigma is quantized to one of
+`rangecoder.TableRows(rows, index)` (an array of build_cdf_tables rows,
+each over the coder's fixed alphabet plus escape, and the row of every
+symbol) and an integer centre subtracted from each value.  The rows are
+not built per latent element.  `CoderGrid` holds one shared set on a
+(sigma, mean-offset) grid: sigma is quantized to one of
 GRID_SIGMAS log-spaced scales, and each element codes its value relative
 to the integer centre c = clip(floor(mu + 0.5)) under the row for its
 fractional offset mu - c.  Bucket choice is by exact float64 comparison
@@ -30,12 +31,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractViolation, NumericError
-from .rangecoder import CDF_TOTAL, TableRows
+from .rangecoder import ALPHABET_MAX, ALPHABET_MIN, CDF_TOTAL, TableRows
 
 __all__ = [
     "QuantizerMode", "FactorizedZ", "CoderGrid", "CODER_GRID",
     "quantize", "gaussian_likelihood", "z_likelihood", "rate_bits",
-    "gaussian_bin_prob", "build_cdf_tables", "alphabet_rows",
+    "gaussian_bin_prob", "build_cdf_tables",
     "SIGMA_MIN", "SIGMA_MAX", "LIKELIHOOD_FLOOR", "ALPHABET_MIN", "ALPHABET_MAX",
     "GRID_SIGMAS", "GRID_OFFSETS", "ROW_FREQ_MAX",
 ]
@@ -43,8 +44,6 @@ __all__ = [
 SIGMA_MIN = 0.01
 SIGMA_MAX = 256.0
 LIKELIHOOD_FLOOR = 2.0 ** -32
-ALPHABET_MIN = -127
-ALPHABET_MAX = 128
 GRID_SIGMAS = 256   # log-spaced scales over [SIGMA_MIN, SIGMA_MAX], both ends included
 GRID_OFFSETS = 33   # mean offsets over [-0.5, 0.5], step 1/32; odd, so 0 is a grid point
 
@@ -208,12 +207,6 @@ def build_cdf_tables(mu, sigma) -> np.ndarray:
     return out
 
 
-def alphabet_rows(cum_rows: np.ndarray, index) -> TableRows:
-    """Coder tables over the alphabet plus escape for rows from
-    build_cdf_tables; symbol i is coded under cum_rows[index[i]]."""
-    return TableRows(cum_rows, index, ALPHABET_MIN, ALPHABET_MAX - ALPHABET_MIN + 1, True)
-
-
 class CoderGrid:
     """Coder table rows on the (sigma, mean-offset) grid the Y and X streams share.
 
@@ -266,7 +259,7 @@ class CoderGrid:
         if rows is None:
             k, j = np.divmod(np.arange(GRID_SIGMAS * GRID_OFFSETS), GRID_OFFSETS)
             rows = self._rows = build_cdf_tables(self.offsets[j], self.sigmas[k])
-        return alphabet_rows(rows, row), center
+        return TableRows(rows, row), center
 
 
 # the process-wide grid the codec codes with

@@ -1,4 +1,4 @@
-"""8-bit PNG and PPM (P6) reading/writing, plus pad/crop helpers.
+"""8-bit PNG and PPM (P6) reading/writing, plus a padding helper.
 
 PNG support covers non-interlaced 8-bit grayscale, gray+alpha, RGB and
 RGBA (filters 0-4 on read; writes are RGB with filter 0).  Everything
@@ -233,7 +233,3 @@ def pad_to_multiple(arr: np.ndarray, multiple: int = 64) -> np.ndarray:
     h, w = arr.shape[:2]
     pads = ((0, (-h) % multiple), (0, (-w) % multiple)) + ((0, 0),) * (arr.ndim - 2)
     return np.pad(arr, pads, mode="edge" if min(h, w) == 1 else "reflect")
-
-
-def crop(arr: np.ndarray, h: int, w: int) -> np.ndarray:
-    return np.ascontiguousarray(arr[:h, :w])

@@ -5,8 +5,8 @@ The state x is 32 bits and lives in [2^16, 2^32) between symbols; it is
 renormalised in 16-bit words.  Coding bin [lo, lo + f) of CDF_TOTAL =
 2^16 maps x to (x // f) * 2^16 + x % f + lo, which the decoder undoes
 with x = f * (x >> 16) + (x & 0xFFFF) - lo.  Every bin has frequency
->= 1, so any symbol a table admits can be coded, and each bin moves at
-most one word.
+>= 1, so any int32 value can be coded, and each bin moves at most one
+word.
 
 rANS is last in, first out: the encoder walks the bins in reverse from
 the state 2^16.  A stream is that final state as 4 big-endian bytes,
@@ -16,14 +16,15 @@ stream an exact record: decoding must read every word and finish at
 x == 2^16, so a stream that is cut, odd-length, extended or left in
 another state surfaces as CorruptStreamError.
 
-The total is a constant of the coder, not of a table: every row ends at
-CDF_TOTAL, so every coded bin is a (cum_lo, freq) interval of CDF_TOTAL
-and the state splits by a shift.  Tables may carry an escape bin as
-their last entry; an escaped value is followed by its four
+The table form is a constant of the coder, not of a table.  Every row
+ends at CDF_TOTAL, so every coded bin is a (cum_lo, freq) interval of
+CDF_TOTAL and the state splits by a shift.  Every row codes the fixed
+alphabet [ALPHABET_MIN, ALPHABET_MAX], one bin per value, then an escape
+bin: any other value codes the escape bin followed by its four
 two's-complement int32 bytes, most significant first, each coded as bin
 [256 * b, 256 * (b + 1)).
 
-A stream's tables reach the coder as one TableRows: an (R, W) array of
+A stream's tables reach the coder as one TableRows: an (R, 258) array of
 cumulative rows and the row index of every symbol.
 
 A stream also has a least length for its symbol count (shortest_stream),
@@ -41,9 +42,14 @@ import numpy as np
 
 from .errors import ContractViolation, CorruptStreamError
 
-__all__ = ["TableRows", "encode", "decode", "shortest_stream", "CDF_TOTAL"]
+__all__ = ["TableRows", "encode", "decode", "shortest_stream", "CDF_TOTAL",
+           "ALPHABET_MIN", "ALPHABET_MAX"]
 
 CDF_TOTAL = 1 << 16
+ALPHABET_MIN = -127
+ALPHABET_MAX = 128
+_NSYMBOLS = ALPHABET_MAX - ALPHABET_MIN + 1  # bin _NSYMBOLS is the escape bin
+_WIDTH = _NSYMBOLS + 2  # cumulative counts per row: 0, then each bin's end
 
 _STATE_LO = 1 << 16  # the state lives in [_STATE_LO, 2^32)
 _INT32_LO, _INT32_HI = -(1 << 31), (1 << 31) - 1
@@ -54,28 +60,21 @@ _CHUNK = 1 << 14  # bins encode() and symbols decode() convert to Python ints at
 class TableRows:
     """The tables of one stream as arrays: symbol i is coded under row index[i].
 
-    `cum` is a C-contiguous (R, W) int64 array.  Row r is a cumulative
-    table that starts at 0, ends at CDF_TOTAL and is padded with CDF_TOTAL
-    to width W: its first nsymbols[r] bins code the values smin[r] onward,
-    and if has_escape[r] the next bin is the escape bin.  smin, nsymbols
-    and has_escape are per row, and a scalar stands for every row.
+    `cum` is a C-contiguous (R, 258) int64 array.  Row r is a cumulative
+    table that starts at 0 and ends at CDF_TOTAL: its first 256 bins code
+    ALPHABET_MIN..ALPHABET_MAX and its last is the escape bin.
     """
 
-    __slots__ = ("cum", "index", "smin", "nsymbols", "has_escape")
+    __slots__ = ("cum", "index")
 
-    def __init__(self, cum, index, smin, nsymbols, has_escape):
+    def __init__(self, cum, index):
         self.cum = np.ascontiguousarray(cum, dtype=np.int64)
-        if self.cum.ndim != 2 or self.cum.shape[1] < 2:
-            raise ContractViolation("table rows must be (R, W) with W >= 2")
-        rows, width = self.cum.shape
+        if self.cum.ndim != 2 or self.cum.shape[1] != _WIDTH:
+            raise ContractViolation(f"table rows must be (R, {_WIDTH})")
+        rows = self.cum.shape[0]
         self.index = np.asarray(index, dtype=np.int64).reshape(-1)
-        self.smin = np.broadcast_to(np.asarray(smin, dtype=np.int64), (rows,))
-        self.nsymbols = np.broadcast_to(np.asarray(nsymbols, dtype=np.int64), (rows,))
-        self.has_escape = np.broadcast_to(np.asarray(has_escape, dtype=bool), (rows,))
         if np.any(self.cum[:, 0] != 0) or np.any(self.cum[:, -1] != CDF_TOTAL):
             raise ContractViolation("cdf must run from 0 to 65536")
-        if np.any(self.nsymbols + self.has_escape >= width) or np.any(self.nsymbols < 0):
-            raise ContractViolation(f"rows of width {width} cannot hold their bins")
         if self.index.size and not 0 <= self.index.min() <= self.index.max() < rows:
             raise ContractViolation(f"row index outside the {rows} rows")
 
@@ -106,22 +105,14 @@ def shortest_stream(n: int, f_max: int) -> int:
 def _bins(values: np.ndarray, t: TableRows) -> tuple[np.ndarray, np.ndarray]:
     """(cum_lo, freq) of every bin encode() codes: each symbol's bin and,
     after an escape, its four payload bytes."""
-    row = t.index
-    off = values - t.smin[row]
-    nsym = t.nsymbols[row]
-    escape = (off < 0) | (off >= nsym)
+    off = values - ALPHABET_MIN
+    escape = (off < 0) | (off >= _NSYMBOLS)
     escaped = values[escape]
     if escaped.size:
-        refused = escape & ~t.has_escape[row]
-        if refused.any():
-            i = int(np.argmax(refused))
-            lo = int(t.smin[row[i]])
-            raise ContractViolation(f"symbol {int(values[i])} outside alphabet "
-                                    f"[{lo}, {lo + int(nsym[i]) - 1}] with no escape bin")
         wide = (escaped < _INT32_LO) | (escaped > _INT32_HI)
         if wide.any():
             raise ContractViolation(f"escape value {int(escaped[np.argmax(wide)])} exceeds int32")
-    at = row * t.cum.shape[1] + np.where(escape, nsym, off)
+    at = t.index * _WIDTH + np.where(escape, _NSYMBOLS, off)
     flat = t.cum.reshape(-1)
     cum_lo = flat[at]
     freq = flat[at + 1] - cum_lo
@@ -174,10 +165,7 @@ def decode(data: bytes, t: TableRows, n: int) -> np.ndarray:
         raise CorruptStreamError(f"a {size}-byte stream is not a state and whole words")
     words = iter(memoryview(np.frombuffer(data, ">u2", offset=4).astype(np.uint16)))
     read = words.__next__
-    width = t.cum.shape[1]
     flat = memoryview(t.cum.reshape(-1))
-    # a symbol's bin search ends at its row's escape position only for an escape
-    escape_col = np.where(t.has_escape, t.nsymbols + 1, width)
     found = np.empty(n, dtype=np.int64)  # each symbol's bisect position in flat
     escaped: list[int] = []   # indices of the escapes ...
     payloads: list[int] = []  # ... and their values
@@ -185,11 +173,12 @@ def decode(data: bytes, t: TableRows, n: int) -> np.ndarray:
     try:
         for lo in range(0, n, _CHUNK):
             rows = t.index[lo:lo + _CHUNK]
-            start = rows * width
+            start = rows * _WIDTH
             chunk: list[int] = []
-            for base, esc in zip(start.tolist(), (start + escape_col[rows]).tolist()):
+            # a symbol's bin search ends at its row's escape position only for an escape
+            for base, esc in zip(start.tolist(), (start + _NSYMBOLS + 1).tolist()):
                 slot = x & 0xFFFF
-                p = bisect_right(flat, slot, base, base + width)
+                p = bisect_right(flat, slot, base, base + _WIDTH)
                 lo_cum = flat[p - 1]
                 x = (flat[p] - lo_cum) * (x >> 16) + slot - lo_cum
                 if x < _STATE_LO:
@@ -212,7 +201,6 @@ def decode(data: bytes, t: TableRows, n: int) -> np.ndarray:
     if x != _STATE_LO or next(words, None) is not None:
         raise CorruptStreamError(f"stream of {size} bytes does not end in the start state "
                                  "with every word read")
-    found -= t.index * width + 1
-    found += t.smin[t.index]
+    found -= t.index * _WIDTH + 1 - ALPHABET_MIN
     found[escaped] = payloads
     return found

@@ -23,7 +23,6 @@ from c2f.autodiff import GdnParams, Tensor
 from c2f.evaluation import RdCurve, RdPoint
 from c2f.transforms import FINAL_UP_INIT_GAIN, ArchConfig, CodecModel
 
-from cdf_rows import draw_symbols, padded_rows
 from gradcheck import probe_gradcheck, rel_error
 from zoo import ZOO_LAMBDAS, heldout_images
 
@@ -46,30 +45,34 @@ def encode_checked(model, img):
 # ---------------------------------------------------------------------------
 
 def test_criterion_01_lossless_coding_property_suite():
-    """10^4 randomized (symbols, tables) roundtrips, zero mismatches, <60s."""
+    """10^4 randomized (symbols, tables) roundtrips, zero mismatches, <60s.
+
+    Every row has the coder's one form: the 256 alphabet bins, then the
+    escape bin.  Symbols are uniform over the alphabet, and one in ten is
+    an int32 drawn uniformly, which almost always escapes."""
     rng = np.random.default_rng(0xC2F)
+    i32 = np.iinfo(np.int32)
+    nbins = rc.ALPHABET_MAX - rc.ALPHABET_MIN + 2
     t0 = time.monotonic()
     cases = 0
     for i in range(10_000):
         kind = i % 10
-        if kind < 2:  # extreme skew: one bin holds all but (nbins-1) counts
-            nbins = int(rng.integers(2, 258))
+        if kind < 2:  # extreme skew: one bin, perhaps the escape, holds all but 256 counts
             freqs = np.ones(nbins, dtype=np.int64)
             freqs[int(rng.integers(nbins))] = rc.CDF_TOTAL - (nbins - 1)
-            cums = [np.concatenate([[0], np.cumsum(freqs)])]
-            smin = [int(rng.integers(-50, 50))]
+            cum = np.concatenate([[0], np.cumsum(freqs)])[None]
             index = [0] * int(rng.integers(0, 40))  # one row for every symbol
         else:
-            cums, smin = [], []
-            for _ in range(int(rng.integers(0, 18))):
-                nbins = int(rng.integers(1, 258))
-                cuts = rng.choice(np.arange(1, rc.CDF_TOTAL), size=nbins - 1,
-                                  replace=False)
-                cums.append(np.concatenate([[0], np.sort(cuts), [rc.CDF_TOTAL]]))
-                smin.append(int(rng.integers(-200, 200)))
-            index = list(range(len(cums)))  # a row of its own for each symbol
-        tables = padded_rows(cums, smin, index)
-        symbols = draw_symbols(rng, tables)
+            cum = np.full((int(rng.integers(0, 18)), nbins + 1), rc.CDF_TOTAL)
+            cum[:, 0] = 0
+            for row in cum:
+                row[1:-1] = np.sort(rng.choice(rc.CDF_TOTAL - 1, nbins - 1, replace=False) + 1)
+            index = range(len(cum))  # a row of its own for each symbol
+        tables = rc.TableRows(cum, index)
+        values = rng.integers(rc.ALPHABET_MIN, rc.ALPHABET_MAX + 1, len(tables))
+        escape = rng.random(values.size) < 0.1
+        values[escape] = rng.integers(i32.min, i32.max, escape.sum(), endpoint=True)
+        symbols = values.tolist()
         data = rc.encode(symbols, tables)
         assert rc.decode(data, tables, len(symbols)).tolist() == symbols
         cases += 1

@@ -201,12 +201,11 @@ def test_build_cdf_tables_batch_matches_scalar():
 
 def test_coder_tables_view_rows_over_the_alphabet():
     rows = ent.build_cdf_tables([0.0, 0.0], [0.5, 4.0])
-    tables = ent.alphabet_rows(rows, [1, 0, 1])
+    # one bin per alphabet value, then the escape bin
+    assert rows.shape == (2, ent.ALPHABET_MAX - ent.ALPHABET_MIN + 3)
+    tables = rc.TableRows(rows, [1, 0, 1])
     assert len(tables) == 3
     np.testing.assert_array_equal(tables.index, [1, 0, 1])
-    np.testing.assert_array_equal(tables.smin, ent.ALPHABET_MIN)
-    np.testing.assert_array_equal(tables.smin + tables.nsymbols - 1, ent.ALPHABET_MAX)
-    assert np.all(tables.has_escape)
     assert np.shares_memory(tables.cum, rows)
 
 

@@ -160,7 +160,7 @@ def test_pad_to_multiple_shapes_and_crop():
     img = rand_img(50, 70, seed=4)
     padded = iio.pad_to_multiple(img, 64)
     assert padded.shape == (64, 128, 3)
-    np.testing.assert_array_equal(iio.crop(padded, 50, 70), img)
+    np.testing.assert_array_equal(padded[:50, :70], img)
 
 
 def test_pad_reflects_content():

@@ -9,44 +9,60 @@ import c2f.entropy as ent
 import c2f.rangecoder as rc
 from c2f.errors import ContractViolation, CorruptStreamError
 
-from cdf_rows import draw_symbols, padded_rows
+NBINS = rc.ALPHABET_MAX - rc.ALPHABET_MIN + 2  # 256 symbol bins, then the escape bin
+I32 = np.iinfo(np.int32)
 
 
-def uniform_table(n, nbins=256):
-    """n symbols under one uniform row over 0..nbins-1."""
-    step = rc.CDF_TOTAL // nbins
-    return padded_rows([np.arange(0, rc.CDF_TOTAL + step, step)], [0], np.zeros(n, int))
+def cum_row(freqs):
+    return np.concatenate([[0], np.cumsum(freqs)])
 
 
-def random_tables(rng, n, max_bins=257):
-    """n symbols, each under its own random row: distinct cut points
-    guarantee freq >= 1."""
-    cums, smin = [], []
-    for _ in range(n):
-        nbins = int(rng.integers(1, max_bins + 1))
-        cuts = rng.choice(np.arange(1, rc.CDF_TOTAL), size=nbins - 1, replace=False)
-        cums.append(np.concatenate([[0], np.sort(cuts), [rc.CDF_TOTAL]]))
-        smin.append(int(rng.integers(-200, 200)))
-    return padded_rows(cums, smin, np.arange(n))
+def uniform_row():
+    """Every symbol bin holds 255 and the escape bin the 256 left."""
+    freqs = np.full(NBINS, 255)
+    freqs[-1] = rc.CDF_TOTAL - 255 * (NBINS - 1)
+    return cum_row(freqs)
 
 
-def skew_table(n, nbins=256, hot=0):
-    """n symbols under one row where bin `hot` holds 65536-(nbins-1) and
-    every other bin holds 1."""
-    freqs = np.ones(nbins, dtype=np.int64)
-    freqs[hot] = rc.CDF_TOTAL - (nbins - 1)
-    return padded_rows([np.concatenate([[0], np.cumsum(freqs)])], [0], np.zeros(n, int))
+def skew_row(hot):
+    """Bin `hot` holds 65536 - 256 and every other bin 1."""
+    freqs = np.ones(NBINS, dtype=np.int64)
+    freqs[hot] = rc.CDF_TOTAL - (NBINS - 1)
+    return cum_row(freqs)
+
+
+def random_rows(rng, rows):
+    """`rows` rows cut at random: distinct cut points keep every freq >= 1."""
+    cum = np.full((rows, NBINS + 1), rc.CDF_TOTAL, dtype=np.int64)
+    cum[:, 0] = 0
+    for r in range(rows):
+        cum[r, 1:-1] = np.sort(rng.choice(rc.CDF_TOTAL - 1, NBINS - 1, replace=False) + 1)
+    return cum
+
+
+def draw_symbols(rng, n, escape_rate=0.05):
+    """n values uniform over the alphabet, each an int32 escape with
+    probability escape_rate."""
+    values = rng.integers(rc.ALPHABET_MIN, rc.ALPHABET_MAX + 1, n)
+    escape = rng.random(n) < escape_rate
+    values[escape] = rng.integers(I32.min, I32.max, escape.sum(), endpoint=True)
+    return values.tolist()
+
+
+def one_row(row, n):
+    """n symbols under the one row `row`."""
+    return rc.TableRows([row], np.zeros(n, int))
 
 
 def alphabet_table(mu, sigma, n):
     """n symbols under the build_cdf_tables row of N(mu, sigma)."""
-    return ent.alphabet_rows(ent.build_cdf_tables([mu], [sigma]), np.zeros(n, int))
+    return one_row(ent.build_cdf_tables([mu], [sigma])[0], n)
 
 
-def escapes(symbols, tables):
-    """How many symbols lie outside their row's alphabet."""
-    off = np.asarray(symbols) - tables.smin[tables.index]
-    return int(np.count_nonzero((off < 0) | (off >= tables.nsymbols[tables.index])))
+def escapes(symbols):
+    """How many symbols lie outside the alphabet."""
+    s = np.asarray(symbols)
+    return int(np.count_nonzero((s < rc.ALPHABET_MIN) | (s > rc.ALPHABET_MAX)))
 
 
 def roundtrip(symbols, tables):
@@ -59,30 +75,29 @@ def roundtrip(symbols, tables):
 # ---------------------------------------------------------------------------
 
 def test_empty_stream_is_flush_only():
-    data, back = roundtrip([], uniform_table(0))
+    data, back = roundtrip([], one_row(uniform_row(), 0))
     assert data == (1 << 16).to_bytes(4, "big")  # the start state, flushed
     assert back == []
 
 
 def test_uniform_bytes_cost_one_byte_each():
     rng = np.random.default_rng(0)
-    symbols = rng.integers(0, 256, size=1000).tolist()
-    tables = uniform_table(1000)
-    data, back = roundtrip(symbols, tables)
+    symbols = draw_symbols(rng, 1000, escape_rate=0)
+    data, back = roundtrip(symbols, one_row(uniform_row(), 1000))
     assert back == symbols
     assert abs(len(data) - 1000) <= 8
 
 
 def test_encode_is_deterministic():
     rng = np.random.default_rng(1)
-    symbols = rng.integers(0, 256, size=300).tolist()
-    tables = uniform_table(300)
+    symbols = draw_symbols(rng, 300)
+    tables = one_row(uniform_row(), 300)
     assert rc.encode(symbols, tables) == rc.encode(symbols, tables)
 
 
 def test_extreme_skew_roundtrip():
-    symbols = [10] * 5000 + [0, 255, 10, 128]
-    data, back = roundtrip(symbols, skew_table(len(symbols), 256, hot=10))
+    symbols = [10] * 5000 + [-127, 128, 10, 1000]
+    data, back = roundtrip(symbols, one_row(skew_row(10 - rc.ALPHABET_MIN), len(symbols)))
     assert back == symbols
     # nearly-certain symbols cost almost nothing
     assert len(data) < 40
@@ -90,8 +105,8 @@ def test_extreme_skew_roundtrip():
 
 def test_mixed_tables_roundtrip():
     rng = np.random.default_rng(2)
-    tables = random_tables(rng, 400)
-    symbols = draw_symbols(rng, tables)
+    tables = rc.TableRows(random_rows(rng, 400), np.arange(400))
+    symbols = draw_symbols(rng, 400)
     _, back = roundtrip(symbols, tables)
     assert back == symbols
 
@@ -116,15 +131,10 @@ def test_escape_rejected_beyond_int32():
         rc.encode([2 ** 31], alphabet_table(0.0, 1.0, 1))
 
 
-def test_out_of_alphabet_without_escape():
-    with pytest.raises(ContractViolation):
-        rc.encode([300], uniform_table(1))
-
-
 def test_truncated_stream_errors():
     rng = np.random.default_rng(4)
-    symbols = rng.integers(0, 256, size=200).tolist()
-    tables = uniform_table(200)
+    symbols = draw_symbols(rng, 200)
+    tables = one_row(uniform_row(), 200)
     data = rc.encode(symbols, tables)
     for cut in (0, 1, 7, len(data) // 2, len(data) - 1):
         with pytest.raises(CorruptStreamError):
@@ -141,7 +151,7 @@ def escape_stream():
     values = np.round(rng.normal(mu, sigma)).astype(np.int64)
     i32 = np.iinfo(np.int32)
     values[::37] = rng.integers(i32.min, i32.max, values[::37].size)
-    return values.tolist(), ent.alphabet_rows(ent.build_cdf_tables(mu, sigma), np.arange(n))
+    return values.tolist(), rc.TableRows(ent.build_cdf_tables(mu, sigma), np.arange(n))
 
 
 ESCAPE_STREAM_SHA = "dbb976a9e65584d3d6be2ce0175ee4694280de6053f38ede956398c845b945d3"
@@ -149,7 +159,7 @@ ESCAPE_STREAM_SHA = "dbb976a9e65584d3d6be2ce0175ee4694280de6053f38ede956398c845b
 
 def test_escape_stream_bytes_are_pinned():
     symbols, tables = escape_stream()
-    assert escapes(symbols, tables) == 25
+    assert escapes(symbols) == 25
     data, back = roundtrip(symbols, tables)
     assert back == symbols
     assert len(data) == 312
@@ -185,10 +195,10 @@ def test_stream_with_bytes_appended_errors(tail):
 
 
 def test_stream_that_ends_in_another_state_errors():
-    # three uniform 4-bin symbols take 6 bits off a 32-bit state and read
-    # no word, so a flip of its bit 24 survives into the end state
-    tables = uniform_table(3, nbins=4)
-    data = rc.encode([1, 2, 3], tables)
+    # three symbols in the hot bin move the state by less than a bit and
+    # read no word, so a flip of its bit 24 survives into the end state
+    tables = one_row(skew_row(0), 3)
+    data = rc.encode([rc.ALPHABET_MIN] * 3, tables)
     assert len(data) == 4
     bad = bytes([data[0] ^ 1]) + data[1:]
     with pytest.raises(CorruptStreamError, match="does not end in the start state"):
@@ -215,7 +225,7 @@ def grid_stream():
 
 def test_grid_stream_bytes_are_pinned():
     rel, tables = grid_stream()
-    assert escapes(rel, tables) == 10
+    assert escapes(rel) == 10
     data, back = roundtrip(rel, tables)
     assert len(data) == 222
     assert hashlib.sha256(data).hexdigest() == (
@@ -231,80 +241,94 @@ def test_every_cut_of_grid_stream_errors():
             rc.decode(data[:cut], tables, rel.size)
 
 
-def test_mixed_width_rows_code_one_stream():
-    """12 rows of 1-257 bins, smin in [-300, 300], every third with an
-    escape bin, in one 3,000-symbol stream with 41 escapes."""
+def test_mixed_rows_code_one_stream():
+    """12 random rows in one 3,000-symbol stream with 154 escapes."""
     rng = np.random.default_rng(17)
-    i32 = np.iinfo(np.int32)
-    cums, smin, has_escape = [], [], []
-    for k in range(12):
-        nbins = int(rng.integers(1, 258))
-        cuts = rng.choice(np.arange(1, rc.CDF_TOTAL), size=nbins - 1, replace=False)
-        cums.append(np.concatenate([[0], np.sort(cuts), [rc.CDF_TOTAL]]))
-        smin.append(int(rng.integers(-300, 300)))
-        has_escape.append(nbins > 1 and k % 3 == 0)
-    index = rng.integers(0, len(cums), 3000).tolist()
-    tables = padded_rows(cums, smin, index, has_escape)
-    nsym = tables.nsymbols.tolist()
-    symbols = [int(rng.integers(i32.min, i32.max)) if has_escape[r] and rng.random() < 0.05
-               else int(rng.integers(smin[r], smin[r] + nsym[r])) for r in index]
-    assert escapes(symbols, tables) == 41
-    data, back = roundtrip(symbols, tables)
+    rows = random_rows(rng, 12)
+    index = rng.integers(0, len(rows), 3000)
+    symbols = draw_symbols(rng, index.size)
+    assert escapes(symbols) == 154
+    data, back = roundtrip(symbols, rc.TableRows(rows, index))
     assert back == symbols
     assert hashlib.sha256(data).hexdigest() == (
-        "ac91e5d862d73396515c7413f458fa9c546f0ca5042ef6446a9d1f57a0ba0d87")
+        "a21656a3417b7dc2ec1bba3f07a9749bf97280dd3d975ee5e4b1dac03693f5ce")
+
+
+def test_every_alphabet_edge_roundtrips():
+    # 128 is the last symbol bin and 129 the first escape
+    rng = np.random.default_rng(19)
+    symbols = list(range(rc.ALPHABET_MIN, rc.ALPHABET_MAX + 1))
+    symbols += [rc.ALPHABET_MIN - 1, rc.ALPHABET_MAX + 1, int(I32.min), int(I32.max)]
+    rng.shuffle(symbols)
+    _, back = roundtrip(symbols, one_row(random_rows(rng, 1)[0], len(symbols)))
+    assert back == symbols
+    for end in (rc.ALPHABET_MIN, rc.ALPHABET_MAX):  # a symbol bin, not an escape
+        hot = one_row(skew_row(end - rc.ALPHABET_MIN), 3)
+        assert len(rc.encode([end] * 3, hot)) == 4
 
 
 def test_table_rows_contract():
-    cum = np.array([[0, 100, rc.CDF_TOTAL], [0, 5, rc.CDF_TOTAL]])
-    rc.TableRows(cum, [0, 1, 1], 0, 2, False)
+    cum = np.stack([uniform_row(), skew_row(3)])
+    tables = rc.TableRows(cum, [0, 1, 1])
+    assert tables.index.tolist() == [0, 1, 1] and np.shares_memory(tables.cum, cum)
     with pytest.raises(ContractViolation):
-        rc.TableRows(cum, [0, 2], 0, 2, False)           # no row 2
+        rc.TableRows(cum, [0, 2])                         # no row 2
     with pytest.raises(ContractViolation):
-        rc.TableRows(cum, [-1], 0, 2, False)
+        rc.TableRows(cum, [-1])
+    for width in (NBINS, NBINS + 2):
+        with pytest.raises(ContractViolation, match="must be"):
+            rc.TableRows(np.linspace(0, rc.CDF_TOTAL, width)[None].round(), [0])
     with pytest.raises(ContractViolation):
-        rc.TableRows(cum, [0], 0, 2, True)               # 3 bins in a width-3 row
-    with pytest.raises(ContractViolation):
-        rc.TableRows(cum[:, :2], [0], 0, 1, False)       # a row ends at 100
-    with pytest.raises(ContractViolation):
-        rc.TableRows(cum[:, 1:], [0], 0, 1, False)       # a row starts at 100
+        rc.TableRows(cum[0], [0])                         # one row, not (R, 258)
+    bad = cum.copy()
+    bad[1, 0] = 1                                         # a row starts at 1
+    with pytest.raises(ContractViolation, match="run from 0"):
+        rc.TableRows(bad, [0])
+    bad = cum.copy()
+    bad[1, -1] -= 1                                       # a row ends at 65535
+    with pytest.raises(ContractViolation, match="run from 0"):
+        rc.TableRows(bad, [0])
 
 
 def test_symbol_table_count_mismatch():
     with pytest.raises(ContractViolation):
-        rc.encode([1, 2], uniform_table(1))
+        rc.encode([1, 2], one_row(uniform_row(), 1))
     with pytest.raises(ContractViolation):
-        rc.decode(b"\x00" * 16, uniform_table(2), 3)
+        rc.decode(b"\x00" * 16, one_row(uniform_row(), 2), 3)
 
 
 def test_compression_bound():
+    # an escape's payload costs its 32 bits on top of its escape bin
     rng = np.random.default_rng(5)
     for _ in range(20):
-        tables = random_tables(rng, 500, max_bins=64)
-        symbols = draw_symbols(rng, tables)
+        tables = rc.TableRows(random_rows(rng, 500), np.arange(500))
+        symbols = draw_symbols(rng, 500)
         data = rc.encode(symbols, tables)
-        row = tables.index
-        off = np.asarray(symbols) - tables.smin[row]
-        freq = tables.cum[row, off + 1] - tables.cum[row, off]
-        ideal = float(np.sum(-np.log2(freq / rc.CDF_TOTAL)))
+        off = np.asarray(symbols) - rc.ALPHABET_MIN
+        escape = (off < 0) | (off >= NBINS - 1)
+        off[escape] = NBINS - 1
+        freq = tables.cum[tables.index, off + 1] - tables.cum[tables.index, off]
+        ideal = float(np.sum(-np.log2(freq / rc.CDF_TOTAL))) + 32 * escape.sum()
         assert len(data) * 8 <= ideal + 256 + 0.001 * ideal
 
 
 def test_empty_bin_is_refused_when_coded():
     # rows are not checked for empty bins: coding bin 0 would leave the coder no range
-    table = rc.TableRows([[0, 0, rc.CDF_TOTAL]], [0], 0, 2, False)
+    row = uniform_row()
+    row[1] = 0
+    table = one_row(row, 1)
     with pytest.raises(ContractViolation, match="freq >= 1"):
-        rc.encode([0], table)
-    _, back = roundtrip([1], table)
-    assert back == [1]
+        rc.encode([rc.ALPHABET_MIN], table)
+    _, back = roundtrip([rc.ALPHABET_MIN + 1], table)
+    assert back == [rc.ALPHABET_MIN + 1]
 
 
 @pytest.mark.parametrize("total", [100, rc.CDF_TOTAL - 1])
 def test_table_with_another_total_is_refused_at_construction(total):
     # the coder splits its range by CDF_TOTAL, so such a table is never built
-    for has_escape in (False, True):
-        with pytest.raises(ContractViolation, match="run from 0 to 65536"):
-            rc.TableRows([[0, total // 2, total]], [0], 0, 2 - has_escape, has_escape)
+    row = np.linspace(0, total, NBINS + 1).round()
+    with pytest.raises(ContractViolation, match="run from 0 to 65536"):
+        rc.TableRows([row], [0])
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +338,8 @@ def test_table_with_another_total_is_refused_at_construction(total):
 @given(st.integers(0, 2 ** 31 - 1), st.integers(0, 60))
 def test_roundtrip_property(seed, n):
     rng = np.random.default_rng(seed)
-    tables = random_tables(rng, n)
-    symbols = draw_symbols(rng, tables)
+    tables = rc.TableRows(random_rows(rng, n), np.arange(n))
+    symbols = draw_symbols(rng, n)
     data, back = roundtrip(symbols, tables)
     assert back == symbols
 
@@ -324,9 +348,8 @@ def test_roundtrip_property(seed, n):
 @given(st.integers(0, 2 ** 31 - 1))
 def test_skew_roundtrip_property(seed):
     rng = np.random.default_rng(seed)
-    nbins = int(rng.integers(2, 257))
-    hot = int(rng.integers(0, nbins))
+    hot = int(rng.integers(0, NBINS))
     n = int(rng.integers(1, 300))
-    symbols = rng.integers(0, nbins, size=n).tolist()
-    _, back = roundtrip(symbols, skew_table(n, nbins, hot=hot))
+    symbols = draw_symbols(rng, n)
+    _, back = roundtrip(symbols, one_row(skew_row(hot), n))
     assert back == symbols
