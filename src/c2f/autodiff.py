@@ -486,11 +486,25 @@ def depth_to_space(a: Tensor) -> Tensor:
 # It stays one band where a half would be smaller or would have fewer
 # than _HALF_ROWS flattened rows: products that small may go to the
 # small-matrix sgemm, whose rows round unlike the whole map's.
+#
+# A band then computes its taps block by block (Goto and van de Geijn,
+# "Anatomy of High-Performance Matrix Multiplication", TOMS 2008): a
+# block is whole rows of the band's padded layout, sized by the call's
+# shapes alone so that its tmp and acc take about _BLOCK_BYTES, and of at
+# least _HALF_ROWS flattened rows.  Every tap of a block is the same rows
+# of the same phase times the same kern[i, j], added in the same order,
+# so every output sums the band's products in the band's order, and the
+# block writes its real output rows straight into out.  Only the phases
+# stay band-sized, since the taps read the band's halo rows.  A thin
+# output's stacked product and a 1x1 kernel's direct product keep their
+# band.  GDN runs the same blocks over its rows.
 
 # flattened matmul rows per band
 _BAND_ROWS = 8192
-# flattened matmul rows a window's band keeps at least
+# flattened matmul rows a window's band, and a block, keeps at least
 _HALF_ROWS = 512
+# bytes of a block's two float32 scratch arrays (tmp and acc, or sq and root)
+_BLOCK_BYTES = 1 << 20
 
 
 def _out_and_pad(in_dim: int, k: int, stride: int, padding: str) -> tuple[int, int, int]:
@@ -529,20 +543,44 @@ def _halves(b: int, oh: int, row_len: int, least: int = 1) -> list[tuple[int, in
     return _bands(b, oh, oh if half < least or half * row_len < _HALF_ROWS else oh - half)
 
 
+def _blocks(rows: int, row_len: int, width: int, least: int) -> list[tuple[int, int]]:
+    """Cut `rows` rows of row_len flattened rows into blocks [r0, r1),
+    cut evenly: as many as keep two float32 arrays of a block's flattened
+    rows and `width` columns near _BLOCK_BYTES, but none of fewer than
+    `least` rows (one block where rows are fewer)."""
+    most = max(_BLOCK_BYTES // (8 * width * row_len), 1)
+    n = max(min(-(-rows // most), rows // least), 1)
+    cuts = [rows * k // n for k in range(n + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
 # A call of two bands or more runs its second half of the bands on a
 # helper thread of its own, started for the call and joined before it
 # returns, so no c2f thread runs between calls and no call uses more than
-# two threads.  Each thread holds the scratch of one band, so whatever the
-# host, a call adds at most one band's scratch to the serial one's memory:
-# the 1024x1024 test image's decode peaks at 51.4 MiB on one thread and
-# 53.6 MiB on two.  The helper runs only when the process's affinity mask
-# has two CPUs or more (all of the machine's where the OS keeps no mask)
-# and the OpenBLAS numpy loaded runs one thread: a threaded sgemm already
-# spreads each product over the cores, and the helper would contend with
-# it.  Which thread runs a band changes no bit: the cuts and each band's
-# products are the same, and the threads share only arrays, each writing
-# its own bands of the output.  numpy lets go of the GIL inside matmul and
-# the large copies, which is where a band spends its time.
+# two threads.  Each thread holds the scratch of one band (of one block,
+# but for the phases), so whatever the host, a call adds at most that to
+# the serial one's memory.  The helper runs only when the process's
+# affinity mask has two CPUs or more (all of the machine's where the OS
+# keeps no mask) and the OpenBLAS numpy loaded runs one thread: a
+# threaded sgemm already spreads each product over the cores, and the
+# helper would contend with it.  Which thread runs a band changes no bit:
+# the cuts and each band's products are the same, and the threads share
+# only arrays, each writing its own bands of the output.  numpy lets go of
+# the GIL inside matmul and the large copies, which is where a band
+# spends its time.
+#
+# The helper also runs only where the second half's work reaches
+# _HELPER_MACS: its multiply-adds, plus _ROW_MACS for each row of each
+# product (the add into acc, the copies and the calls around it).  Below
+# that, the thread's start and join and the threads' contention for the
+# GIL and the cores cost what the overlap saves.  Window calls timed on a
+# 2-core SkylakeX host, two threads against one, by the half's work: a
+# 3x3 conv of 512 rows at 64 -> 32 channels (10.6M, a 64x64 zoo image's
+# fuse_in) 1.14x, of 4,096 rows at 16 -> 16 (18.9M) 0.99x, at 32 -> 16
+# (28.3M) 0.82x, at 128 -> 128 (608M) 0.57x; a GDN of 4,096 rows of 32
+# channels (5.2M) 1.01x, of 128 (68M) 0.75x.
+_ROW_MACS = 256
+_HELPER_MACS = 13_000_000
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 
@@ -564,9 +602,10 @@ def _find_openblas_threads():
 _openblas_threads = _find_openblas_threads()
 
 
-def _over_bands(bands: list, alloc, run, args: tuple) -> None:
+def _over_bands(bands: list, alloc, run, args: tuple, row_macs: int) -> None:
     """run(half, alloc(half, *args), *args) for the first and second half
-    of bands, the second on a helper thread where the host allows one.
+    of bands, the second on a helper thread where the host allows one and
+    the half's work pays for it: row_macs for each of its band rows.
 
     alloc runs in the calling thread: scratch made in another thread comes
     from another malloc arena, and the kodak-n128 benchmark's peak RSS
@@ -574,12 +613,13 @@ def _over_bands(bands: list, alloc, run, args: tuple) -> None:
     raises only once the helper has ended, so no other thread writes into
     an array after it, and it raises what the first band to fail raised,
     as one thread running the bands in order would."""
-    if (len(bands) == 1 or _CPUS == 1 or _openblas_threads is None
-            or _openblas_threads() != 1):
-        run(bands, alloc(bands, *args), *args)
-        return
     half = len(bands) // 2
     first, second = bands[:half], bands[half:]
+    if (not first or _CPUS == 1 or _openblas_threads is None or _openblas_threads() != 1
+            or sum((n1 - n0) * (r1 - r0) for n0, n1, r0, r1 in second) * row_macs
+            < _HELPER_MACS):
+        run(bands, alloc(bands, *args), *args)
+        return
     first_scratch, second_scratch = alloc(first, *args), alloc(second, *args)
     raised = []
 
@@ -654,21 +694,46 @@ def _gather(x: np.ndarray, kern: np.ndarray, stride: int,
     # an overflow shows as a non-finite output, which the op refuses
     with np.errstate(over="ignore", invalid="ignore"):
         _over_bands(bands, _gather_scratch, _gather_bands,
-                    (x, kern, out, stride, pads, taps, stacked))
+                    (x, kern, out, stride, pads, taps, stacked),
+                    ow * len(taps) * (ci * co + _ROW_MACS))
     return out
 
 
 def _gather_scratch(bands, x, kern, out, s, pads, taps, stacked):
-    """_gather_bands' scratch (phases, tmp, acc) for these bands."""
+    """_gather_bands' scratch (phases, tmp, acc) for these bands: phases
+    of a band, and tmp and acc of a block (of a band for stacked taps)."""
     ci, wps = x.shape[3], -(-(x.shape[2] + pads[2] + pads[3]) // s)
-    khs, co = -(-kern.shape[0] // s), out.shape[3]
+    khs, ow, co = -(-kern.shape[0] // s), out.shape[2], out.shape[3]
     most_in = max((n1 - n0) * (r1 - r0 - 1 + khs) * wps for n0, n1, r0, r1 in bands)
     phases = np.zeros((s * s, most_in, ci), dtype=np.float32) if s > 1 or any(pads) else None
     if len(taps) == 1 and s == 1 and out.flags.c_contiguous:
         return phases, None, None
-    return (phases,
-            np.empty((most_in, co * len(taps) if stacked is not None else co), dtype=np.float32),
-            np.empty((most_in, co), dtype=np.float32))
+    if stacked is not None:
+        return (phases, np.empty((most_in, co * len(taps)), dtype=np.float32),
+                np.empty((most_in, co), dtype=np.float32))
+    rows = max(l1 - l0 for n0, n1, r0, r1 in bands
+               for l0, l1 in _band_blocks(n1 - n0, r1 - r0 - 1 + khs, khs, wps, ow, co))
+    return (phases, np.empty((rows * wps, co), dtype=np.float32),
+            np.empty((rows * wps, co), dtype=np.float32))
+
+
+def _band_blocks(k: int, q: int, khs: int, wps: int, ow: int, co: int) -> list[tuple[int, int]]:
+    """The blocks of a band of k images of q padded rows: its layout rows
+    that start an output, the last of them holding ow of its wps columns."""
+    return _blocks(k * q - khs + 1, wps, co, -(-(_HALF_ROWS + wps - ow) // wps))
+
+
+def _put(out: np.ndarray, acc: np.ndarray, n0: int, r0: int, n: int, q: int,
+         l0: int, l1: int, wps: int) -> None:
+    """Write the real output rows among a band's layout rows l0..l1-1,
+    which acc holds from its first row, into out: each image of the band
+    takes q layout rows, the first n of them its rows from r0 on."""
+    ow, co = out.shape[2:]
+    rows = acc[:(l1 - l0) * wps].reshape(l1 - l0, wps, co)
+    for t in range(l0 // q, (l1 - 1) // q + 1):
+        u0, u1 = max(l0 - t * q, 0), min(l1 - t * q, n)
+        if u0 < u1:
+            out[n0 + t, r0 + u0:r0 + u1] = rows[t * q + u0 - l0:t * q + u1 - l0, :ow]
 
 
 def _gather_bands(bands, scratch, x, kern, out, s, pads, taps, stacked):
@@ -686,27 +751,33 @@ def _gather_bands(bands, scratch, x, kern, out, s, pads, taps, stacked):
                 _fill(flat.reshape(k, q, wps, ci), x[n0:n1], r0 * s, pads[0], pads[2],
                       s, p // s, p % s)
         m = (k * q - khs) * wps + ow
-        # out[n0:n1, r0:r1] is whole images or rows of one image of a
-        # contiguous out: a view
-        acc = out[n0:n1, r0:r1].reshape(m, co) if acc_buf is None else acc_buf[:m]
+        if acc_buf is None:
+            # out[n0:n1, r0:r1] is whole images or rows of one image of a
+            # contiguous out: a view
+            np.matmul(flats[0][:m], kern[0, 0], out=out[n0:n1, r0:r1].reshape(m, co))
+            continue
         if stacked is not None:
             prod = np.matmul(flats[0], stacked, out=tmp[:len(flats[0])])
             parts = [prod[i * wps + j:i * wps + j + m, t * co:(t + 1) * co]
                      for t, (i, j) in enumerate(taps)]
+            acc = acc_buf[:m]
             np.copyto(acc, parts[0])
             for part in parts[1:]:
                 acc += part
-        else:
+            _put(out, acc_buf, n0, r0, r1 - r0, q, 0, k * q - khs + 1, wps)
+            continue
+        for l0, l1 in _band_blocks(k, q, khs, wps, ow, co):
+            f0, f1 = l0 * wps, min(l1 * wps, m)
+            acc, part = acc_buf[:f1 - f0], tmp[:f1 - f0]
             for tap, (i, j) in enumerate(taps):
-                start = i // s * wps + j // s
-                a = flats[i % s * s + j % s][start:start + m]
+                start = i // s * wps + j // s + f0
+                a = flats[i % s * s + j % s][start:start + f1 - f0]
                 if tap == 0:
                     np.matmul(a, kern[i, j], out=acc)
                 else:
-                    np.matmul(a, kern[i, j], out=tmp[:m])
-                    acc += tmp[:m]
-        if acc_buf is not None:
-            out[n0:n1, r0:r1] = acc_buf[:k * q * wps].reshape(k, q, wps, co)[:, :r1 - r0, :ow]
+                    np.matmul(a, kern[i, j], out=part)
+                    acc += part
+            _put(out, acc_buf, n0, r0, r1 - r0, q, l0, l1, wps)
 
 
 def _phase(a: int, k: int, s: int, pad: int, n: int, size: int):
@@ -1010,15 +1081,16 @@ def gdn_(x: Tensor, params: GdnParams, inverse: bool = False,
     """gdn written into x.
 
     GDN mixes channels pixel by pixel, so it runs over bands of rows of
-    x's (pixels, c) view with band-sized scratch, over the engine's
-    workers: gdn's ops in gdn's order, each with its finiteness check
-    (numpy's floating-point warnings are off), and a non-finite value
-    raises as in one thread, naming the op of the first band that has one.
-    The bands are cut from x's shape alone, as _bands cuts them (for a
-    `window` of a streamed map, as _halves does), so one shape always
-    gives the same bits.  They equal gdn's single product
-    only where sgemm rounds a row alike at both row counts (see the conv
-    engine's note), as it does at the layer shapes test_transforms pins."""
+    x's (pixels, c) view, over the engine's workers, and each band over
+    blocks of rows with block-sized scratch (_blocks): gdn's ops in gdn's
+    order, each with its finiteness check (numpy's floating-point warnings
+    are off), and a non-finite value raises as in one thread, naming the
+    op of the first block that has one.  The bands and blocks are cut from
+    x's shape alone, as _bands cuts them (for a `window` of a streamed
+    map, as _halves does), so one shape always gives the same bits.  They
+    equal gdn's single product only where sgemm rounds a row alike at both
+    row counts (see the conv engine's note), as it does at the layer
+    shapes test_transforms pins."""
     data = _writable(x, params.beta_u, params.gamma_v)
     c = params.channels
     if x.shape[3] != c:
@@ -1027,19 +1099,28 @@ def gdn_(x: Tensor, params: GdnParams, inverse: bool = False,
     beta, gamma_t = params.beta_values(), params.gamma_values().T
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         bands = _halves(1, len(flat), 1) if window else _bands(1, len(flat), _BAND_ROWS)
-        _over_bands(bands, _gdn_scratch, _gdn_bands, (flat, beta, gamma_t, inverse))
+        _over_bands(bands, _gdn_scratch, _gdn_bands, (flat, beta, gamma_t, inverse),
+                    c * c + _ROW_MACS)
     return x
 
 
+def _gdn_blocks(bands, c: int):
+    """The rows [r0, r1) of flat that each block of these bands takes."""
+    return [(r0 + b0, r0 + b1) for _, _, r0, r1 in bands
+            for b0, b1 in _blocks(r1 - r0, 1, c, _HALF_ROWS)]
+
+
 def _gdn_scratch(bands, flat, beta, gamma_t, inverse):
-    sq = np.empty((max(r1 - r0 for _, _, r0, r1 in bands), flat.shape[1]), dtype=np.float32)
+    rows = max(r1 - r0 for r0, r1 in _gdn_blocks(bands, flat.shape[1]))
+    sq = np.empty((rows, flat.shape[1]), dtype=np.float32)
     return sq, np.empty_like(sq)
 
 
 def _gdn_bands(bands, scratch, flat, beta, gamma_t, inverse):
-    """gdn_'s ops for these bands of flat's rows, each op checked."""
+    """gdn_'s ops for the blocks of these bands of flat's rows, each op
+    checked."""
     sq, root = scratch
-    for _, _, r0, r1 in bands:
+    for r0, r1 in _gdn_blocks(bands, flat.shape[1]):
         xb, s, r = flat[r0:r1], sq[:r1 - r0], root[:r1 - r0]
         np.multiply(xb, xb, out=s)
         _check_finite(s, "square")

@@ -157,12 +157,13 @@ def gaussian_bin_prob(x, mu, sigma):
     return ad.ndtr64((x + 0.5 - mu) / sigma) - ad.ndtr64((x - 0.5 - mu) / sigma)
 
 
-def _integerize_rows(p: np.ndarray) -> np.ndarray:
+def _integerize_rows(p: np.ndarray, cum: np.ndarray) -> None:
     """Largest-remainder apportionment of probability rows to CDF_TOTAL.
 
     One count is reserved per bin up front (coder safety), the remaining
     budget is apportioned by floor + largest fractional remainder with
-    ties broken by bin index.  Returns cumulative rows of width nbins+1.
+    ties broken by bin index.  Writes the cumulative rows, of width
+    nbins+1, into the int32 array cum.
     """
     n, nbins = p.shape
     budget = CDF_TOTAL - nbins
@@ -174,13 +175,12 @@ def _integerize_rows(p: np.ndarray) -> np.ndarray:
     bonus = np.zeros_like(base)
     np.put_along_axis(bonus, order, bonus_sorted, axis=1)
     freq = base + bonus + 1
-    cum = np.zeros((n, nbins + 1), dtype=np.int64)
-    np.cumsum(freq, axis=1, out=cum[:, 1:])
-    return cum
+    cum[:, 0] = 0
+    np.cumsum(freq, axis=1, dtype=np.int32, out=cum[:, 1:])
 
 
 def build_cdf_tables(mu, sigma) -> np.ndarray:
-    """Cumulative rows (n, 258) for n Gaussian models N(mu[i], sigma[i]).
+    """Cumulative int32 rows (n, 258) for n Gaussian models N(mu[i], sigma[i]).
 
     Row layout: one bin per symbol in [ALPHABET_MIN, ALPHABET_MAX] plus a
     trailing escape bin that absorbs the tail mass outside the alphabet.
@@ -192,7 +192,7 @@ def build_cdf_tables(mu, sigma) -> np.ndarray:
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
         raise NumericError("non-finite mean or scale reached the coder")
     n = mu.size
-    out = np.empty((n, _EDGES.size + 1), dtype=np.int64)
+    out = np.empty((n, _EDGES.size + 1), dtype=np.int32)
     for lo_idx in range(0, n, _BUILD_CHUNK):
         hi_idx = min(lo_idx + _BUILD_CHUNK, n)
         m = mu[lo_idx:hi_idx, None]
@@ -203,7 +203,7 @@ def build_cdf_tables(mu, sigma) -> np.ndarray:
         p = np.concatenate([p_sym, p_esc[:, None]], axis=1)
         p = np.clip(p, 0.0, None)
         p /= p.sum(axis=1, keepdims=True)
-        out[lo_idx:hi_idx] = _integerize_rows(p)
+        _integerize_rows(p, out[lo_idx:hi_idx])
     return out
 
 

@@ -24,8 +24,9 @@ bin: any other value codes the escape bin followed by its four
 two's-complement int32 bytes, most significant first, each coded as bin
 [256 * b, 256 * (b + 1)).
 
-A stream's tables reach the coder as one TableRows: an (R, 258) array of
-cumulative rows and the row index of every symbol.
+A stream's tables reach the coder as one TableRows: an (R, 258) int32
+array of cumulative rows and the row index of every symbol.  Every count
+is at most CDF_TOTAL, so int32 holds the rows at half int64's memory.
 
 A stream also has a least length for its symbol count (shortest_stream),
 so a decoder can refuse one that is too short before it builds anything
@@ -60,17 +61,23 @@ _CHUNK = 1 << 14  # bins encode() and symbols decode() convert to Python ints at
 class TableRows:
     """The tables of one stream as arrays: symbol i is coded under row index[i].
 
-    `cum` is a C-contiguous (R, 258) int64 array.  Row r is a cumulative
+    `cum` is a C-contiguous (R, 258) int32 array.  Row r is a cumulative
     table that starts at 0 and ends at CDF_TOTAL: its first 256 bins code
-    ALPHABET_MIN..ALPHABET_MAX and its last is the escape bin.
+    ALPHABET_MIN..ALPHABET_MAX and its last is the escape bin.  Rows of
+    another dtype are narrowed to int32, once every count is known to lie
+    in [0, CDF_TOTAL]; int32 rows are taken as they are.
     """
 
     __slots__ = ("cum", "index")
 
     def __init__(self, cum, index):
-        self.cum = np.ascontiguousarray(cum, dtype=np.int64)
-        if self.cum.ndim != 2 or self.cum.shape[1] != _WIDTH:
+        cum = np.asarray(cum)
+        if cum.ndim != 2 or cum.shape[1] != _WIDTH:
             raise ContractViolation(f"table rows must be (R, {_WIDTH})")
+        if cum.dtype != np.int32 and cum.size and not (
+                cum.min() >= 0 and cum.max() <= CDF_TOTAL):
+            raise ContractViolation(f"cdf counts must lie in [0, {CDF_TOTAL}]")
+        self.cum = np.ascontiguousarray(cum, dtype=np.int32)
         rows = self.cum.shape[0]
         self.index = np.asarray(index, dtype=np.int64).reshape(-1)
         if np.any(self.cum[:, 0] != 0) or np.any(self.cum[:, -1] != CDF_TOTAL):
@@ -103,8 +110,8 @@ def shortest_stream(n: int, f_max: int) -> int:
 
 
 def _bins(values: np.ndarray, t: TableRows) -> tuple[np.ndarray, np.ndarray]:
-    """(cum_lo, freq) of every bin encode() codes: each symbol's bin and,
-    after an escape, its four payload bytes."""
+    """(cum_lo, freq) of every bin encode() codes, as int32 arrays: each
+    symbol's bin and, after an escape, its four payload bytes."""
     off = values - ALPHABET_MIN
     escape = (off < 0) | (off >= _NSYMBOLS)
     escaped = values[escape]

@@ -423,6 +423,109 @@ def test_window_bands_are_two_halves_or_one():
 
 
 # ---------------------------------------------------------------------------
+# blocks of a band
+
+def test_blocks_are_even_and_hold_the_least_rows():
+    # 1 MiB holds two arrays of 1,024 rows of 128 float32 columns
+    assert ad._blocks(4096, 1, 128, 512) == [(0, 1024), (1024, 2048), (2048, 3072), (3072, 4096)]
+    assert ad._blocks(4100, 1, 128, 512) == [(r, r + 820) for r in range(0, 4100, 820)]
+    # 2 layout rows of 386 fit in 1 MiB at 128 columns
+    assert ad._blocks(9, 386, 128, 2) == [(0, 2), (2, 4), (4, 6), (6, 9)]
+    assert ad._blocks(1000, 1, 128, 512) == [(0, 1000)]  # two blocks would be under 512
+    assert ad._blocks(3, 1, 4, 512) == [(0, 3)]
+
+
+def _codec_width_calls():
+    """Engine calls at an n_main=128 codec's widths on 384-column maps, as a
+    768x512 image's half-resolution maps are, by name: each returns its
+    output arrays."""
+    rng = np.random.default_rng(90)
+
+    def normal(*shape, scale=1.0):
+        return Tensor((rng.normal(size=shape) * scale).astype(np.float32))
+
+    x, x2 = normal(1, 12, 384, 128), normal(1, 24, 384, 128)
+    y, wide = normal(1, 12, 192, 128), normal(1, 18, 384, 256)
+    k3, k5 = normal(3, 3, 128, 128, scale=0.03), normal(5, 5, 128, 128, scale=0.02)
+    k_in = normal(3, 3, 256, 128, scale=0.02)
+    g = normal(1, 12, 192, 128).data
+    gdn = GdnParams.create(128, beta_init=0.7, gamma_init=0.01)
+
+    def untaped(fn):
+        def run():
+            with ad.no_grad():
+                return [fn()]
+        return run
+
+    def s2_conv_and_dx():
+        conv = ad.conv2d(Tensor(x2.data, True), k5, 2)
+        return [conv.data, conv._vjp(g)[0]]
+
+    def gdn_in_place(window):
+        def run():
+            with ad.no_grad():
+                return [ad.gdn_(Tensor(x.data.copy()), gdn, True, window).data]
+        return run
+
+    return {
+        "s1-padded": untaped(lambda: ad.conv2d(x, k3).data),
+        "s1-unpadded": untaped(lambda: ad.conv2d(x, k3, padding="valid").data),
+        "s2-and-dx": s2_conv_and_dx,
+        "deconv-s2": untaped(lambda: ad.deconv2d(y, k5, 2).data),
+        "window": untaped(lambda: ad.conv2d(wide, k_in, rows=ad.Rows(1, 17, 0, 18)).data),
+        "gdn": gdn_in_place(False),
+        "gdn-window": gdn_in_place(True),
+    }
+
+
+@pytest.mark.parametrize("name", list(_codec_width_calls()))
+def test_blocks_give_the_bits_of_one_block_per_band(monkeypatch, name):
+    # a block constant that gives every band one block, that cuts one of
+    # them in two, and the smallest, which cuts bands into as many blocks
+    # as _HALF_ROWS allows; the bits are the same
+    call = _codec_width_calls()[name]
+    cuts = []
+    real = ad._blocks
+    monkeypatch.setattr(ad, "_blocks", lambda *a: cuts.append((a, real(*a))) or cuts[-1][1])
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", 1 << 40)
+    one = [a.tobytes() for a in call()]
+    assert cuts and all(len(blocks) == 1 for _, blocks in cuts)
+    rows, row_len, width, _ = max(cuts, key=lambda cut: cut[0][0])[0]
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", 8 * width * row_len * -(-rows // 2))
+    cuts.clear()
+    assert [a.tobytes() for a in call()] == one
+    assert 2 in [len(blocks) for _, blocks in cuts]
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", 1)
+    cuts.clear()
+    assert [a.tobytes() for a in call()] == one
+    assert max(len(blocks) for _, blocks in cuts) >= 3
+
+
+def test_window_scratch_is_phases_and_two_blocks_per_thread(workers):
+    # fuse_in of an n_main=128 decode at 768x512: a window of 16 rows of
+    # the 384-column half-resolution map, 256 -> 128 channels, cut into two
+    # bands of 8.  Each thread holds one band's phases (its rows and their
+    # halo, padded) and a tmp and an acc of one block, _BLOCK_BYTES for the
+    # two: 4.5 MiB a thread.  With band-sized tmp and acc, one took 7.5 MiB
+    rng = np.random.default_rng(91)
+    x = Tensor(rng.normal(size=(1, 18, 384, 256)).astype(np.float32))
+    kern = Tensor((rng.normal(size=(3, 3, 256, 128)) * 0.02).astype(np.float32))
+    out = np.empty((1, 16, 384, 128), np.float32)
+    phases = (8 + 2) * 386 * 256 * 4
+    for n in (1, 2):
+        workers(n)
+        with ad.no_grad():
+            tracemalloc.start()
+            try:
+                ad.conv2d(x, kern, rows=ad.Rows(1, 17, 0, 18), out=out)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= n * (phases + ad._BLOCK_BYTES) + (64 << 10), \
+            f"{n} thread(s) took {peak / 2 ** 20:.2f} MiB"
+
+
+# ---------------------------------------------------------------------------
 # bands over workers
 
 def _per_workers(workers, fn, counts=(1, 2, 16)):
@@ -457,6 +560,7 @@ def test_conv_engine_bits_do_not_depend_on_the_worker_count(
     # in conv2d's forward and deconv2d's dy, or in deconv2d's forward and
     # conv2d's dx
     monkeypatch.setattr(ad, "_BAND_ROWS", 64)
+    monkeypatch.setattr(ad, "_HELPER_MACS", 0)  # a helper for maps this small
     bands = []
     real = ad._bands
     monkeypatch.setattr(ad, "_bands", lambda *a: bands.append(real(*a)) or bands[-1])
@@ -468,6 +572,7 @@ def test_conv_engine_bits_do_not_depend_on_the_worker_count(
 @pytest.mark.parametrize("inverse", [False, True])
 def test_gdn_in_place_bits_do_not_depend_on_the_worker_count(workers, monkeypatch, inverse):
     monkeypatch.setattr(ad, "_BAND_ROWS", 64)  # 640 pixels: 10 bands
+    monkeypatch.setattr(ad, "_HELPER_MACS", 0)
     x = randt((2, 16, 20, 8), seed=70, requires_grad=False)
     p = GdnParams.create(8, beta_init=0.7, gamma_init=0.2)
 
@@ -484,6 +589,7 @@ def test_gdn_in_place_raises_what_the_serial_bands_raise(workers, monkeypatch):
     # product ('cmatmul'), and an inf overflows 'square'.  With two
     # threads the helper's half holds bands 5-9
     monkeypatch.setattr(ad, "_BAND_ROWS", 64)
+    monkeypatch.setattr(ad, "_HELPER_MACS", 0)
     p = GdnParams.create(8, gamma_init=10.0)
     clean = randt((2, 16, 20, 8), seed=71, requires_grad=False).data
 
@@ -513,15 +619,17 @@ def test_bands_call_ends_every_chunk_before_it_raises(workers):
     workers(2)
     ended = []
 
+    first, second = (0, 1, 0, 1), (0, 1, 1, 2)
+
     def run(chunk, scratch):
-        if chunk == [0]:
+        if chunk == [first]:
             raise NumericError("first band")
         time.sleep(0.2)
         ended.append(chunk)
 
     with pytest.raises(NumericError, match="first band"):
-        ad._over_bands([0, 1], lambda chunk: None, run, ())
-    assert ended == [[1]]
+        ad._over_bands([first, second], lambda chunk: None, run, (), ad._HELPER_MACS)
+    assert ended == [[second]]
 
 
 def _helper_starts(monkeypatch):
@@ -535,6 +643,7 @@ def _helper_starts(monkeypatch):
 
 def test_one_band_call_starts_no_helper_thread(workers, monkeypatch):
     workers(2)
+    monkeypatch.setattr(ad, "_HELPER_MACS", 0)
     started = _helper_starts(monkeypatch)
     rng = np.random.default_rng(72)
     x = Tensor(rng.normal(size=(1, 8, 8, 4)).astype(np.float32), True)
@@ -556,6 +665,7 @@ def test_threaded_blas_keeps_the_bands_in_the_calling_thread(workers, monkeypatc
     workers(2)
     started = _helper_starts(monkeypatch)
     monkeypatch.setattr(ad, "_BAND_ROWS", 16)
+    monkeypatch.setattr(ad, "_HELPER_MACS", 0)
     x = randt((1, 8, 8, 4), seed=74, requires_grad=False)
     with ad.no_grad():
         ad.gdn_(Tensor(x.data.copy()), GdnParams.create(4))
@@ -571,6 +681,7 @@ def test_no_thread_outlives_a_call(workers, monkeypatch):
     # a multi-band conv (6 bands), a multi-band gdn_ (10 bands) and a gdn_
     # that fails in its last band, on the helper's half
     monkeypatch.setattr(ad, "_BAND_ROWS", 64)
+    monkeypatch.setattr(ad, "_HELPER_MACS", 0)
     workers(2)
     x = randt((2, 16, 20, 8), seed=77, requires_grad=False)
     kern = randt((3, 3, 8, 8), seed=78, requires_grad=False)
@@ -610,6 +721,7 @@ def test_band_workers_follow_numpys_openblas_thread_count(blas_threads, workers,
         "started, start = [], threading.Thread.start",
         "threading.Thread.start = lambda self: started.append(self) or start(self)",
         "ad._BAND_ROWS = 64",
+        "ad._HELPER_MACS = 0",
         "x = np.random.default_rng(76).normal(size=(2, 16, 20, 8)).astype(np.float32)",
         "with ad.no_grad():",
         "    out = ad.gdn_(Tensor(x), GdnParams.create(8)).data.tobytes()",
@@ -631,6 +743,7 @@ def test_forked_child_runs_multi_band_calls(workers, monkeypatch):
     # a child forked after multi-band calls starts helpers of its own and
     # gets the parent's bits
     monkeypatch.setattr(ad, "_BAND_ROWS", 64)
+    monkeypatch.setattr(ad, "_HELPER_MACS", 0)
     workers(2)
     expected = _gdn_in_ten_bands()
     child = multiprocessing.get_context("fork").Process(

@@ -5,6 +5,7 @@ import pytest
 from scipy import special
 
 import c2f.autodiff as ad
+import c2f.codec as codec
 import c2f.entropy as ent
 import c2f.rangecoder as rc
 from c2f.autodiff import Tensor
@@ -217,6 +218,18 @@ def test_grid_tables_share_one_table_per_row():
     assert tables.index[0] != tables.index[2]
     again, _ = CODER_GRID.tables([0.0], [0.5])
     assert again.cum is tables.cum  # every call reads the grid's one array
+
+
+def test_coder_rows_are_int32():
+    # every count is at most CDF_TOTAL, so the rows are int32: the grid's
+    # 8,448 rows of 258 counts take 8.3 MiB, and the coder reads them as
+    # they are
+    grid, _ = CODER_GRID.tables([0.0], [1.0])
+    assert grid.cum.dtype == np.int32
+    assert grid.cum.nbytes == ent.GRID_SIGMAS * ent.GRID_OFFSETS * 258 * 4
+    z_rows = codec._z_rows(np.array([0.5, 3.0, 40.0]))
+    assert z_rows.dtype == np.int32 and z_rows.shape == (3, 258)
+    assert rc.TableRows(z_rows, [0, 2]).cum is z_rows
 
 
 # ---------------------------------------------------------------------------

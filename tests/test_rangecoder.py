@@ -268,7 +268,8 @@ def test_every_alphabet_edge_roundtrips():
 
 
 def test_table_rows_contract():
-    cum = np.stack([uniform_row(), skew_row(3)])
+    # int32 rows are the coder's own form, taken without a copy
+    cum = np.stack([uniform_row(), skew_row(3)]).astype(np.int32)
     tables = rc.TableRows(cum, [0, 1, 1])
     assert tables.index.tolist() == [0, 1, 1] and np.shares_memory(tables.cum, cum)
     with pytest.raises(ContractViolation):
@@ -287,6 +288,24 @@ def test_table_rows_contract():
     bad = cum.copy()
     bad[1, -1] -= 1                                       # a row ends at 65535
     with pytest.raises(ContractViolation, match="run from 0"):
+        rc.TableRows(bad, [0])
+
+
+def test_table_rows_narrow_to_int32_only_counts_in_range():
+    # int64 rows narrow to int32 with their values; a count outside
+    # [0, CDF_TOTAL] is refused before narrowing could wrap it into range
+    wide = np.stack([uniform_row(), skew_row(3)]).astype(np.int64)
+    tables = rc.TableRows(wide, [0, 1])
+    assert tables.cum.dtype == np.int32 and tables.cum.flags.c_contiguous
+    assert np.array_equal(tables.cum, wide)
+    for value in (-1, rc.CDF_TOTAL + 1, 1 << 32, (1 << 32) + 255):
+        bad = wide.copy()
+        bad[1, 5] = value
+        with pytest.raises(ContractViolation, match=r"\[0, 65536\]"):
+            rc.TableRows(bad, [0])
+    bad = wide.astype(np.float64)
+    bad[0, 7] = np.nan
+    with pytest.raises(ContractViolation, match=r"\[0, 65536\]"):
         rc.TableRows(bad, [0])
 
 
