@@ -7,10 +7,13 @@ product's shape, as the SkylakeX kernels do, so a change that cuts
 products differently can pass on one kernel and fail on another.  This
 runs the suite under SkylakeX, Haswell, Nehalem and Prescott, one after
 another, each in a child process, and prints the passed and failed
-counts and the failing test ids of each:
+counts and the failing test ids of each.  Some counts depend on the BLAS
+thread count too, so each child runs one OpenBLAS thread unless the
+caller sets `OPENBLAS_NUM_THREADS`, and each line names the count:
 
     python3 scripts/coretype_tier1.py
     python3 scripts/coretype_tier1.py --kernels Haswell -- tests/test_autodiff.py
+    OPENBLAS_NUM_THREADS=2 python3 scripts/coretype_tier1.py
 
 Arguments after `--` go to pytest in place of the whole suite.
 """
@@ -24,11 +27,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 KERNELS = ("SkylakeX", "Haswell", "Nehalem", "Prescott")
+BLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS", "1")
 
 
 def run(kernel: str, tests: list[str]) -> tuple[dict[str, int], list[str]]:
     """The outcome counts and failing test ids of one pytest run under kernel."""
-    env = dict(os.environ, OPENBLAS_CORETYPE=kernel,
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS=BLAS_THREADS,
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")])))
     child = subprocess.run(
@@ -54,7 +58,8 @@ def main():
     for kernel in args.kernels:
         counts, failing = run(kernel, args.tests)
         errors = counts.get("error", 0) + counts.get("errors", 0)
-        print(f"{kernel}: {counts.get('passed', 0)} passed, {counts.get('failed', 0)} failed"
+        print(f"{kernel}, OPENBLAS_NUM_THREADS={BLAS_THREADS}: {counts.get('passed', 0)} passed, "
+              f"{counts.get('failed', 0)} failed"
               + (f", {errors} errors" if errors else ""), flush=True)
         for test in failing:
             print(f"  {test}", flush=True)

@@ -29,6 +29,11 @@ window of output rows (``Rows``) from a window of input rows, into an
 array the caller gives, with the bits of the whole map's rows: a map can
 then be computed band by band while only the input rows the next band
 reads are kept (``transforms.CodecModel.synthesize``).
+
+``Tensor.backward`` frees the tape as it walks it: each recorded op drops
+its gradient, parents and vjp once its vjp has run, so a training step
+holds at most one forward tape.  Only leaves keep ``.grad``; a tape is
+walked once per forward, and a second walk over it raises.
 """
 
 from __future__ import annotations
@@ -107,12 +112,15 @@ class Tensor:
 
     def backward(self) -> None:
         """Accumulate gradients of this scalar loss into every
-        requires_grad tensor it was computed from.
+        requires_grad tensor it was computed from, freeing the tape.
 
         Nodes are ordered parents-before-children by a walk that follows
         recorded parent order, then visited in exact reverse, so repeated
         calls on an identical graph and values produce bit-identical
-        gradients.
+        gradients.  Each recorded op gives up its gradient before its vjp
+        runs and its parents and vjp after, so the walk holds at most the
+        forward tape.  Only leaves keep `.grad`.  A tape is walked once:
+        reaching a part of it that a walk freed raises ContractViolation.
         """
         if self.size != 1:
             raise ContractViolation("backward() needs a scalar loss")
@@ -126,23 +134,30 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._vjp is None and node.requires_grad and node.op != "leaf":
+                raise ContractViolation(
+                    f"backward() reached op '{node.op}', whose tape an earlier backward() freed")
             seen.add(id(node))
             stack.append((node, True))
             for parent in reversed(node._parents):
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones((1, 1, 1, 1), dtype=np.float32)
-        for node in reversed(order):
-            if node._vjp is None or node.grad is None:
+        while order:
+            node = order.pop()
+            if node._vjp is None:
                 continue
-            for parent, g in zip(node._parents, node._vjp(node.grad)):
-                if g is None or not parent.requires_grad:
-                    continue
-                if not _finite(g):
-                    raise NumericError(f"non-finite gradient out of op '{node.op}'")
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += g.astype(np.float32, copy=False)
+            grad, node.grad = node.grad, None
+            if grad is not None:
+                for parent, g in zip(node._parents, node._vjp(grad)):
+                    if g is None or not parent.requires_grad:
+                        continue
+                    if not _finite(g):
+                        raise NumericError(f"non-finite gradient out of op '{node.op}'")
+                    if parent.grad is None:
+                        parent.grad = np.zeros_like(parent.data)
+                    parent.grad += g.astype(np.float32, copy=False)
+            node._parents, node._vjp = (), None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self.op!r}, grad={self.requires_grad})"

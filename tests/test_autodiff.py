@@ -997,6 +997,92 @@ def test_backward_deterministic_bitwise():
         np.testing.assert_array_equal(a, b)
 
 
+def _backward_keeping_tape(loss):
+    """backward()'s walk with nothing freed: every node keeps its grad and tape."""
+    order, seen = [], set()
+
+    def visit(node):
+        seen.add(id(node))
+        for parent in node._parents:
+            if id(parent) not in seen:
+                visit(parent)
+        order.append(node)
+
+    visit(loss)
+    loss.grad = np.ones((1, 1, 1, 1), np.float32)
+    for node in reversed(order):
+        if node._vjp is None or node.grad is None:
+            continue
+        for parent, g in zip(node._parents, node._vjp(node.grad)):
+            if g is not None and parent.requires_grad:
+                if parent.grad is None:
+                    parent.grad = np.zeros_like(parent.data)
+                parent.grad += g.astype(np.float32, copy=False)
+
+
+def _taped_graph():
+    """A loss over conv, GDN, deconv, a channel split and concat, with the
+    input and a GDN output each read twice, and its leaves."""
+    x = randt((2, 6, 6, 2), seed=60)
+    k = randt((3, 3, 2, 4), seed=61, scale=0.4)
+    kd = randt((3, 3, 2, 4), seed=62, scale=0.4)
+    p = GdnParams.create(4)
+    h = ad.gdn(ad.conv2d(x, k, 2), p)
+    mixed = ad.concat_channels([ad.channel_slice(h, 2, 4), ad.relu(ad.channel_slice(h, 0, 2))])
+    y = ad.deconv2d(ad.add(h, mixed), kd, 2)
+    loss = ad.sum_all(ad.add(ad.square(y), ad.mul(x, y)))
+    return loss, [x, k, kd, p.beta_u, p.gamma_v]
+
+
+def _interior_nodes(loss):
+    nodes, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+            if node._vjp is not None:
+                nodes.append(node)
+    return nodes
+
+
+def test_backward_freeing_the_tape_keeps_the_leaf_grads_bitwise():
+    kept, kept_leaves = _taped_graph()
+    _backward_keeping_tape(kept)
+    freed, freed_leaves = _taped_graph()
+    freed.backward()
+    for a, b in zip(kept_leaves, freed_leaves):
+        assert a.grad.dtype == b.grad.dtype == np.float32
+        np.testing.assert_array_equal(a.grad, b.grad)
+
+
+def test_backward_leaves_interior_nodes_no_grad_and_no_tape():
+    loss, leaves = _taped_graph()
+    interior = _interior_nodes(loss)
+    assert len(interior) > 10 and loss in interior
+    loss.backward()
+    for node in interior:
+        assert node.grad is None and node._parents == () and node._vjp is None, node.op
+    assert all(t.grad is not None for t in leaves)
+
+
+def test_backward_runs_once_per_forward():
+    loss, leaves = _taped_graph()
+    loss.backward()
+    grads = [t.grad.copy() for t in leaves]
+    with pytest.raises(ContractViolation):
+        loss.backward()
+    for t, g in zip(leaves, grads):
+        np.testing.assert_array_equal(t.grad, g)
+    # a second loss over a subgraph the first walk freed raises as well
+    x = randt((1, 2, 2, 2), seed=63)
+    h = ad.square(x)
+    first, second = ad.sum_all(h), ad.sum_all(ad.exp(h))
+    first.backward()
+    with pytest.raises(ContractViolation):
+        second.backward()
+
+
 def test_backward_requires_scalar():
     x = randt((1, 2, 2, 2), seed=56)
     with pytest.raises(ContractViolation):
